@@ -1,6 +1,9 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact integer linear algebra helpers.
 
-Everything here works with Python ints and fractions.Fraction; no floats.
+Ranks, kernels, coordinates in a lattice basis and lattice indices all
+come from the integer Hermite normal form; no floats anywhere.
+fractions.Fraction is left only in `rational_solve` (slopes), `is_psd`
+and `lp_feasible`, the simplex kept as a reference for the tests.
 Matrices are lists of row tuples/lists.
 """
 
@@ -152,24 +155,8 @@ def solve_integer(rows, ncols, target):
 
 
 def rational_rank(mat):
-    """Rank of a matrix with int or Fraction entries."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[c]
-        rows[rank] = [x * inv for x in prow]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over Q of an integer matrix."""
+    return len(hnf(mat, len(mat[0]) if mat else 0))
 
 
 def rational_solve(mat, rhs):
@@ -202,32 +189,6 @@ def rational_solve(mat, rhs):
     for row, c in zip(aug[:rank], pivots):
         x[c] = row[n]
     return x
-
-
-def rational_nullspace(mat, ncols):
-    """Basis (rows of Fractions) of the rational kernel of mat."""
-    basis = integer_kernel([[int(x) if isinstance(x, int) else x for x in row] for row in mat], ncols) \
-        if all(isinstance(x, int) for row in mat for x in row) else None
-    if basis is not None:
-        return [tuple(Fraction(x) for x in b) for b in basis]
-    # Fraction entries: clear denominators row by row.
-    cleared = []
-    for row in mat:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        cleared.append([int(x * den) for x in fr])
-    return [tuple(Fraction(x) for x in b) for b in integer_kernel(cleared, ncols)]
-
-
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector (direction kept)."""
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive([int(x * den) for x in fr])
 
 
 def is_psd(mat):

@@ -54,15 +54,7 @@ def cmd_validate(args):
     if kind in ("stacky_fan",):
         violations = F.validate(obj)
     elif kind == "coloring":
-        violations = MIN.validate_coloring(
-            MIN.SublatticeColoring(
-                obj.ambient_rank,
-                tuple(
-                    (lat, tuple(cs))
-                    for lat, cs in _coloring_view(obj).items()
-                ),
-            )
-        )
+        violations = MIN.validate_coloring(MIN.coloring_of(obj.pieces, obj.ambient_rank))
     elif kind == "polarized_base":
         violations = S.validate_form(obj)
     elif kind == "av_fan":
@@ -75,13 +67,6 @@ def cmd_validate(args):
         return FAIL
     print("ok")
     return OK
-
-
-def _coloring_view(m):
-    groups = {}
-    for p in m.pieces:
-        groups.setdefault(p.lattice, []).append(p.cone)
-    return groups
 
 
 def cmd_minimal(args):
@@ -355,6 +340,9 @@ def main(argv=None):
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except S.DefinitenessRequiredError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return UNSUPPORTED
 
 
 if __name__ == "__main__":

@@ -1,25 +1,25 @@
 """Exact pointed rational polyhedral cones.
 
 A Cone keeps three descriptions in sync: primitive extreme rays, a
-saturated basis of the lattice of its linear span, and facet normals as
-ambient integer functionals.  Membership is a sign/span test; faces and
+saturated basis of the lattice of its linear span (in HNF), and facet
+normals as ambient integer functionals.  Membership is a sign test plus,
+for a lower-dimensional cone, an integer HNF span test; faces and
 intersections come from the usual double-description bookkeeping.  All
-cones are pointed; non-pointed input is rejected.
+cones are pointed: a cone is pointed iff its dual is full-dimensional in
+the span, and non-pointed input is rejected.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import lattice as lat
 from ._linalg import (
-    clear_denominators,
     dot,
+    express_in_hnf,
+    integer_kernel,
     is_zero,
-    lp_feasible,
     primitive,
     rational_rank,
-    rational_solve,
     solve_integer,
 )
 from .lattice import DimensionError
@@ -84,12 +84,10 @@ def _extreme_rays_of_inequalities(ineqs, k):
         return rays
     for subset in combinations(range(len(ineqs)), k - 1):
         rows = [ineqs[i] for i in subset]
-        kernel = _rational_kernel_rows(rows, k)
+        kernel = integer_kernel(rows, k)
         if len(kernel) != 1:
             continue
-        v = clear_denominators(kernel[0])
-        if is_zero(v):
-            continue
+        v = primitive(kernel[0])
         for cand in (v, tuple(-x for x in v)):
             if all(dot(row, cand) >= 0 for row in ineqs):
                 if cand not in seen:
@@ -97,31 +95,6 @@ def _extreme_rays_of_inequalities(ineqs, k):
                     rays.append(cand)
                 break
     return rays
-
-
-def _rational_kernel_rows(rows, ncols):
-    from ._linalg import rational_nullspace
-
-    return rational_nullspace([list(r) for r in rows], ncols)
-
-
-def _span_coords(span_basis, v):
-    """Coordinates of v in the saturated span basis, or None if outside."""
-    mat = [[span_basis[j][i] for j in range(len(span_basis))] for i in range(len(v))]
-    return rational_solve(mat, v)
-
-
-def _is_pointed(rays):
-    """cone(rays) is non-pointed iff 0 is a nontrivial nonneg combination."""
-    if not rays:
-        return True
-    n = len(rays[0])
-    a_eq = []
-    for i in range(n):
-        a_eq.append([r[i] for r in rays])
-    a_eq.append([1] * len(rays))
-    b_eq = [0] * n + [1]
-    return not lp_feasible(a_eq, b_eq, len(rays))
 
 
 def from_rays(rays, ambient_rank):
@@ -136,22 +109,20 @@ def from_rays(rays, ambient_rank):
             prims.append(p)
     if not prims:
         return Cone(ambient_rank, (), (), ())
-    if not _is_pointed(prims):
-        raise PointednessError(f"cone generated by {rays} contains a line")
     span = lat.saturate(lat.canonicalize(prims, ambient_rank))
     d = span.rank
-    coords = []
-    for p in prims:
-        c = _span_coords(span.basis, p)
-        coords.append(tuple(int(x) for x in c))
-    # Facet normals in span coordinates: extreme rays of the dual cone.
+    coords = [express_in_hnf(span.basis, ambient_rank, p) for p in prims]
+    # Facet normals in span coordinates: extreme rays of the dual cone,
+    # which is pointed because the coordinates span R^d.  The cone is
+    # pointed iff its dual is full-dimensional.
     normals_d = _extreme_rays_of_inequalities(coords, d)
+    if rational_rank(normals_d) != d:
+        raise PointednessError(f"cone generated by {rays} contains a line")
     # Extreme-ray filter: active normal set of rank d-1.
     extreme = []
     for p, c in zip(prims, coords):
         active = [h for h in normals_d if dot(h, c) == 0]
-        rank_active = rational_rank(active) if active else 0
-        if rank_active == d - 1:
+        if rational_rank(active) == d - 1:
             extreme.append(p)
     # Lift normals to ambient integer functionals (the span basis is
     # saturated, so an integer lift always exists).
@@ -186,17 +157,18 @@ def ray_cone(v, ambient_rank):
     return from_rays([v], ambient_rank)
 
 
-def contains_point(cone, v, den=1):
-    """Classify v/den against the cone: outside, boundary, relative_interior."""
+def contains_point(cone, v):
+    """Classify an integer point: outside, boundary, relative_interior."""
     if len(v) != cone.ambient_rank:
         raise DimensionError("point length mismatch")
     if is_zero(v):
         return RELATIVE_INTERIOR if cone.dim == 0 else BOUNDARY
     if cone.dim == 0:
         return OUTSIDE
+    # The span basis is saturated, so an integer point lies in the span
+    # iff it has integer coordinates in that basis.
     if cone.dim < cone.ambient_rank:
-        coords = _span_coords(cone.span_basis, v)
-        if coords is None:
+        if express_in_hnf(cone.span_basis, cone.ambient_rank, v) is None:
             return OUTSIDE
     signs = [dot(h, v) for h in cone.facet_normals]
     if any(s < 0 for s in signs):
@@ -359,6 +331,24 @@ def split_by_hyperplanes(cones, hyperplanes):
     return cells
 
 
+def arrangement_cells(hyperplanes, ambient_rank):
+    """Cells of the central arrangement {<h, x> = 0} of the hyperplanes.
+
+    The 2^n orthants of R^n are split by every hyperplane; exact and fine
+    for the small ranks this library targets.  Cells of lower dimension
+    may appear, so callers keep the full-dimensional ones.
+    """
+    n = ambient_rank
+    orthants = []
+    for mask in range(2 ** n):
+        rays = []
+        for i in range(n):
+            sign = -1 if (mask >> i) & 1 else 1
+            rays.append(tuple(sign if j == i else 0 for j in range(n)))
+        orthants.append(from_rays(rays, n))
+    return split_by_hyperplanes(orthants, hyperplanes)
+
+
 def _splitting_hyperplanes(target, pieces):
     """Facet hyperplanes of the pieces that actually cut the target."""
     hyperplanes = []
@@ -394,3 +384,10 @@ def uncovered_point(target, pieces):
 def cone_covered_by(target, pieces):
     """Exact test: is `target` contained in the union of `pieces`?"""
     return uncovered_point(target, pieces) is None
+
+
+def same_union(cones1, cones2):
+    """Exact test: do two lists of cones cover the same set?"""
+    return all(cone_covered_by(c, cones2) for c in cones1) and all(
+        cone_covered_by(c, cones1) for c in cones2
+    )

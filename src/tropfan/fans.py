@@ -198,10 +198,8 @@ def support_contains_cone(c, fan):
 
 
 def supports_equal(f1, f2):
-    m1 = [sc.cone for sc in maximal_cones(f1)]
-    m2 = [sc.cone for sc in maximal_cones(f2)]
-    return all(C.cone_covered_by(c, m2) for c in m1) and all(
-        C.cone_covered_by(c, m1) for c in m2
+    return C.same_union(
+        [sc.cone for sc in maximal_cones(f1)], [sc.cone for sc in maximal_cones(f2)]
     )
 
 

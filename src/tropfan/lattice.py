@@ -88,36 +88,12 @@ def index_in(sub, sup):
     if sub.rank < sup.rank:
         return INFINITE
     # Express sub's basis in coordinates with respect to sup's basis; the
-    # index is |det| of the resulting square integer matrix.
+    # index is |det| of that square matrix, the product of its HNF pivots.
     coords = [express_in_hnf(list(sup.basis), sup.ambient_rank, b) for b in sub.basis]
-    det = _int_det([list(c) for c in coords])
-    return abs(det)
-
-
-def _int_det(mat):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    from fractions import Fraction
-
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    assert det.denominator == 1
-    return det.numerator
+    index = 1
+    for i, row in enumerate(hnf(coords, sup.rank)):
+        index *= row[i]
+    return index
 
 
 def intersect(l1, l2):
@@ -150,11 +126,6 @@ def saturate(lattice):
         return full_lattice(n)
     sat = integer_kernel([list(p) for p in perp], n)
     return canonicalize([list(v) for v in sat], n)
-
-
-def group_closure(points, ambient_rank):
-    """Subgroup of Z^n generated by the given points (differences included)."""
-    return canonicalize(points, ambient_rank)
 
 
 def restrict_to_span(lattice, span_vectors):

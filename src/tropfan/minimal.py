@@ -134,20 +134,12 @@ def _overlay_mismatch(pieces1, pieces2):
     return None
 
 
-def _supports_equal(pieces1, pieces2):
-    c1 = [p.cone for p in pieces1]
-    c2 = [p.cone for p in pieces2]
-    return all(C.cone_covered_by(c, c2) for c in c1) and all(
-        C.cone_covered_by(c, c1) for c in c2
-    )
-
-
 def s_sets_equal(a, b):
     """Do two fans (or minimal fans) have the same point set S?"""
     if a.ambient_rank != b.ambient_rank:
         raise L.DimensionError("ambient ranks differ")
     p1, p2 = _pieces_of(a), _pieces_of(b)
-    if not _supports_equal(p1, p2):
+    if not C.same_union([p.cone for p in p1], [p.cone for p in p2]):
         return False
     return _overlay_mismatch(p1, p2) is None
 
@@ -231,14 +223,19 @@ def to_coloring(fan):
         raise CompletenessRequiredError(
             "sublattice colorings are defined for complete fans"
         )
+    return coloring_of(F.maximal_cones(fan), fan.ambient_rank)
+
+
+def coloring_of(pieces, ambient_rank):
+    """Group stacky pieces by sublattice, colors and cones in canonical order."""
     groups = {}
-    for sc in F.maximal_cones(fan):
+    for sc in pieces:
         groups.setdefault(sc.lattice, []).append(sc.cone)
     colors = tuple(
         (lat, tuple(sorted(cs, key=lambda c: c.rays)))
         for lat, cs in sorted(groups.items(), key=lambda kv: kv[0].basis)
     )
-    return SublatticeColoring(fan.ambient_rank, colors)
+    return SublatticeColoring(ambient_rank, colors)
 
 
 def validate_coloring(c):
@@ -268,23 +265,6 @@ def from_coloring(c):
     return MinimalFan(c.ambient_rank, _merge_pieces(pieces))
 
 
-def _arrangement_cells(hyperplanes, ambient_rank):
-    """Full-dimensional cells of a central hyperplane arrangement.
-
-    The orthants of R^n are split by every hyperplane; exact and fine for
-    the small ranks this library targets.
-    """
-    n = ambient_rank
-    orthants = []
-    for mask in range(2 ** n):
-        rays = []
-        for i in range(n):
-            sign = -1 if (mask >> i) & 1 else 1
-            rays.append(tuple(sign if j == i else 0 for j in range(n)))
-        orthants.append(C.from_rays(rays, n))
-    return C.split_by_hyperplanes(orthants, hyperplanes)
-
-
 def coloring_is_complete(m):
     """Does the union of the pieces cover all of R^n?"""
     n = m.ambient_rank
@@ -298,7 +278,7 @@ def coloring_is_complete(m):
         for h in c.facet_normals:
             if h not in hyperplanes and tuple(-x for x in h) not in hyperplanes:
                 hyperplanes.append(h)
-    for cell in _arrangement_cells(hyperplanes, n):
+    for cell in C.arrangement_cells(hyperplanes, n):
         if cell.dim != n:
             continue
         pt = C.interior_point(cell)

@@ -12,19 +12,16 @@ representative cone per T_m-orbit.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import cones as C
 from . import fans as F
 from . import lattice as L
 from ._linalg import (
-    clear_denominators,
     dot,
+    integer_kernel,
     is_psd,
     is_zero,
-    lp_feasible,
-    rational_nullspace,
     rational_rank,
     rational_solve,
 )
@@ -125,11 +122,11 @@ def validate_form(base):
         stacked.extend(G)
     if out:
         return out
-    kernel = rational_nullspace(stacked, g)
+    kernel = integer_kernel(stacked, g)
     if kernel:
         out.append(
             f"form is degenerate: Q(m,m) vanishes on the base cone for m = "
-            f"{tuple(int(x) for x in clear_denominators(kernel[0]))}"
+            f"{kernel[0]}"
         )
     return out
 
@@ -142,8 +139,12 @@ def admissible_point(n, nprime, base):
         return False
     if is_zero(nprime):
         return True
-    G = gram(base, n)
-    return rational_rank(G) == rational_rank(G + [list(nprime)])
+    return _in_row_span(gram(base, n), nprime)
+
+
+def _in_row_span(G, v):
+    """Is v in the rational row span of G?"""
+    return rational_rank(G) == rational_rank(G + [list(v)])
 
 
 def admissible_hom(tau, structure_map, phi, base):
@@ -152,21 +153,13 @@ def admissible_hom(tau, structure_map, phi, base):
     `tau` is a Cone in its own ambient Z^d, `structure_map` is the b×d
     integer matrix of the map to the base ambient, and `phi` lists the g
     covectors φ(e_i) ∈ M_τ (length d each).  Decided ray by ray: on each
-    ray the image covector must be a signed nonnegative combination of
-    the Gram columns, checked by exact LP feasibility.
+    ray the image covector must lie in the span of the Gram matrix there,
+    checked by an exact rank test.
     """
-    g = base.m_rank
     for ray in tau.rays:
         n = tuple(dot(row, ray) for row in structure_map)
         target = [dot(p, ray) for p in phi]
-        G = gram(base, n)
-        # target ∈ span(G) iff [G | -G] λ = target has a solution λ ≥ 0.
-        columns = [[G[i][j] for i in range(g)] for j in range(g)]
-        a_eq = [
-            [G[i][j] for i in range(g)] + [-G[i][j] for i in range(g)]
-            for j in range(g)
-        ]
-        if not lp_feasible(a_eq, target, 2 * g):
+        if not _in_row_span(gram(base, n), target):
             return False
     return True
 
@@ -192,7 +185,7 @@ def _ray_slope(base, ray):
     """
     n, nprime, _ = split_point(base, ray)
     G = gram(base, n)
-    if rational_nullspace(G, base.m_rank):
+    if integer_kernel(G, base.m_rank):
         raise DefinitenessRequiredError(
             f"gram matrix is singular at base point {n}; slopes are not unique"
         )
@@ -645,14 +638,7 @@ def _av_covers(pieces1, pieces2, base):
 
 def arrangement_fan_cones(normals, rank):
     """Full-dimensional cells of the central arrangement {x·h = 0}."""
-    orthants = []
-    for mask in range(2 ** rank):
-        rays = []
-        for i in range(rank):
-            sign = -1 if (mask >> i) & 1 else 1
-            rays.append(tuple(sign if j == i else 0 for j in range(rank)))
-        orthants.append(C.from_rays(rays, rank))
-    cells = C.split_by_hyperplanes(orthants, list(normals))
+    cells = C.arrangement_cells(list(normals), rank)
     # Merge cells not separated by an arrangement hyperplane: group by the
     # sign vector of an interior point.
     groups = {}

@@ -73,17 +73,10 @@ def _dec_fan(payload):
 
 
 def _enc_coloring_from_minimal(m):
-    groups = {}
-    for p in m.pieces:
-        groups.setdefault(p.lattice, []).append(p.cone)
-    colors = []
-    for lat, cs in sorted(groups.items(), key=lambda kv: kv[0].basis):
-        colors.append(
-            {
-                "lattice": _enc_mat(lat.basis),
-                "cones": [_enc_mat(c.rays) for c in sorted(cs, key=lambda c: c.rays)],
-            }
-        )
+    colors = [
+        {"lattice": _enc_mat(lat.basis), "cones": [_enc_mat(c.rays) for c in cs]}
+        for lat, cs in MIN.coloring_of(m.pieces, m.ambient_rank).colors
+    ]
     return {"ambient_rank": str(m.ambient_rank), "colors": colors}
 
 
@@ -199,7 +192,11 @@ def from_document(doc):
         if kind == "av_fan":
             return kind, _dec_av_fan(payload)
         return kind, _dec_graph(payload)
-    except (KeyError, TypeError) as exc:
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers the library's own input checks, such as
+        # PointednessError and DimensionError.
         raise ParseError(f"malformed {kind} payload: {exc}")
 
 

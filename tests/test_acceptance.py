@@ -16,6 +16,7 @@ import tropfan.minimal as MIN
 import tropfan.oracle as oracle
 import tropfan.semiabelian as S
 import tropfan.serialize as SER
+from tropfan._linalg import lp_feasible
 import conftest
 from conftest import FIXTURES
 
@@ -229,8 +230,8 @@ def test_criterion_6_pairing_lemmas():
                     for j in range(g):
                         assert sum(m[i] * G[i][j] for i in range(g)) == 0
 
-        # admissible_hom (LP certificate) vs ray-wise admissible_point
-        # (rank test) on an exhaustive small family.
+        # admissible_hom vs ray-wise admissible_point and vs the LP
+        # [G | -G] λ = target, λ ≥ 0, on an exhaustive small family.
         base_cone = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
         bases = [
             S.PolarizedBase(base_cone, 1, (((1, 1),),), 0),
@@ -253,6 +254,15 @@ def test_criterion_6_pairing_lemmas():
                     itertools.product(range(-2, 3), repeat=2), repeat=g
                 ):
                     via_hom = S.admissible_hom(tau, identity, list(phi), base)
+                    via_lp = True
+                    for ray in tau.rays:
+                        G = S.gram(base, ray)
+                        a_eq = [
+                            [G[i][j] for i in range(g)] + [-G[i][j] for i in range(g)]
+                            for j in range(g)
+                        ]
+                        target = [sum(p[k] * ray[k] for k in range(2)) for p in phi]
+                        via_lp = via_lp and lp_feasible(a_eq, target, 2 * g)
                     via_points = all(
                         S.admissible_point(
                             ray,
@@ -261,7 +271,7 @@ def test_criterion_6_pairing_lemmas():
                         )
                         for ray in tau.rays
                     )
-                    assert via_hom == via_points
+                    assert via_hom == via_points == via_lp
 
     _timed("criterion 6 (pairing lemmas)", 60.0, body)
 

@@ -3,8 +3,12 @@ import json
 import pytest
 
 import tropfan.cli as cli
+import tropfan.cones as C
+import tropfan.fans as F
+import tropfan.lattice as L
 import tropfan.minimal as MIN
 import tropfan.render as R
+import tropfan.semiabelian as S
 import tropfan.serialize as SER
 from conftest import FIXTURES
 
@@ -91,6 +95,53 @@ class TestValidateCommand:
     def test_graph_unsupported(self, capsys, fx):
         code, _, err = run(capsys, "validate", fx("theta_graph.json"))
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # A cone containing the line R·(1, 0).
+            lambda p: p["cones"].append({"lattice": [["1", "0"]], "rays": [["1", "0"], ["-1", "0"]]}),
+            # A ray of length 3 in ambient rank 2.
+            lambda p: p["cones"][1]["rays"][0].append("0"),
+            lambda p: p.update(ambient_rank="-1"),
+        ],
+        ids=["non_pointed", "ray_length", "negative_rank"],
+    )
+    def test_decode_error_is_parse_error(self, capsys, fx, tmp_path, edit):
+        with open(fx("quadrant.json")) as fh:
+            doc = json.load(fh)
+        edit(doc["payload"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "malformed stacky_fan payload" in err
+
+    def test_singular_gram_unsupported(self, capsys, fx, tmp_path):
+        """Slopes over a base ray with a singular Gram matrix are unsupported."""
+        two = SER.load_path(fx("tate_two_arc.json"))[1]
+
+        def embed(v, slot):
+            return (v[0], 0, v[1], 0) if slot == 0 else (0, v[0], 0, v[1])
+
+        reps = []
+        for s1 in two.representatives:
+            for s2 in two.representatives:
+                rays = [embed(r, 0) for r in s1.cone.rays] + [embed(r, 1) for r in s2.cone.rays]
+                lat = [embed(b, 0) for b in s1.lattice.basis] + [
+                    embed(b, 1) for b in s2.lattice.basis
+                ]
+                cone = C.from_rays(rays, 4) if rays else C.zero_cone(4)
+                reps.append(F.StackyCone(cone, L.canonicalize(lat, 4)))
+        e = [(1, 0), (0, 1)]
+        q = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+        base = S.PolarizedBase(F.stacky_cone(e, e, 2), 2, q, 0)
+        assert S.validate_form(base) == []
+        path = tmp_path / "product.json"
+        path.write_text(SER.dumps(S.av_fan(base, reps)))
+        for cmd in ("validate", "complete"):
+            code, _, err = run(capsys, cmd, str(path))
+            assert code == 4
+            assert len(err.strip().splitlines()) == 1 and "singular" in err
 
 
 class TestEquivCommand:

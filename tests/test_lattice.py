@@ -148,12 +148,8 @@ class TestSaturate:
 
 class TestGroupClosure:
     def test_gcd(self):
-        lat = L.group_closure([(2, 0), (3, 0)], 2)
+        lat = L.canonicalize([(2, 0), (3, 0)], 2)
         assert lat.basis == ((1, 0),)
-
-    def test_matches_canonicalize(self):
-        pts = [(2, 1), (0, 3), (4, 2)]
-        assert L.group_closure(pts, 2) == L.canonicalize(pts, 2)
 
 
 class TestRestrictToSpan:
