@@ -266,7 +266,7 @@ def build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("minimal", help="canonical minimal representative")
+    p = sub.add_parser("minimal", help="coarsening by greedy wall merging")
     p.add_argument("file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_minimal)

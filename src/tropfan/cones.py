@@ -218,8 +218,13 @@ def faces(cone):
 
 
 def facets(cone):
-    """Codimension-one faces."""
-    return [f for f in faces(cone) if f.dim == cone.dim - 1]
+    """Codimension-one faces: one per facet normal, cut out by the rays on
+    which it vanishes."""
+    fs = [
+        from_rays([r for r in cone.rays if dot(h, r) == 0], cone.ambient_rank)
+        for h in cone.facet_normals
+    ]
+    return sorted(fs, key=lambda f: f.rays)
 
 
 def intersect_cones(c1, c2):

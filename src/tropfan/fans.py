@@ -42,6 +42,40 @@ class StackyCone:
         return f"StackyCone(rays={self.cone.rays}, lattice={self.lattice.basis})"
 
 
+def merge_across_wall(p, q):
+    """The StackyCone p ∪ q when it is a pointed convex cone with p ∩ q a
+    common facet and the lattices of p and q agree; else None.
+
+    Equal lattices give one span and one dimension d.  For d >= 1 the
+    union is convex across a common facet iff exactly one facet normal
+    h_p of p is negative on some ray of q, exactly one h_q of q is
+    negative on some ray of p, and h_p, h_q vanish on the same rays
+    (the wall).  Then every other facet inequality holds on both cones,
+    and together they cut conv(p ∪ q) back to p on one side of the wall
+    and to q on the other.
+    """
+    if p.lattice != q.lattice or p.dim != q.dim or p.dim == 0:
+        return None
+    h_p = _only_cutting_normal(p.cone, q.cone)
+    h_q = _only_cutting_normal(q.cone, p.cone)
+    if h_p is None or h_q is None:
+        return None
+    rays = p.cone.rays + q.cone.rays
+    if any((dot(h_p, r) == 0) != (dot(h_q, r) == 0) for r in rays):
+        return None
+    try:
+        union = C.from_rays(rays, p.ambient_rank)
+    except C.PointednessError:
+        return None  # e.g. two adjacent quadrants make a half-plane
+    return StackyCone(union, p.lattice)
+
+
+def _only_cutting_normal(a, b):
+    """The one facet normal of a negative on some ray of b, else None."""
+    cutting = [h for h in a.facet_normals if any(dot(h, r) < 0 for r in b.rays)]
+    return cutting[0] if len(cutting) == 1 else None
+
+
 def stacky_cone(rays, lattice_gens, ambient_rank):
     """Convenience constructor from ray and lattice generator lists."""
     return StackyCone(

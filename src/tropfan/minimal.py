@@ -5,9 +5,9 @@ set S = union of (cone ∩ lattice) over its cones.  S is determined by
 the maximal cones alone (face lattices are induced), so everything here
 works with lists of maximal stacky cones ("pieces").
 
-MinimalFan canonicalizes a fan by greedily merging pieces across walls
-where the sublattices agree and the union stays a pointed convex cone.
-Because a piece list is not a unique decomposition of S in general,
+MinimalFan coarsens a fan by greedily merging two pieces at a time across
+a common wall where the sublattices agree and the union stays a pointed
+convex cone.  The pieces left depend on the input, not only on S, so
 MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.
 """
@@ -58,36 +58,6 @@ def _pieces_of(obj):
     return F.maximal_cones(obj)
 
 
-def _wall(a, b):
-    """Common codim-1 face of two equal-dimension cones, or None."""
-    if a.dim != b.dim:
-        return None
-    inter = C.intersect_cones(a, b)
-    if inter.dim != a.dim - 1:
-        return None
-    if not (C.is_face_of(inter, a) and C.is_face_of(inter, b)):
-        return None
-    return inter
-
-
-def _try_merge(p, q):
-    """Merged StackyCone if p and q merge across a wall, else None."""
-    if p.lattice != q.lattice:
-        return None
-    if _wall(p.cone, q.cone) is None:
-        return None
-    try:
-        union = C.from_rays(list(p.cone.rays) + list(q.cone.rays), p.ambient_rank)
-    except C.PointednessError:
-        return None
-    if union.dim != p.dim:
-        return None
-    # The convex hull must not overshoot the actual union.
-    if not C.cone_covered_by(union, [p.cone, q.cone]):
-        return None
-    return F.StackyCone(union, p.lattice)
-
-
 def _merge_pieces(pieces):
     """Greedy wall-merging; deterministic because processed in canonical order."""
     items = sorted(pieces, key=lambda sc: (sc.dim, sc.cone.rays))
@@ -96,7 +66,7 @@ def _merge_pieces(pieces):
         changed = False
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                merged = _try_merge(items[i], items[j])
+                merged = F.merge_across_wall(items[i], items[j])
                 if merged is not None:
                     items = [it for k, it in enumerate(items) if k not in (i, j)]
                     items.append(merged)
@@ -109,9 +79,14 @@ def _merge_pieces(pieces):
 
 
 def minimal_fan(fan):
-    """Canonical minimal representative of a stacky fan's birational class.
+    """Coarsening of a stacky fan by greedy pairwise wall merging.
 
-    Accepts a StackyFan or a MinimalFan (on which it is idempotent).
+    Pieces are merged two at a time, in a fixed order, until no pair
+    merges.  The result has the input's S-set, but its piece list is not
+    a canonical form: a stellar subdivision of a simplicial cone of rank
+    >= 3 stays subdivided, since no two of its pieces have a convex
+    union.  Accepts a StackyFan or a MinimalFan (on which it is
+    idempotent).
     """
     pieces = _pieces_of(fan)
     return MinimalFan(fan.ambient_rank, _merge_pieces(pieces))
@@ -271,17 +246,4 @@ def coloring_is_complete(m):
     if n == 0:
         return True
     tops = [p.cone for p in m.pieces if p.dim == n]
-    if not tops:
-        return False
-    hyperplanes = []
-    for c in tops:
-        for h in c.facet_normals:
-            if h not in hyperplanes and tuple(-x for x in h) not in hyperplanes:
-                hyperplanes.append(h)
-    for cell in C.arrangement_cells(hyperplanes, n):
-        if cell.dim != n:
-            continue
-        pt = C.interior_point(cell)
-        if not any(C.member(c, pt) for c in tops):
-            return False
-    return True
+    return all(C.cone_covered_by(o, tops) for o in C.arrangement_cells([], n))

@@ -536,7 +536,7 @@ def _maximal_classes(cells, base):
 
 
 def av_minimal(fan):
-    """Canonical coarsening: merge orbit-adjacent cells with equal lattices.
+    """Greedy coarsening: merge orbit-adjacent cells with equal lattices.
 
     A merge is kept only when the merged fan still validates (in
     particular the pointwise-fixedness condition survives), which keeps
@@ -555,25 +555,9 @@ def av_minimal(fan):
                 for m in candidate_translations(cells[i], cells[j], base):
                     if i == j and is_zero(m):
                         continue
-                    moved = translate(cells[j], m, base)
-                    if moved.lattice != cells[i].lattice:
-                        continue
-                    inter = C.intersect_cones(cells[i].cone, moved.cone)
-                    if inter.dim != cells[i].dim - 1:
-                        continue
-                    try:
-                        union = C.from_rays(
-                            list(cells[i].cone.rays) + list(moved.cone.rays),
-                            fan.ambient_rank,
-                        )
-                    except C.PointednessError:
-                        continue
-                    if union.dim != cells[i].dim:
-                        continue
-                    if not C.cone_covered_by(union, [cells[i].cone, moved.cone]):
-                        continue
-                    merged = F.StackyCone(union, cells[i].lattice)
-                    break
+                    merged = F.merge_across_wall(cells[i], translate(cells[j], m, base))
+                    if merged is not None:
+                        break
                 if merged is None:
                     continue
                 new_cells = [

@@ -211,6 +211,20 @@ class TestDocumentCommands:
         assert cli.main(["minimal", str(first), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name",
+        ["delta_fig", "hirzebruch", "p2", "quadrant", "split_quadrant", "trivial",
+         "tate_three_arc", "tate_two_arc", "tate_two_arc_idx2"],
+    )
+    def test_minimal_golden(self, capsys, fx, name):
+        # fixtures/minimal/ holds the output recorded byte for byte before
+        # the local wall-merge test replaced the arrangement check, so a
+        # change in merge order or in a merge decision shows here.
+        code, out, _ = run(capsys, "minimal", fx(f"{name}.json"))
+        assert code == 0
+        with open(fx(f"minimal/{name}.json")) as fh:
+            assert out == fh.read()
+
     def test_minimal_rejects_invalid(self, capsys, fx):
         code, _, err = run(capsys, "minimal", fx("delta_fig_bad.json"))
         assert code == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tropfan.cones as C
 
@@ -94,6 +96,24 @@ class TestFaces:
         fs = C.facets(octant())
         assert len(fs) == 3
         assert all(f.dim == 2 for f in fs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5),
+            )
+        )
+    )
+    def test_facets_match_faces(self, case):
+        # Reference: the codimension-one members of the full face lattice.
+        n, rays = case
+        try:
+            cone = C.from_rays(rays, n)
+        except C.PointednessError:
+            assume(False)
+        assert C.facets(cone) == [f for f in C.faces(cone) if f.dim == cone.dim - 1]
 
     def test_is_face_of(self):
         q = quadrant()

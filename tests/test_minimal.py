@@ -41,6 +41,29 @@ class TestMinimalFan:
         assert len(m.pieces) == 1
         assert m.pieces[0].cone.rays == ((0, 1), (1, 0))
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2,
+            pytest.param(
+                3,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="no two pieces of the subdivision have a convex union, "
+                    "so greedy pairwise merging keeps all three",
+                ),
+            ),
+        ],
+    )
+    def test_stellar_subdivision_merges_back(self, n):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        orthant = F.fan_from_maximal(
+            [F.StackyCone(C.from_rays(units, n), L.full_lattice(n))], n
+        )
+        sub = F.stellar_subdivision(orthant, (1,) * n)
+        assert MIN.minimal_fan(sub) == MIN.minimal_fan(orthant)
+        assert len(MIN.minimal_fan(sub).pieces) == 1
+
     def test_idempotent(self):
         rng = random.Random(9)
         for _ in range(10):
