@@ -26,18 +26,6 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
-
-
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 

@@ -3,10 +3,13 @@
 A Cone keeps three descriptions in sync: primitive extreme rays, a
 saturated basis of the lattice of its linear span (in HNF), and facet
 normals as ambient integer functionals.  Membership is a sign test plus,
-for a lower-dimensional cone, an integer HNF span test; faces and
-intersections come from the usual double-description bookkeeping.  All
-cones are pointed: a cone is pointed iff its dual is full-dimensional in
-the span, and non-pointed input is rejected.
+for a lower-dimensional cone, an integer HNF span test.  The facet list
+is complete and irredundant, so ray–facet incidences decide the rest:
+a half-space cut is one double-description step over the rays, an
+intersection is a fold of such cuts, and faces and face tests are read
+from the facet normals vanishing on each ray.  All cones are pointed: a
+cone is pointed iff its dual is full-dimensional in the span, and
+non-pointed input is rejected.
 """
 
 from dataclasses import dataclass
@@ -65,8 +68,10 @@ class Cone:
 def _extreme_rays_of_inequalities(ineqs, k):
     """Extreme rays of the pointed cone {x in R^k : A x >= 0}.
 
-    Every extreme ray of a pointed cone has an active constraint set of
-    rank k-1, so enumerating (k-1)-subsets of rows finds all of them.
+    This is `from_rays`' dual step: with the rays' span coordinates as
+    rows, it yields the facet normals.  Every extreme ray of a pointed
+    cone has an active constraint set of rank k-1, so enumerating
+    (k-1)-subsets of rows finds all of them.
     """
     if k == 0:
         return []
@@ -202,19 +207,18 @@ def dual(cone):
 
 
 def faces(cone):
-    """All faces of the cone, including {0} and the cone itself."""
-    if cone.dim == 0:
-        return [cone]
-    result = {}
-    nfacets = len(cone.facet_normals)
-    for size in range(nfacets + 1):
-        for subset in combinations(range(nfacets), size):
-            sel = [cone.facet_normals[i] for i in subset]
-            face_rays = [r for r in cone.rays if all(dot(h, r) == 0 for h in sel)]
-            f = from_rays(face_rays, cone.ambient_rank)
-            result[f.rays] = f
-    result[()] = zero_cone(cone.ambient_rank)
-    return sorted(result.values(), key=lambda c: (c.dim, c.rays))
+    """All faces of the cone, including {0} and the cone itself, found by
+    walking facets of facets: one `from_rays` per face."""
+    found = {cone.rays: cone}
+    todo = [cone]
+    while todo:
+        f = todo.pop()
+        for h in f.facet_normals:
+            rays = tuple(r for r in f.rays if dot(h, r) == 0)
+            if rays not in found:
+                found[rays] = from_rays(rays, cone.ambient_rank)
+                todo.append(found[rays])
+    return sorted(found.values(), key=lambda c: (c.dim, c.rays))
 
 
 def facets(cone):
@@ -228,58 +232,39 @@ def facets(cone):
 
 
 def intersect_cones(c1, c2):
-    """Intersection cone; pointed whenever the inputs are."""
+    """Intersection cone: c1 sliced by both sides of each equation of c2's
+    span, then by each facet normal of c2.  Cutting down to the span
+    first leaves a smaller cone for the facet cuts, or none at all."""
     if c1.ambient_rank != c2.ambient_rank:
         raise DimensionError("ambient ranks differ")
     n = c1.ambient_rank
-    if c1.dim == 0 or c2.dim == 0:
-        return zero_cone(n)
-    span = lat.intersect(
-        lat.canonicalize([list(b) for b in c1.span_basis], n),
-        lat.canonicalize([list(b) for b in c2.span_basis], n),
-    )
-    span = lat.saturate(span)
-    k = span.rank
-    if k == 0:
-        return zero_cone(n)
-    # Restrict both facet systems to the common span.
-    ineqs = []
-    for h in list(c1.facet_normals) + list(c2.facet_normals):
-        ineqs.append(tuple(dot(h, b) for b in span.basis))
-    rays_k = _extreme_rays_of_inequalities(ineqs, k)
-    lifted = []
-    for r in rays_k:
-        v = [0] * n
-        for c, b in zip(r, span.basis):
-            v = [a + c * x for a, x in zip(v, b)]
-        lifted.append(primitive(v))
-    # Keep only directions actually inside both cones (guards the k=1 case
-    # and any spurious candidates).
-    lifted = [v for v in lifted if member(c1, v) and member(c2, v)]
-    if not lifted:
-        return zero_cone(n)
-    return from_rays(lifted, n)
+    cuts = []
+    if c2.dim < n:
+        for e in integer_kernel(c2.span_basis, n):
+            cuts += [(e, 1), (e, -1)]
+    cuts += [(h, 1) for h in c2.facet_normals]
+    out = c1
+    for h, sign in cuts:
+        if out.dim == 0:
+            break
+        out = halfspace_slice(out, h, sign)
+    return out
 
 
 def is_face_of(f, cone):
-    """True iff f equals cone ∩ ker(h) for a supporting functional h."""
+    """True iff f equals cone ∩ ker(h) for a supporting functional h.
+
+    The smallest face of cone containing f is cut out by the facet
+    normals vanishing on f; f is a face iff it has that face's rays.
+    """
     if f.ambient_rank != cone.ambient_rank:
         raise DimensionError("ambient ranks differ")
     if not all(member(cone, r) for r in f.rays):
         return False
-    if f == cone:
-        return True
-    # The candidate face cut out by every facet normal vanishing on f.
     vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in f.rays)]
-    if f.dim == 0:
-        if cone.dim == 0:
-            return True
-        face_rays = [r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)]
-        return not face_rays
-    if not vanishing and f != cone:
-        return False
-    face_rays = [r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)]
-    return from_rays(face_rays, cone.ambient_rank) == f
+    return f.rays == tuple(
+        r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)
+    )
 
 
 def common_face(c1, c2):
@@ -293,27 +278,37 @@ def contains_cone(big, small):
 
 
 def halfspace_slice(cone, h, sign):
-    """cone ∩ {x : sign * <h, x> >= 0} as a Cone."""
-    n = cone.ambient_rank
-    if cone.dim == 0:
+    """cone ∩ {x : sign * <h, x> >= 0} as a Cone: one double-description
+    step (Fukuda–Prodon 1996) over the cone's rays and facet incidences.
+
+    With v_r = sign * <h, r>, the rays with v_r >= 0 stay, and each pair
+    p, q with v_p > 0 > v_q that spans a 2-face adds v_p q - v_q p.  The
+    pair spans a 2-face iff no third ray vanishes on every facet normal
+    on which both vanish; this is exact because a Cone is pointed and
+    its facet normals are its complete, irredundant facet list.
+    """
+    vals = [sign * dot(h, r) for r in cone.rays]
+    if all(v >= 0 for v in vals):
         return cone
-    hh = tuple(sign * x for x in h)
-    ineqs = []
-    for g in cone.facet_normals:
-        ineqs.append(tuple(dot(g, b) for b in cone.span_basis))
-    ineqs.append(tuple(dot(hh, b) for b in cone.span_basis))
-    rays_k = _extreme_rays_of_inequalities(ineqs, cone.dim)
-    lifted = []
-    for r in rays_k:
-        v = [0] * n
-        for c, b in zip(r, cone.span_basis):
-            v = [a + c * x for a, x in zip(v, b)]
-        v = primitive(v)
-        if member(cone, v) and dot(hh, v) >= 0:
-            lifted.append(v)
-    if not lifted:
-        return zero_cone(n)
-    return from_rays(lifted, n)
+    zeros = [
+        frozenset(i for i, g in enumerate(cone.facet_normals) if dot(g, r) == 0)
+        for r in cone.rays
+    ]
+    kept = [r for r, v in zip(cone.rays, vals) if v >= 0]
+    for p, vp in enumerate(vals):
+        if vp <= 0:
+            continue
+        for q, vq in enumerate(vals):
+            if vq >= 0:
+                continue
+            common = zeros[p] & zeros[q]
+            if any(common <= z for t, z in enumerate(zeros) if t != p and t != q):
+                continue
+            rp, rq = cone.rays[p], cone.rays[q]
+            kept.append(primitive(tuple(vp * b - vq * a for a, b in zip(rp, rq))))
+    if not kept:
+        return zero_cone(cone.ambient_rank)
+    return from_rays(kept, cone.ambient_rank)
 
 
 def split_by_hyperplanes(cones, hyperplanes):

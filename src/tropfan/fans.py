@@ -200,8 +200,7 @@ def validate(fan):
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
             c1, c2 = cs[i].cone, cs[j].cone
-            inter = C.intersect_cones(c1, c2)
-            if not (C.is_face_of(inter, c1) and C.is_face_of(inter, c2)):
+            if not C.common_face(c1, c2):
                 out.append(
                     f"intersection of cones {c1.rays} and {c2.rays} "
                     f"is not a common face"
@@ -227,10 +226,6 @@ def support_member(v, fan):
     return any(C.member(sc.cone, v) for sc in fan.cones)
 
 
-def support_contains_cone(c, fan):
-    return C.cone_covered_by(c, [sc.cone for sc in maximal_cones(fan)])
-
-
 def supports_equal(f1, f2):
     return C.same_union(
         [sc.cone for sc in maximal_cones(f1)], [sc.cone for sc in maximal_cones(f2)]
@@ -249,24 +244,18 @@ def is_complete(fan):
     tops = [sc.cone for sc in maxs if sc.dim == n]
     if len(tops) != len(maxs) or not tops:
         return False
-    # Each ridge (codim-1 face of a top cone) must bound exactly two tops.
-    ridge_count = {}
-    for c in tops:
-        for f in C.facets(c):
-            ridge_count[f.rays] = ridge_count.get(f.rays, 0) + 1
-    if any(v != 2 for v in ridge_count.values()):
-        return False
-    # Connectivity through ridges.
-    adj = {i: set() for i in range(len(tops))}
+    # Each ridge (codim-1 face of a top cone) must bound exactly two tops,
+    # and the tops must be connected through ridges.
     by_ridge = {}
     for i, c in enumerate(tops):
         for f in C.facets(c):
             by_ridge.setdefault(f.rays, []).append(i)
-    for members in by_ridge.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].add(b)
+    if any(len(members) != 2 for members in by_ridge.values()):
+        return False
+    adj = {i: set() for i in range(len(tops))}
+    for a, b in by_ridge.values():
+        adj[a].add(b)
+        adj[b].add(a)
     seen = {0}
     stack = [0]
     while stack:

@@ -21,10 +21,21 @@ def _stacky_pieces(obj):
     return list(obj.cones)
 
 
+def _adds_points(sc, pieces):
+    """False when another piece contains sc's cone and lattice, so that
+    sc adds no point: its rays are a proper subset of the other's rays and
+    its lattice lies in the other's lattice."""
+    rays = set(sc.cone.rays)
+    return not any(
+        rays < set(p.cone.rays) and L.contains(p.lattice, sc.lattice) for p in pieces
+    )
+
+
 def s_enumerate(obj, radius):
     """All points of the S-set inside the box [-radius, radius]^n."""
     n = obj.ambient_rank
     pieces = _stacky_pieces(obj)
+    pieces = [p for p in pieces if _adds_points(p, pieces)]
     out = []
     for v in product(range(-radius, radius + 1), repeat=n):
         if all(x == 0 for x in v):

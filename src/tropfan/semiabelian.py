@@ -269,10 +269,6 @@ def embedded_base_cone(base):
     return F.StackyCone(cone, L.canonicalize(lat, n))
 
 
-def _same_stacky(a, b):
-    return a.cone.rays == b.cone.rays and a.lattice == b.lattice
-
-
 def validate_av_fan(fan):
     """Violations of the translation-equivariant fan conditions."""
     base = fan.base
@@ -297,7 +293,7 @@ def validate_av_fan(fan):
         return out
     # (7) the embedded base cone is present.
     bc = embedded_base_cone(base)
-    if not any(_same_stacky(sc, bc) for sc in reps):
+    if not any(sc == bc for sc in reps):
         out.append("(7): base cone σ0×{0}×{0} is not among the representatives")
     if not any(sc.cone.rays == () for sc in reps):
         out.append("(3): zero cone missing from representatives")
@@ -363,7 +359,7 @@ def _face_orbit_witness(face_sc, reps, base):
         if rho.dim != face_sc.dim or rho.dim == 0:
             continue
         for m in candidate_translations(face_sc, rho, base):
-            if _same_stacky(translate(rho, m, base), face_sc):
+            if translate(rho, m, base) == face_sc:
                 return rho, m
     return None
 
@@ -385,7 +381,7 @@ def _orbit_classes(fan, strict=False):
                 duplicate = True
             else:
                 for m in candidate_translations(other, sc, base):
-                    if _same_stacky(translate(sc, m, base), other):
+                    if translate(sc, m, base) == other:
                         duplicate = True
                         break
             if duplicate:

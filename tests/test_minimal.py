@@ -148,6 +148,30 @@ class TestSetMembership:
         m = MIN.minimal_fan(load("quadrant.json"))
         assert MIN.minimal_set_member((0, 0), m)
 
+    def test_s_enumerate_keeps_face_with_finer_lattice(self):
+        # The ray (1, 0) carries Z(1, 0), finer than the 2Z(1, 0) that the
+        # quadrant's lattice 2Z^2 induces on it, so its odd points count.
+        fan = F.make_fan(
+            [
+                F.stacky_cone([], [], 2),
+                F.stacky_cone([(1, 0)], [(1, 0)], 2),
+                F.stacky_cone([(0, 1)], [(0, 2)], 2),
+                F.stacky_cone([(1, 0), (0, 1)], [(2, 0), (0, 2)], 2),
+            ],
+            2,
+        )
+        listed = set(oracle.s_enumerate(fan, 3))
+        box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        every_cone = {
+            v
+            for v in box
+            if v == (0, 0)
+            or any(C.member(sc.cone, v) and L.member(v, sc.lattice) for sc in fan.cones)
+        }
+        assert listed == every_cone
+        assert {(1, 0), (3, 0), (2, 2)} <= listed
+        assert not {(0, 1), (1, 1), (3, 2)} & listed
+
 
 class TestColoring:
     def test_to_coloring_groups_by_lattice(self):
