@@ -34,16 +34,12 @@ def is_zero(v):
     return all(x == 0 for x in v)
 
 
-def hnf_with_transform(mat, ncols):
-    """Row-style Hermite normal form with unimodular transform.
+def _hnf_in_place(rows, ncols):
+    """Row-style HNF over the first `ncols` columns, in place; returns the rank.
 
-    Returns (H, U, rank) with U * mat == H, pivots positive and entries
-    above each pivot reduced into [0, pivot).  Zero rows of H sit at the
-    bottom.  `mat` is not modified.
+    Whole rows are combined, so any trailing columns follow the row operations.
     """
-    m = len(mat)
-    rows = [list(r) for r in mat]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(rows)
     r = 0
     for c in range(ncols):
         piv = None
@@ -54,31 +50,40 @@ def hnf_with_transform(mat, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        U[r], U[piv] = U[piv], U[r]
         # Euclidean elimination below the pivot.
         for j in range(r + 1, m):
             while rows[j][c] != 0:
                 q = rows[r][c] // rows[j][c]
                 rows[r] = [a - q * b for a, b in zip(rows[r], rows[j])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[j])]
                 rows[r], rows[j] = rows[j], rows[r]
-                U[r], U[j] = U[j], U[r]
         if rows[r][c] < 0:
             rows[r] = [-a for a in rows[r]]
-            U[r] = [-a for a in U[r]]
         for j in range(r):
             q = rows[j][c] // rows[r][c]
             if q:
                 rows[j] = [a - q * b for a, b in zip(rows[j], rows[r])]
-                U[j] = [a - q * b for a, b in zip(U[j], U[r])]
         r += 1
-    return [tuple(row) for row in rows], U, r
+    return r
+
+
+def hnf_with_transform(mat, ncols):
+    """Row-style Hermite normal form with unimodular transform.
+
+    Returns (H, U, rank) with U * mat == H, pivots positive and entries
+    above each pivot reduced into [0, pivot).  Zero rows of H sit at the
+    bottom.  U is read from identity columns appended to a copy of `mat`.
+    """
+    w = len(mat[0]) if mat else 0
+    rows = [list(row) + [int(i == k) for k in range(len(mat))] for i, row in enumerate(mat)]
+    r = _hnf_in_place(rows, ncols)
+    return [tuple(row[:w]) for row in rows], [row[w:] for row in rows], r
 
 
 def hnf(mat, ncols):
     """Nonzero rows of the row-style Hermite normal form of `mat`."""
-    H, _, r = hnf_with_transform(mat, ncols)
-    return [tuple(row) for row in H[:r]]
+    rows = [list(row) for row in mat]
+    r = _hnf_in_place(rows, ncols)
+    return [tuple(row) for row in rows[:r]]
 
 
 def pivot_columns(H, ncols):

@@ -7,7 +7,9 @@ bilinear form Q: M×M → M_σ0; the lattice M acts on admissible points by
 the shear T_m(n, n′, n″) = (n, n′ + Q_hom,N(m)(n), n″).
 
 Fans here are translation-equivariant: they are stored as one
-representative cone per T_m-orbit.
+representative cone per T_m-orbit.  Orbit identity is decided by a
+normal form (`_orbit_form`), not by a search over translations;
+`candidate_translations` answers only which translates meet.
 """
 
 import math
@@ -239,6 +241,29 @@ def candidate_translations(c1, c2, base):
     return tuple(sorted(found))
 
 
+def _orbit_form(sc, base):
+    """(form, shift): the least of sc's candidate translates T_shift(sc).
+
+    The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
+    rays with nonzero base part; translates are ordered by (rays, lattice
+    basis).  Slopes of T_d(sc) are those of sc plus d, so T_d(sc) has the
+    same candidates and the same least one.  Hence a and b share an orbit
+    iff their forms are equal, and then T_{s_a − s_b}(a) = b, the only such
+    m when a has a ray with nonzero base part (G_n is nonsingular there).
+    Other cones, and all cones when g = 0, are their own form with shift 0.
+    """
+    zero = tuple([0] * base.m_rank)
+    if base.m_rank == 0:
+        return sc, zero
+    shifts = {tuple(-math.floor(x) for x in mu) for mu in _slopes(base, sc)}
+    if not shifts:
+        return sc, zero
+    return min(
+        ((translate(sc, s, base), s) for s in shifts),
+        key=lambda pair: (pair[0].cone.rays, pair[0].lattice.basis),
+    )
+
+
 @dataclass(frozen=True)
 class AVStackyFan:
     base: PolarizedBase
@@ -298,7 +323,10 @@ def validate_av_fan(fan):
     if not any(sc.cone.rays == () for sc in reps):
         out.append("(3): zero cone missing from representatives")
     # (1),(2),(4): all translated pairwise intersections are common faces
-    # with matching lattices.
+    # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
+    # i.e. lies in the vanishing locus of x ↦ Q_hom,N(m)(x_base); its
+    # lines follow those of (1) and (4).
+    unfixed = []
     for i, t1 in enumerate(reps):
         for j, t2 in enumerate(reps):
             if j < i:
@@ -308,8 +336,15 @@ def validate_av_fan(fan):
                     continue
                 moved = translate(t2, m, base)
                 inter = C.intersect_cones(t1.cone, moved.cone)
-                if inter.dim == 0:
-                    continue
+                if i == j:
+                    for x in inter.rays:
+                        nb, _, _ = split_point(base, x)
+                        if not is_zero(q_hom(base, m, nb)):
+                            unfixed.append(
+                                f"(5): {x} in the overlap of {t1.cone.rays} with "
+                                f"its T_{m}-translate is not fixed: T_{m}{x} = "
+                                f"{translate_vector(base, x, m)}"
+                            )
                 if not (
                     C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)
                 ):
@@ -323,29 +358,15 @@ def validate_av_fan(fan):
                         f"(4): lattices disagree on the overlap of "
                         f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
                     )
-    # (5): τ ∩ T_m τ is pointwise fixed by T_m, i.e. lies in the
-    # vanishing locus of x ↦ Q_hom,N(m)(x_base).
-    for t in reps:
-        for m in candidate_translations(t, t, base):
-            if is_zero(m):
-                continue
-            moved = translate(t, m, base)
-            inter = C.intersect_cones(t.cone, moved.cone)
-            for x in inter.rays:
-                nb, _, _ = split_point(base, x)
-                if not is_zero(q_hom(base, m, nb)):
-                    out.append(
-                        f"(5): {x} in the overlap of {t.cone.rays} with its "
-                        f"T_{m}-translate is not fixed: T_{m}{x} = "
-                        f"{translate_vector(base, x, m)}"
-                    )
+    out.extend(unfixed)
     # (3): faces of representatives are translates of representatives.
+    forms = {_orbit_form(t, base)[0] for t in reps}
     for t in reps:
         for f in C.faces(t.cone):
             if f.rays == () or f.rays == t.cone.rays:
                 continue
             face_sc = F.induced_stacky_cone(f, t.lattice)
-            if _face_orbit_witness(face_sc, reps, base) is None:
+            if _orbit_form(face_sc, base)[0] not in forms:
                 out.append(
                     f"(3): face {f.rays} of {t.cone.rays} is not a translate "
                     f"of any representative"
@@ -353,48 +374,24 @@ def validate_av_fan(fan):
     return out
 
 
-def _face_orbit_witness(face_sc, reps, base):
-    """(rep, m) with T_m(rep) == face_sc, or None."""
-    for rho in reps:
-        if rho.dim != face_sc.dim or rho.dim == 0:
-            continue
-        for m in candidate_translations(face_sc, rho, base):
-            if translate(rho, m, base) == face_sc:
-                return rho, m
-    return None
-
-
 def _orbit_classes(fan, strict=False):
     """Representatives grouped one per T_m-orbit (canonical order).
 
-    With strict=True, raises NormalizationError when two representatives
-    lie in the same orbit.
+    Cones are keyed by orbit form and zero cones share one key.  With
+    strict=True, raises NormalizationError when two representatives lie
+    in the same orbit.
     """
-    base = fan.base
-    classes = []
+    classes = {}
     for sc in F._sort_stacky(fan.representatives):
-        duplicate = False
-        for other in classes:
-            if other.dim != sc.dim:
-                continue
-            if sc.dim == 0:
-                duplicate = True
-            else:
-                for m in candidate_translations(other, sc, base):
-                    if translate(sc, m, base) == other:
-                        duplicate = True
-                        break
-            if duplicate:
-                break
-        if duplicate:
-            if strict:
-                raise NormalizationError(
-                    f"representatives {other.cone.rays} and {sc.cone.rays} "
-                    f"lie in the same translation orbit"
-                )
-            continue
-        classes.append(sc)
-    return classes
+        key = None if sc.dim == 0 else _orbit_form(sc, fan.base)[0]
+        if key not in classes:
+            classes[key] = sc
+        elif strict:
+            raise NormalizationError(
+                f"representatives {classes[key].cone.rays} and {sc.cone.rays} "
+                f"lie in the same translation orbit"
+            )
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -419,6 +416,11 @@ def quotient_complex(fan):
     """Cone complex of translation-orbit classes with unique face maps."""
     base = fan.base
     cells = _orbit_classes(fan, strict=True)
+    forms = [_orbit_form(c, base) for c in cells]
+    face_forms = [
+        [_orbit_form(F.induced_stacky_cone(f, b.lattice), base) for f in C.faces(b.cone)]
+        for b in cells
+    ]
     face_maps = []
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
@@ -427,15 +429,15 @@ def quotient_complex(fan):
             if a.dim == 0:
                 face_maps.append((i, j, tuple([0] * base.m_rank)))
                 continue
-            witnesses = []
-            for m in candidate_translations(b, a, base):
-                moved = translate(a, m, base)
-                if C.is_face_of(moved.cone, b.cone) and moved.lattice == F._restrict(
-                    b.lattice, moved.cone
-                ):
-                    witnesses.append(m)
+            # T_m(a) is the face f of b exactly when m = s_a − s_f.
+            form_a, s_a = forms[i]
+            witnesses = sorted(
+                tuple(x - y for x, y in zip(s_a, s_f))
+                for form_f, s_f in face_forms[j]
+                if form_f == form_a
+            )
             if len(witnesses) > 1:
-                raise AssertionError(
+                raise NormalizationError(
                     f"multiple face morphisms between cells {a.cone.rays} "
                     f"and {b.cone.rays}: {witnesses}"
                 )
@@ -467,22 +469,19 @@ def av_complete(fan):
     tops = [c for c in cells if c.dim == D]
     if not tops:
         return False
+
+    def form(cone):
+        # Cones are compared without lattices: each carries its span lattice.
+        return _orbit_form(F.StackyCone(cone, F.span_lattice(cone)), base)[0]
+
+    # The tops owning each face orbit, once per face of a top.
+    owners = {}
+    for ti, top in enumerate(tops):
+        for f in C.faces(top.cone):
+            owners.setdefault(form(f), []).append(ti)
     # Every lower cell must appear as a face of some translated top.
-    for c in cells:
-        if c.dim == D:
-            continue
-        if c.dim == 0:
-            continue
-        found = False
-        for rho in tops:
-            for m in candidate_translations(rho, c, base):
-                if C.is_face_of(translate(c, m, base).cone, rho.cone):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
+    if any(form(c.cone) not in owners for c in cells if c.dim not in (0, D)):
+        return False
     # Ridge pairing with translation multiplicity.
     adjacency = {i: set() for i in range(len(tops))}
     for ti, top in enumerate(tops):
@@ -490,15 +489,10 @@ def av_complete(fan):
             p = C.interior_point(ridge)
             if not _relint_base(base, split_point(base, p)[0]):
                 continue
-            ridge_sc = F.induced_stacky_cone(ridge, top.lattice)
-            count = 0
-            for rj, rho in enumerate(tops):
-                for m in candidate_translations(ridge_sc, rho, base):
-                    if C.is_face_of(ridge, translate(rho, m, base).cone):
-                        count += 1
-                        adjacency[ti].add(rj)
-            if count != 2:
+            paired = owners[form(ridge)]
+            if len(paired) != 2:
                 return False
+            adjacency[ti].update(paired)
     seen = {0}
     stack = [0]
     while stack:
@@ -578,15 +572,13 @@ def _rebuild(base, cells):
         reps.append(F.StackyCone(C.zero_cone(n), L.zero_lattice(n)))
     fan = AVStackyFan(base, F._sort_stacky(reps))
     classes = _orbit_classes(fan)
-    extra = []
+    orbits = {_orbit_form(c, base)[0]: c for c in classes}
     for c in classes:
         for f in C.faces(c.cone):
-            if f.rays == () or f.rays == c.cone.rays:
-                continue
-            face_sc = F.induced_stacky_cone(f, c.lattice)
-            if _face_orbit_witness(face_sc, classes + extra, base) is None:
-                extra.append(face_sc)
-    return av_fan(base, classes + extra)
+            if f.rays != () and f.rays != c.cone.rays:
+                face_sc = F.induced_stacky_cone(f, c.lattice)
+                orbits.setdefault(_orbit_form(face_sc, base)[0], face_sc)
+    return av_fan(base, list(orbits.values()))
 
 
 def av_bir_equivalent(f1, f2):

@@ -143,12 +143,12 @@ def _dec_graph(payload):
         (_dec_int(u), _dec_int(v), _dec_vec(length))
         for u, v, length in payload["edges"]
     ]
-    return (
-        _dec_int(payload["num_vertices"]),
-        edges,
-        base_cone,
-        _dec_int(payload["torus_rank"]),
-    )
+    num_vertices = _dec_int(payload["num_vertices"])
+    torus_rank = _dec_int(payload["torus_rank"])
+    for u, v, _ in edges:
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ParseError(f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}")
+    return num_vertices, edges, base_cone, torus_rank
 
 
 def to_document(obj):

@@ -247,6 +247,16 @@ class TestDocumentCommands:
         assert kind == "polarized_base"
         assert base.m_rank == 2
 
+    @pytest.mark.parametrize("endpoint", ["-2", "7"])
+    def test_jacobian_bad_endpoint_is_parse_error(self, capsys, fx, tmp_path, endpoint):
+        with open(fx("theta_graph.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["edges"][1][1] = endpoint
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "jacobian", str(path))
+        assert code == 2 and "outside 0..1" in err
+
     def test_refine(self, capsys, fx):
         code, out, _ = run(capsys, "refine", fx("p2.json"), fx("trivial.json"))
         assert code == 0

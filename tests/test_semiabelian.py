@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +11,9 @@ import tropfan.oracle as oracle
 import tropfan.semiabelian as S
 import tropfan.serialize as SER
 from conftest import FIXTURES
+from tropfan._linalg import is_zero
+
+ROOT = FIXTURES.parent
 
 
 def load(name):
@@ -291,3 +296,310 @@ class TestOracles:
     def test_cover_sample_reproducible(self):
         fan = load("tate_two_arc.json")
         assert oracle.cover_sample_av(fan, 30, 9) == oracle.cover_sample_av(fan, 30, 9)
+
+
+# --- Orbit normal form ------------------------------------------------------
+#
+# The ref_* functions below are the box searches that `_orbit_form`
+# replaced: each scans `candidate_translations` for every pair of cones.
+# They are kept here as the reference for the normal-form code.
+
+_GEN_SPEC = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+gen = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(gen)
+
+
+def ref_face_orbit_witness(face_sc, reps, base):
+    """(rep, m) with T_m(rep) == face_sc, or None."""
+    for rho in reps:
+        if rho.dim != face_sc.dim or rho.dim == 0:
+            continue
+        for m in S.candidate_translations(face_sc, rho, base):
+            if S.translate(rho, m, base) == face_sc:
+                return rho, m
+    return None
+
+
+def ref_orbit_classes(fan, strict=False):
+    base = fan.base
+    classes = []
+    for sc in F._sort_stacky(fan.representatives):
+        duplicate = False
+        for other in classes:
+            if other.dim != sc.dim:
+                continue
+            if sc.dim == 0:
+                duplicate = True
+            else:
+                for m in S.candidate_translations(other, sc, base):
+                    if S.translate(sc, m, base) == other:
+                        duplicate = True
+                        break
+            if duplicate:
+                break
+        if duplicate:
+            if strict:
+                raise S.NormalizationError(
+                    f"representatives {other.cone.rays} and {sc.cone.rays} "
+                    f"lie in the same translation orbit"
+                )
+            continue
+        classes.append(sc)
+    return classes
+
+
+def ref_validate_av_fan(fan):
+    """The violation list with check (5) in its own pass and check (3)
+    decided by ref_face_orbit_witness."""
+    base = fan.base
+    out = list(S.validate_form(base))
+    if out:
+        return ["base form invalid: " + v for v in out]
+    reps = list(fan.representatives)
+    for sc in reps:
+        if sc.ambient_rank != base.ambient_rank:
+            return [f"representative {sc.cone.rays} has wrong ambient rank"]
+        out.extend(F.validate_stacky_cone(sc))
+        for ray in sc.cone.rays:
+            n, nprime, _ = S.split_point(base, ray)
+            if not C.member(base.base_cone.cone, n):
+                out.append(f"ray {ray} has base part outside the base cone")
+            elif not S.admissible_point(n, nprime, base):
+                out.append(f"ray {ray} is not an admissible point")
+            if is_zero(n) and not is_zero(nprime):
+                out.append(f"ray {ray} has zero base part but nonzero N part")
+    if out:
+        return out
+    bc = S.embedded_base_cone(base)
+    if not any(sc == bc for sc in reps):
+        out.append("(7): base cone σ0×{0}×{0} is not among the representatives")
+    if not any(sc.cone.rays == () for sc in reps):
+        out.append("(3): zero cone missing from representatives")
+    for i, t1 in enumerate(reps):
+        for j, t2 in enumerate(reps):
+            if j < i:
+                continue
+            for m in S.candidate_translations(t1, t2, base):
+                if i == j and is_zero(m):
+                    continue
+                moved = S.translate(t2, m, base)
+                inter = C.intersect_cones(t1.cone, moved.cone)
+                if inter.dim == 0:
+                    continue
+                if not (C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)):
+                    out.append(
+                        f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
+                        f"meet along a common face"
+                    )
+                    continue
+                if F._restrict(t1.lattice, inter) != F._restrict(moved.lattice, inter):
+                    out.append(
+                        f"(4): lattices disagree on the overlap of "
+                        f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
+                    )
+    for t in reps:
+        for m in S.candidate_translations(t, t, base):
+            if is_zero(m):
+                continue
+            moved = S.translate(t, m, base)
+            inter = C.intersect_cones(t.cone, moved.cone)
+            for x in inter.rays:
+                nb, _, _ = S.split_point(base, x)
+                if not is_zero(S.q_hom(base, m, nb)):
+                    out.append(
+                        f"(5): {x} in the overlap of {t.cone.rays} with its "
+                        f"T_{m}-translate is not fixed: T_{m}{x} = "
+                        f"{S.translate_vector(base, x, m)}"
+                    )
+    for t in reps:
+        for f in C.faces(t.cone):
+            if f.rays == () or f.rays == t.cone.rays:
+                continue
+            face_sc = F.induced_stacky_cone(f, t.lattice)
+            if ref_face_orbit_witness(face_sc, reps, base) is None:
+                out.append(
+                    f"(3): face {f.rays} of {t.cone.rays} is not a translate "
+                    f"of any representative"
+                )
+    return out
+
+
+def ref_quotient_complex(fan):
+    base = fan.base
+    cells = ref_orbit_classes(fan, strict=True)
+    face_maps = []
+    for i, a in enumerate(cells):
+        for j, b in enumerate(cells):
+            if i == j or a.dim >= b.dim:
+                continue
+            if a.dim == 0:
+                face_maps.append((i, j, tuple([0] * base.m_rank)))
+                continue
+            witnesses = []
+            for m in S.candidate_translations(b, a, base):
+                moved = S.translate(a, m, base)
+                if C.is_face_of(moved.cone, b.cone) and moved.lattice == F._restrict(
+                    b.lattice, moved.cone
+                ):
+                    witnesses.append(m)
+            if len(witnesses) > 1:
+                raise S.NormalizationError(
+                    f"multiple face morphisms between cells {a.cone.rays} "
+                    f"and {b.cone.rays}: {witnesses}"
+                )
+            if witnesses:
+                face_maps.append((i, j, witnesses[0]))
+    return S.QuotientComplex(tuple(cells), tuple(face_maps))
+
+
+def ref_av_complete(fan):
+    base = fan.base
+    cells = ref_orbit_classes(fan)
+    D = base.base_cone.dim + base.m_rank + base.torus_rank
+    if D == 0:
+        return True
+    tops = [c for c in cells if c.dim == D]
+    if not tops:
+        return False
+    for c in cells:
+        if c.dim in (0, D):
+            continue
+        if not any(
+            C.is_face_of(S.translate(c, m, base).cone, rho.cone)
+            for rho in tops
+            for m in S.candidate_translations(rho, c, base)
+        ):
+            return False
+    adjacency = {i: set() for i in range(len(tops))}
+    for ti, top in enumerate(tops):
+        for ridge in C.facets(top.cone):
+            p = C.interior_point(ridge)
+            if not S._relint_base(base, S.split_point(base, p)[0]):
+                continue
+            ridge_sc = F.induced_stacky_cone(ridge, top.lattice)
+            count = 0
+            for rj, rho in enumerate(tops):
+                for m in S.candidate_translations(ridge_sc, rho, base):
+                    if C.is_face_of(ridge, S.translate(rho, m, base).cone):
+                        count += 1
+                        adjacency[ti].add(rj)
+            if count != 2:
+                return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in adjacency[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(tops)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _translation_fans(seed):
+    """Seeded Tate k-arc fans, k = 1–4 at index 1 and k = 2–4 at index 2
+    (k = 1 has no index-2 lattice path), and the g = 2 torus grid."""
+    rng = random.Random(seed)
+    fans = []
+    for index, ks in ((1, (1, 2, 3, 4)), (2, (2, 3, 4))):
+        for k in ks:
+            shifts = [rng.randint(-2, 2) for _ in range(2 * k)]
+            fans.append(gen.tate_arc_fan(k, index, shifts))
+    fans.append(gen.torus_grid_fan(1))
+    return fans
+
+
+def _mutants(fan, rng):
+    """The fan with one representative dropped, with a translate of one
+    added, and with a translate of a positive cell added on twice its lattice."""
+    base = fan.base
+    reps = list(fan.representatives)
+    i = rng.randrange(len(reps))
+    j = rng.randrange(len(reps))
+    cell = rng.choice([sc for sc in reps if sc.dim > 0])
+    m = tuple(rng.choice((-1, 1)) for _ in range(base.m_rank))
+    n = fan.ambient_rank
+    even = L.canonicalize([[2 * (a == b) for b in range(n)] for a in range(n)], n)
+    doubled = L.intersect(cell.lattice, even)
+    return [
+        S.av_fan(base, reps[:i] + reps[i + 1 :]),
+        S.av_fan(base, reps + [S.translate(reps[j], m, base)]),
+        S.av_fan(base, reps + [S.translate(F.StackyCone(cell.cone, doubled), m, base)]),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_orbit_form_matches_box_searches(seed):
+    rng = random.Random(seed)
+    fans = _translation_fans(seed)
+    fans += [mutant for fan in fans for mutant in _mutants(fan, rng)]
+    outcomes = set()
+    for fan in fans:
+        valid = _outcome(S.validate_av_fan, fan)
+        assert valid == _outcome(ref_validate_av_fan, fan)
+        assert _outcome(S._orbit_classes, fan) == _outcome(ref_orbit_classes, fan)
+        assert _outcome(S.av_complete, fan) == _outcome(ref_av_complete, fan)
+        quotient = _outcome(S.quotient_complex, fan)
+        assert quotient == _outcome(ref_quotient_complex, fan)
+        outcomes.add("valid" if valid == [] else "invalid")
+        outcomes.add(quotient[0] if isinstance(quotient, tuple) else S.QuotientComplex)
+    assert {"valid", "invalid", S.QuotientComplex, S.NormalizationError} <= outcomes
+
+
+def test_face_orbit_witness_agrees_with_form():
+    for fan in _translation_fans(2):
+        base = fan.base
+        reps = list(fan.representatives)
+        forms = {S._orbit_form(t, base)[0]: t for t in reps}
+        for t in reps:
+            for f in C.faces(t.cone):
+                if f.dim == 0:
+                    continue
+                face_sc = F.induced_stacky_cone(f, t.lattice)
+                form, shift = S._orbit_form(face_sc, base)
+                witness = ref_face_orbit_witness(face_sc, reps, base)
+                assert (witness is None) == (form not in forms)
+                if witness is not None:
+                    rho, m = witness
+                    assert forms[form] == rho
+                    rho_shift = S._orbit_form(rho, base)[1]
+                    assert m == tuple(a - b for a, b in zip(rho_shift, shift))
+
+
+@pytest.mark.parametrize("name", ["tate_two_arc.json", "tate_two_arc_idx2.json", "grid"])
+def test_orbit_form_is_translation_invariant(name):
+    fan = gen.torus_grid_fan(1) if name == "grid" else load(name)
+    base = fan.base
+    for sc in fan.representatives:
+        form, shift = S._orbit_form(sc, base)
+        unfixed = [r for r in sc.cone.rays if not is_zero(S.split_point(base, r)[0])]
+        for m in product(range(-2, 3), repeat=base.m_rank):
+            moved = S.translate(sc, m, base)
+            moved_form, moved_shift = S._orbit_form(moved, base)
+            assert moved_form == form
+            if unfixed:
+                assert tuple(a + b for a, b in zip(moved_shift, m)) == shift
+            else:
+                assert moved == sc and moved_shift == shift
+
+
+def test_multiple_face_maps_raise_normalization_error():
+    # Over g = 1, the cone on (1, 0) and (1, 1) has both rays in the orbit
+    # of the ray (1, 0): two face maps from the ray cell to the 2-cell.
+    base = tate_base()
+    full = L.full_lattice(2)
+    ray = F.induced_stacky_cone(C.ray_cone((1, 0), 2), full)
+    wide = F.StackyCone(C.from_rays([(1, 0), (1, 1)], 2), full)
+    zero = F.StackyCone(C.zero_cone(2), L.zero_lattice(2))
+    fan = S.av_fan(base, [zero, ray, wide])
+    with pytest.raises(S.NormalizationError, match="multiple face morphisms"):
+        S.quotient_complex(fan)
+    with pytest.raises(S.NormalizationError, match="multiple face morphisms"):
+        ref_quotient_complex(fan)
