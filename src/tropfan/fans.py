@@ -222,10 +222,6 @@ def maximal_cones(fan):
     return out
 
 
-def support_member(v, fan):
-    return any(C.member(sc.cone, v) for sc in fan.cones)
-
-
 def supports_equal(f1, f2):
     return C.same_union(
         [sc.cone for sc in maximal_cones(f1)], [sc.cone for sc in maximal_cones(f2)]

@@ -6,6 +6,14 @@ and N′ has rank r (the torus factor).  A polarization is a symmetric
 bilinear form Q: M×M → M_σ0; the lattice M acts on admissible points by
 the shear T_m(n, n′, n″) = (n, n′ + Q_hom,N(m)(n), n″).
 
+T_m is the block matrix [[I, 0, 0], [A_m, I, 0], [0, 0, I]], where the
+g×b block A_m (`shear_block`) has A_m[j][k] = Σᵢ mᵢ·q[i][j][k].  It is
+unimodular with inverse T_{−m}, so `translate` maps a cone's rays, span
+basis and lattice basis by T_m, and pulls each facet normal back by
+T_{−m}ᵀ.  On a lower-dimensional cone the pulled-back normal is only one
+ambient lift of the facet functional; it is re-lifted from the span so
+that it equals the normal `cones.from_rays` would give.
+
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
 normal form (`_orbit_form`), not by a search over translations;
@@ -21,9 +29,11 @@ from . import fans as F
 from . import lattice as L
 from ._linalg import (
     dot,
+    hnf,
     integer_kernel,
     is_psd,
     is_zero,
+    primitive,
     rational_rank,
     rational_solve,
 )
@@ -77,11 +87,21 @@ def gram(base, n):
     return [[dot(base.q_matrix[i][j], n) for j in range(g)] for i in range(g)]
 
 
+def shear_block(base, m):
+    """The g×b block A_m of T_m, A_m[j][k] = Σᵢ mᵢ·q[i][j][k].
+
+    Row j of A_m is the covector Q_hom,N(m)_j, so A_m n = Q_hom,N(m)(n).
+    """
+    g, b = base.m_rank, base.base_rank
+    q = base.q_matrix
+    return [
+        [sum(m[i] * q[i][j][k] for i in range(g)) for k in range(b)] for j in range(g)
+    ]
+
+
 def q_hom(base, m, n):
     """Q_hom,N(m)(n) ∈ Z^g for m ∈ Z^g, n ∈ Z^b."""
-    G = gram(base, n)
-    g = base.m_rank
-    return tuple(sum(m[i] * G[i][j] for i in range(g)) for j in range(g))
+    return tuple(dot(row, n) for row in shear_block(base, m))
 
 
 def split_point(base, v):
@@ -89,10 +109,18 @@ def split_point(base, v):
     return v[:b], v[b : b + g], v[b + g :]
 
 
+def _shear(A, b, v):
+    """T_m v = (n, n′ + A_m n, n″) for the shear block A = A_m."""
+    n = v[:b]
+    return (
+        tuple(n)
+        + tuple(x + dot(row, n) for x, row in zip(v[b:], A))
+        + tuple(v[b + len(A) :])
+    )
+
+
 def translate_vector(base, v, m):
-    n, nprime, nsecond = split_point(base, v)
-    shift = q_hom(base, m, n)
-    return tuple(n) + tuple(x + s for x, s in zip(nprime, shift)) + tuple(nsecond)
+    return _shear(shear_block(base, m), base.base_rank, v)
 
 
 def validate_form(base):
@@ -166,17 +194,49 @@ def admissible_hom(tau, structure_map, phi, base):
     return True
 
 
+def _pull_back(A, b, h):
+    """T_{−m}ᵀ h, the functional h ∘ T_{−m}: (h_n − A_mᵀ h_n′, h_n′, h_n″)."""
+    hp = h[b : b + len(A)]
+    return tuple(
+        x - sum(row[k] * y for row, y in zip(A, hp)) for k, x in enumerate(h[:b])
+    ) + tuple(h[b:])
+
+
+def _shear_cone(cone, A, b):
+    """T_m(cone) for the shear block A = A_m, as `translate` describes.
+
+    T_m is unimodular, so mapped rays stay primitive and extreme, and the
+    mapped saturated span basis spans the saturated span.
+    """
+    n = cone.ambient_rank
+    rays = tuple(sorted(_shear(A, b, r) for r in cone.rays))
+    normals = [_pull_back(A, b, h) for h in cone.facet_normals]
+    if cone.dim == n:
+        return C.Cone(n, rays, cone.span_basis, tuple(sorted(normals)))
+    span = hnf([_shear(A, b, s) for s in cone.span_basis], n)
+    lifted = [
+        primitive(C._lift_functional(span, primitive([dot(s, h) for s in span]), n))
+        for h in normals
+    ]
+    return C.Cone(n, rays, tuple(span), tuple(sorted(lifted)))
+
+
 def translate(sc, m, base):
-    """T_m applied to a StackyCone (rays and lattice basis)."""
-    rays = [translate_vector(base, r, m) for r in sc.cone.rays]
-    if not rays:
+    """T_m applied to a StackyCone: rays, span basis, facet normals, lattice.
+
+    T_m is the block matrix [[I, 0, 0], [A_m, I, 0], [0, 0, I]] on
+    N_σ0 × N × N′ (see `shear_block`).  It is unimodular with inverse
+    T_{−m}, so rays are mapped and re-sorted, the span basis and the
+    lattice basis are mapped and put back in HNF, and each facet normal
+    is pulled back by T_{−m}ᵀ.  Normals of a lower-dimensional cone are
+    re-lifted from the span so that they equal those of `from_rays` on
+    the mapped rays.
+    """
+    if not sc.cone.rays:
         return sc
-    cone = C.from_rays(rays, sc.ambient_rank)
-    lat = L.canonicalize(
-        [translate_vector(base, bvec, m) for bvec in sc.lattice.basis],
-        sc.ambient_rank,
-    )
-    return F.StackyCone(cone, lat)
+    A, b = shear_block(base, m), base.base_rank
+    lat = L.canonicalize([_shear(A, b, v) for v in sc.lattice.basis], sc.ambient_rank)
+    return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
 
 
 def _ray_slope(base, ray):
@@ -235,8 +295,10 @@ def candidate_translations(c1, c2, base):
         hi = max(a[k] for a in s1) - min(b[k] for b in s2)
         ranges.append(range(math.floor(lo) - margin, math.ceil(hi) + margin + 1))
     found = []
+    b = base.base_rank
     for m in product(*ranges):
-        if C.intersect_cones(c1.cone, translate(c2, m, base).cone).dim > 0:
+        moved = _shear_cone(c2.cone, shear_block(base, m), b)
+        if C.intersect_cones(c1.cone, moved).dim > 0:
             found.append(m)
     return tuple(sorted(found))
 
@@ -645,19 +707,6 @@ def reference_subdivision(symmetry_vectors, torus_rank):
     )
 
 
-def join_with_barycenter(cone, boundary_cones):
-    """Subdivide a cone by joining boundary cells with its barycenter ray.
-
-    `boundary_cones` should subdivide the boundary of `cone`; the result
-    lists the maximal cells of the joined subdivision.
-    """
-    bary = C.interior_point(cone)
-    out = []
-    for b in boundary_cones:
-        out.append(C.from_rays(list(b.rays) + [bary], cone.ambient_rank))
-    return sorted(out, key=lambda c: c.rays)
-
-
 def jacobian_form(num_vertices, edges, base_cone, torus_rank=0):
     """Polarization of the tropical Jacobian of a metrized multigraph.
 
@@ -733,20 +782,3 @@ def jacobian_form(num_vertices, edges, base_cone, torus_rank=0):
             row.append(tuple(total))
         q.append(tuple(row))
     return PolarizedBase(base_cone, g, tuple(q), torus_rank)
-
-
-def congruent_by(q1, q2, u):
-    """Does uᵀ · Q1 · u == Q2 entrywise (entries are covectors)?"""
-    g = len(q1)
-    for a in range(g):
-        for c in range(g):
-            b_len = len(q2[a][c]) if g else 0
-            total = [0] * b_len
-            for i in range(g):
-                for j in range(g):
-                    f = u[i][a] * u[j][c]
-                    if f:
-                        total = [t + f * x for t, x in zip(total, q1[i][j])]
-            if tuple(total) != tuple(q2[a][c]):
-                return False
-    return True

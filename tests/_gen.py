@@ -130,3 +130,40 @@ def global_root(fan, d=5):
         [F.StackyCone(sc.cone, L.intersect(sc.lattice, scaled)) for sc in fan.cones],
         n,
     )
+
+
+# --- helpers only the tests use ----------------------------------------------
+
+def support_member(v, fan):
+    """Does the integer point v lie in the support of the fan?"""
+    return any(C.member(sc.cone, v) for sc in fan.cones)
+
+
+def join_with_barycenter(cone, boundary_cones):
+    """Subdivide a cone by joining boundary cells with its barycenter ray.
+
+    `boundary_cones` should subdivide the boundary of `cone`; the result
+    lists the maximal cells of the joined subdivision.
+    """
+    bary = C.interior_point(cone)
+    out = []
+    for b in boundary_cones:
+        out.append(C.from_rays(list(b.rays) + [bary], cone.ambient_rank))
+    return sorted(out, key=lambda c: c.rays)
+
+
+def congruent_by(q1, q2, u):
+    """Does uᵀ · Q1 · u == Q2 entrywise (entries are covectors)?"""
+    g = len(q1)
+    for a in range(g):
+        for c in range(g):
+            b_len = len(q2[a][c]) if g else 0
+            total = [0] * b_len
+            for i in range(g):
+                for j in range(g):
+                    f = u[i][a] * u[j][c]
+                    if f:
+                        total = [t + f * x for t, x in zip(total, q1[i][j])]
+            if tuple(total) != tuple(q2[a][c]):
+                return False
+    return True

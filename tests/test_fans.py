@@ -86,8 +86,8 @@ class TestCompleteness:
 
     def test_support_member(self):
         fan = load_fan("quadrant.json")
-        assert F.support_member((3, 4), fan)
-        assert not F.support_member((-1, 0), fan)
+        assert _gen.support_member((3, 4), fan)
+        assert not _gen.support_member((-1, 0), fan)
 
 
 class TestSubdivision:

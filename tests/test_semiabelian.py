@@ -13,6 +13,8 @@ import tropfan.serialize as SER
 from conftest import FIXTURES
 from tropfan._linalg import is_zero
 
+import _gen
+
 ROOT = FIXTURES.parent
 
 
@@ -125,6 +127,14 @@ class TestTranslations:
         back = S.translate(moved, (-2,), fan.base)
         assert back.cone.rays == tau0.cone.rays
         assert back.lattice == tau0.lattice
+        # Cone.__eq__ compares rays only; the round trip keeps every field.
+        for sc in fan.representatives:
+            for m in ((2,), (-3,)):
+                there = S.translate(sc, m, fan.base)
+                back = S.translate(there, tuple(-x for x in m), fan.base)
+                assert back.cone.span_basis == sc.cone.span_basis
+                assert back.cone.facet_normals == sc.cone.facet_normals
+                assert back.lattice == sc.lattice
 
 
 class TestTateSuite:
@@ -218,7 +228,7 @@ class TestJacobian:
             (tuple(-x for x in d2), tuple(a + b for a, b in zip(d2, d3))),
         )
         u = ((-1, 1), (0, -1))
-        assert S.congruent_by(base.q_matrix, expected, u) or S.congruent_by(
+        assert _gen.congruent_by(base.q_matrix, expected, u) or _gen.congruent_by(
             base.q_matrix, expected, ((1, 0), (0, 1))
         )
 
@@ -248,8 +258,8 @@ class TestJacobian:
         q1 = (((2,), (0,)), ((0,), (3,)))
         u = ((0, 1), (1, 0))
         q2 = (((3,), (0,)), ((0,), (2,)))
-        assert S.congruent_by(q1, q2, u)
-        assert not S.congruent_by(q1, q1, u)
+        assert _gen.congruent_by(q1, q2, u)
+        assert not _gen.congruent_by(q1, q1, u)
 
 
 class TestReferenceSubdivision:
@@ -275,7 +285,7 @@ class TestReferenceSubdivision:
 
     def test_join_with_barycenter(self):
         q = C.from_rays([(1, 0), (0, 1)], 2)
-        cells = S.join_with_barycenter(q, [C.ray_cone((1, 0), 2), C.ray_cone((0, 1), 2)])
+        cells = _gen.join_with_barycenter(q, [C.ray_cone((1, 0), 2), C.ray_cone((0, 1), 2)])
         assert all(c.dim == 2 for c in cells)
         assert C.cone_covered_by(q, cells)
 
@@ -603,3 +613,123 @@ def test_multiple_face_maps_raise_normalization_error():
         S.quotient_complex(fan)
     with pytest.raises(S.NormalizationError, match="multiple face morphisms"):
         ref_quotient_complex(fan)
+
+
+# --- Translation by the shear matrix ----------------------------------------
+#
+# ref_translate is the translation that `translate` replaced: it moves each
+# vector through a fresh Gram matrix and rebuilds the cone with from_rays.
+
+
+def ref_translate_vector(base, v, m):
+    n, nprime, nsecond = S.split_point(base, v)
+    G = S.gram(base, n)
+    g = base.m_rank
+    shift = [sum(m[i] * G[i][j] for i in range(g)) for j in range(g)]
+    return tuple(n) + tuple(x + s for x, s in zip(nprime, shift)) + tuple(nsecond)
+
+
+def ref_translate(sc, m, base):
+    rays = [ref_translate_vector(base, r, m) for r in sc.cone.rays]
+    if not rays:
+        return sc
+    cone = C.from_rays(rays, sc.ambient_rank)
+    lat = L.canonicalize(
+        [ref_translate_vector(base, v, m) for v in sc.lattice.basis], sc.ambient_rank
+    )
+    return F.StackyCone(cone, lat)
+
+
+def _fields(sc):
+    cone = sc.cone
+    return cone.rays, cone.span_basis, cone.facet_normals, sc.lattice
+
+
+def _cones_and_faces(fan):
+    """Each representative and each of its faces, on the induced lattice."""
+    out = {}
+    for sc in fan.representatives:
+        for f in C.faces(sc.cone):
+            face_sc = F.induced_stacky_cone(f, sc.lattice)
+            out[(f.rays, face_sc.lattice.basis)] = face_sc
+    return list(out.values())
+
+
+def _shear_test_fans():
+    """The Tate fixtures, bench/gen.py's Tate fans (k = 1–4 at index 1,
+    k = 2–3 at index 2) and its g = 2 grid (k = 1, 2)."""
+    rng = random.Random(7)
+    fans = [load(name) for name in (
+        "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+        "tate_two_arc_idx2.json",
+    )]
+    for index, ks in ((1, (1, 2, 3, 4)), (2, (2, 3))):
+        for k in ks:
+            shifts = [rng.randint(-1, 1) for _ in range(2 * k)]
+            fans.append(gen.tate_arc_fan(k, index, shifts))
+    fans += [gen.torus_grid_fan(1), gen.torus_grid_fan(2)]
+    return fans
+
+
+def test_translate_matches_from_rays():
+    dims = set()
+    for fan in _shear_test_fans():
+        base = fan.base
+        for sc in _cones_and_faces(fan):
+            dims.add((sc.dim, fan.ambient_rank))
+            for m in product(range(-3, 4), repeat=base.m_rank):
+                assert _fields(S.translate(sc, m, base)) == _fields(
+                    ref_translate(sc, m, base)
+                ), (sc, m)
+    # Zero, lower-dimensional and full-dimensional cones all occur.
+    assert {(0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)} <= dims
+
+
+# A g = 2 base over the quadrant whose Gram matrices are not diagonal:
+# G_(a, b) = [[2a + b, a], [a, a + 2b]], positive definite for (a, b) ≠ 0.
+SKEW_Q = (((2, 1), (1, 0)), ((1, 0), (1, 2)))
+
+
+def _skew_base():
+    quadrant = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
+    return S.PolarizedBase(quadrant, 2, SKEW_Q, 0)
+
+
+def _random_admissible_cone(rng, base):
+    """A cone on 1–3 admissible rays (q·n, G_n p) of slope p/q, |p/q| <= 2."""
+    rays = []
+    for _ in range(rng.randint(1, 3)):
+        n = (0, 0)
+        while n == (0, 0):
+            n = (rng.randint(0, 2), rng.randint(0, 2))
+        q = rng.randint(1, 2)
+        p = [rng.randint(-2 * q, 2 * q) for _ in range(2)]
+        G = S.gram(base, n)
+        nprime = [sum(G[i][j] * p[j] for j in range(2)) for i in range(2)]
+        rays.append(tuple(q * x for x in n) + tuple(nprime))
+    cone = C.from_rays(rays, 4)
+    return F.StackyCone(cone, L.canonicalize(cone.rays, 4))
+
+
+def test_non_scalar_polarization():
+    base = _skew_base()
+    assert S.validate_form(base) == []
+    rng = random.Random(11)
+    for _ in range(20):
+        v = tuple(rng.randint(-4, 4) for _ in range(4))
+        m = (rng.randint(-3, 3), rng.randint(-3, 3))
+        assert S.translate_vector(base, v, m) == ref_translate_vector(base, v, m)
+        G = S.gram(base, v[:2])
+        assert S.q_hom(base, m, v[:2]) == tuple(
+            sum(m[i] * G[i][j] for i in range(2)) for j in range(2)
+        )
+    hits = 0
+    for _ in range(50):
+        c1 = _random_admissible_cone(rng, base)
+        c2 = _random_admissible_cone(rng, base)
+        found = S.candidate_translations(c1, c2, base)
+        assert list(found) == oracle.translations_bruteforce(c1, c2, base, 9)
+        hits += bool(found)
+        for m in set(found) | {(rng.randint(-3, 3), rng.randint(-3, 3))}:
+            assert _fields(S.translate(c2, m, base)) == _fields(ref_translate(c2, m, base))
+    assert hits > 0
