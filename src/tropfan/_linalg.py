@@ -1,8 +1,10 @@
 """Exact integer linear algebra helpers.
 
 Ranks, kernels, coordinates in a lattice basis and lattice indices all
-come from the integer Hermite normal form; no floats anywhere.
-fractions.Fraction is left only in `rational_solve` (slopes), `is_psd`
+come from the integer Hermite normal form; determinants and adjugate
+solves (the slopes of `semiabelian`) from fraction-free elimination; no
+floats anywhere.  fractions.Fraction is left only in `rational_solve`,
+which `tests/test_kernel.py` and `bench/layers.py` still use, `is_psd`
 and `lp_feasible`, the simplex kept as a reference for the tests.
 Matrices are lists of row tuples/lists.
 """
@@ -134,22 +136,71 @@ def integer_kernel(mat, ncols):
     return left_kernel(transpose, len(mat))
 
 
-def solve_integer(rows, ncols, target):
-    """One integer solution c of sum(c_i * rows_i) == target, or None."""
+def solve_integer(rows, ncols, targets):
+    """For each target t, one integer solution c of sum(c_i * rows_i) == t,
+    or None; one HNF of `rows` serves every target."""
     H, U, r = hnf_with_transform(rows, ncols)
-    coeffs = express_in_hnf(H[:r], ncols, target)
-    if coeffs is None:
-        return None
-    sol = [0] * len(rows)
-    for c, urow in zip(coeffs, U[:r]):
-        if c:
-            sol = [a + c * b for a, b in zip(sol, urow)]
-    return tuple(sol)
+    out = []
+    for target in targets:
+        coeffs = express_in_hnf(H[:r], ncols, target)
+        if coeffs is None:
+            out.append(None)
+            continue
+        sol = [0] * len(rows)
+        for c, urow in zip(coeffs, U[:r]):
+            if c:
+                sol = [a + c * b for a, b in zip(sol, urow)]
+        out.append(tuple(sol))
+    return out
 
 
 def rational_rank(mat):
     """Rank over Q of an integer matrix."""
     return len(hnf(mat, len(mat[0]) if mat else 0))
+
+
+def _bareiss(rows):
+    """Fraction-free Gauss–Jordan elimination (Bareiss 1968) of a square
+    integer matrix with extra columns, in place; returns (pivot, sign).
+
+    Every division is exact by Sylvester's identity.  For a nonsingular
+    matrix every diagonal entry ends as the last pivot, det = sign·pivot,
+    and each extra column c ends as sign·adj·c.  A singular matrix stops
+    the elimination with pivot 0.
+    """
+    n = len(rows)
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0, sign
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * c) // prev for a, c in zip(rows[i], rows[k])]
+        prev = p
+    return prev, sign
+
+
+def det(mat):
+    """Determinant of a square integer matrix."""
+    pivot, sign = _bareiss([list(row) for row in mat])
+    return sign * pivot
+
+
+def adjugate_solve(mat, rhs):
+    """(adj(mat)·rhs, det mat) for a nonsingular square integer matrix, so
+    that mat·x = rhs has the solution x = adj(mat)·rhs / det; None when mat
+    is singular."""
+    rows = [list(row) + [b] for row, b in zip(mat, rhs)]
+    pivot, sign = _bareiss(rows)
+    if pivot == 0:
+        return None
+    return tuple(sign * row[-1] for row in rows), sign * pivot
 
 
 def rational_solve(mat, rhs):

@@ -131,10 +131,9 @@ def from_rays(rays, ambient_rank):
             extreme.append(p)
     # Lift normals to ambient integer functionals (the span basis is
     # saturated, so an integer lift always exists).
-    lifted = []
-    for h in normals_d:
-        y = _lift_functional(span.basis, h, ambient_rank)
-        lifted.append(primitive(y))
+    lifted = [
+        primitive(y) for y in _lift_functionals(span.basis, normals_d, ambient_rank)
+    ]
     return Cone(
         ambient_rank,
         tuple(sorted(extreme)),
@@ -143,15 +142,14 @@ def from_rays(rays, ambient_rank):
     )
 
 
-def _lift_functional(span_basis, h, ambient_rank):
-    """Integer functional y on Z^n with <b_i, y> = h_i for the span basis."""
-    rows = [list(b) for b in span_basis]  # d x n; want y with B y = h
-    n = ambient_rank
-    columns = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    sol = solve_integer(columns, len(rows), h)
-    if sol is None:
+def _lift_functionals(span_basis, hs, ambient_rank):
+    """For each h in hs, an integer functional y on Z^n with <b_i, y> = h_i
+    for the span basis; one HNF of the basis serves every h."""
+    columns = [[b[j] for b in span_basis] for j in range(ambient_rank)]
+    sols = solve_integer(columns, len(span_basis), hs)
+    if None in sols:
         raise AssertionError("saturated span basis must admit an integer lift")
-    return tuple(sol)
+    return sols
 
 
 def zero_cone(ambient_rank):
@@ -282,10 +280,9 @@ def halfspace_slice(cone, h, sign):
     step (Fukuda–Prodon 1996) over the cone's rays and facet incidences.
 
     With v_r = sign * <h, r>, the rays with v_r >= 0 stay, and each pair
-    p, q with v_p > 0 > v_q that spans a 2-face adds v_p q - v_q p.  The
-    pair spans a 2-face iff no third ray vanishes on every facet normal
-    on which both vanish; this is exact because a Cone is pointed and
-    its facet normals are its complete, irredundant facet list.
+    that `_dd_pairs` finds adds its combination on the hyperplane.  The
+    zero sets are exact because a Cone is pointed and its facet normals
+    are its complete facet list.
     """
     vals = [sign * dot(h, r) for r in cone.rays]
     if all(v >= 0 for v in vals):
@@ -295,6 +292,22 @@ def halfspace_slice(cone, h, sign):
         for r in cone.rays
     ]
     kept = [r for r, v in zip(cone.rays, vals) if v >= 0]
+    kept += [v for _, _, v in _dd_pairs(vals, zeros, cone.rays)]
+    if not kept:
+        return zero_cone(cone.ambient_rank)
+    return from_rays(kept, cone.ambient_rank)
+
+
+def _dd_pairs(vals, zeros, vectors):
+    """(p, q, v) for each pair of generators with vals[p] > 0 > vals[q]
+    that spans a 2-face, v the primitive vals[p]·vectors[q] −
+    vals[q]·vectors[p], on which the cut vanishes.
+
+    The generators are the extreme rays of a pointed cone and zeros[r] is
+    the set of its defining inequalities tight at r.  A pair spans a
+    2-face iff no third generator is tight wherever both are.
+    """
+    out = []
     for p, vp in enumerate(vals):
         if vp <= 0:
             continue
@@ -304,11 +317,10 @@ def halfspace_slice(cone, h, sign):
             common = zeros[p] & zeros[q]
             if any(common <= z for t, z in enumerate(zeros) if t != p and t != q):
                 continue
-            rp, rq = cone.rays[p], cone.rays[q]
-            kept.append(primitive(tuple(vp * b - vq * a for a, b in zip(rp, rq))))
-    if not kept:
-        return zero_cone(cone.ambient_rank)
-    return from_rays(kept, cone.ambient_rank)
+            rp, rq = vectors[p], vectors[q]
+            v = primitive(tuple(vp * b - vq * a for a, b in zip(rp, rq)))
+            out.append((p, q, v))
+    return out
 
 
 def split_by_hyperplanes(cones, hyperplanes):

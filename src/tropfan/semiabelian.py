@@ -17,7 +17,10 @@ that it equals the normal `cones.from_rays` would give.
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
 normal form (`_orbit_form`), not by a search over translations;
-`candidate_translations` answers only which translates meet.
+`candidate_translations` answers only which translates meet.  It builds
+no translated cone: pulled back by T_m, each functional of one cone is
+affine in m at each ray of the other, and the m to test come from the
+ranges of integer ray slopes (adj(G_n)·n′ / det G_n, fraction-free).
 """
 
 import math
@@ -28,6 +31,8 @@ from . import cones as C
 from . import fans as F
 from . import lattice as L
 from ._linalg import (
+    adjugate_solve,
+    det,
     dot,
     hnf,
     integer_kernel,
@@ -35,7 +40,6 @@ from ._linalg import (
     is_zero,
     primitive,
     rational_rank,
-    rational_solve,
 )
 
 
@@ -214,10 +218,8 @@ def _shear_cone(cone, A, b):
     if cone.dim == n:
         return C.Cone(n, rays, cone.span_basis, tuple(sorted(normals)))
     span = hnf([_shear(A, b, s) for s in cone.span_basis], n)
-    lifted = [
-        primitive(C._lift_functional(span, primitive([dot(s, h) for s in span]), n))
-        for h in normals
-    ]
+    values = [primitive([dot(s, h) for s in span]) for h in normals]
+    lifted = [primitive(y) for y in C._lift_functionals(span, values, n)]
     return C.Cone(n, rays, tuple(span), tuple(sorted(lifted)))
 
 
@@ -239,68 +241,196 @@ def translate(sc, m, base):
     return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
 
 
-def _ray_slope(base, ray):
-    """Slope μ ∈ Q^g with G_n μ = n′ for a ray with nonzero base part.
+def _ray_slope(base, ray, G):
+    """Slope of a ray (n, n′, n″) with n ≠ 0 and Gram matrix G = G_n, as
+    (v, d) with d > 0 and G v = d·n′, so μ = v/d.
 
-    Raises DefinitenessRequiredError when the slope is not unique and
-    ValueError when the ray is not admissible.
+    (v, d) is ±(adj(G)·n′, det G), from fraction-free elimination.
+    Raises DefinitenessRequiredError when G is singular.
     """
     n, nprime, _ = split_point(base, ray)
-    G = gram(base, n)
-    if integer_kernel(G, base.m_rank):
+    sol = adjugate_solve(G, nprime)
+    if sol is None:
         raise DefinitenessRequiredError(
             f"gram matrix is singular at base point {n}; slopes are not unique"
         )
-    sol = rational_solve(G, list(nprime))
-    if sol is None:
-        raise ValueError(f"ray {ray} is not admissible over the base")
-    return sol
+    v, d = sol
+    return (v, d) if d > 0 else (tuple(-x for x in v), -d)
 
 
-def _slopes(base, sc):
+def _ray_data(base, sc):
+    """(G_n, slope) for each ray (n, n′, n″) of sc; the slope is None when
+    n = 0, which requires n′ = 0."""
     out = []
     for ray in sc.cone.rays:
         n, nprime, _ = split_point(base, ray)
-        if is_zero(n):
-            if not is_zero(nprime):
-                raise ValueError(f"ray {ray} has zero base part but nonzero N part")
-            continue
-        out.append(_ray_slope(base, ray))
+        G = gram(base, n)
+        if not is_zero(n):
+            out.append((G, _ray_slope(base, ray, G)))
+        elif is_zero(nprime):
+            out.append((G, None))
+        else:
+            raise ValueError(f"ray {ray} has zero base part but nonzero N part")
     return out
+
+
+def _over_common_denominator(slopes):
+    """(rows, D): the slopes as integer rows over one denominator D > 0."""
+    D = 1
+    for _, d in slopes:
+        D = D * d // math.gcd(D, d)
+    return [tuple(x * (D // d) for x in v) for v, d in slopes], D
+
+
+def _proportional(grams):
+    """Are the matrices positive multiples of the first one?"""
+    first = [x for row in grams[0] for x in row]
+    p = next(i for i, x in enumerate(first) if x)
+    for G in grams[1:]:
+        flat = [x for row in G for x in row]
+        if flat[p] * first[p] <= 0 or any(
+            x * first[p] != y * flat[p] for x, y in zip(flat, first)
+        ):
+            return False
+    return True
+
+
+def _slope_radius(grams, rows, D):
+    """An integer t ≥ |μ(x) − c| for the slopes μ(x) of the points x of a
+    cone whose rays with nonzero base part have Gram matrices `grams` and
+    slopes rows/D; c is the centre of the slopes' bounding box.
+
+    μ(x) = (Σλ_i G_i)⁻¹ Σλ_i G_i μ_i is a matrix-weighted mean of the ray
+    slopes μ_i (Chamberlain–Leamer 1976).  With R = maxᵢ |μ_i − c|, it
+    lies within R·√κ of c, κ = maxᵢ λmax(G_i)/λmin(G_i), and κ = 1 when
+    the G_i are positive multiples of one matrix.  Otherwise κ ≤
+    maxᵢ tr(G_i)^g / det(G_i) for positive definite G_i.  Squares are
+    compared, so t is exact: the least integer with t² ≥ R²·κ.
+    """
+    kappa_num, kappa_den = 1, 1
+    if not _proportional(grams):
+        for G in grams:
+            g, dt = len(G), det(G)
+            if dt <= 0 or not is_psd(G):
+                raise DefinitenessRequiredError(
+                    f"gram matrix {G} is not positive definite; translates "
+                    f"cannot be bounded"
+                )
+            tr = sum(G[i][i] for i in range(g))
+            if tr**g * kappa_den > kappa_num * dt:
+                kappa_num, kappa_den = tr**g, dt
+    centre = [min(col) + max(col) for col in zip(*rows)]  # 2D·c
+    r2 = max(sum((2 * x - y) ** 2 for x, y in zip(row, centre)) for row in rows)
+    # t² ≥ R²·κ with R² = r2 / (2D)².
+    num, den = r2 * kappa_num, 4 * D * D * kappa_den
+    t = math.isqrt(num // den)
+    while t * t * den < num:
+        t += 1
+    return t
+
+
+def _translation_box(data1, data2):
+    """Ranges per coordinate of M that hold every m with c1 ∩ T_m(c2) ≠ {0},
+    from the `_ray_data` of c1 and c2; both have a ray with nonzero base part.
+
+    T_m adds m to slopes, so such an m is μ(x) − μ(y) for points x ∈ c1
+    and y = T_{−m}x ∈ c2.  When every ray of both cones has nonzero base
+    part and, within each cone, the ray Grams are positive multiples of
+    one matrix (always so at g = 1 or b = 1), a point's slope is a convex
+    combination of its cone's ray slopes, and m ranges exactly over the
+    differences of the slope ranges.  Otherwise the ranges get a margin
+    of 1, widened by `_slope_radius` when some cone's Grams are not
+    proportional.
+    """
+    grams1 = [G for G, mu in data1 if mu]
+    grams2 = [G for G, mu in data2 if mu]
+    rows1, D1 = _over_common_denominator([mu for _, mu in data1 if mu])
+    rows2, D2 = _over_common_denominator([mu for _, mu in data2 if mu])
+    den = D1 * D2
+    lo = [min(a) * D2 - max(b) * D1 for a, b in zip(zip(*rows1), zip(*rows2))]
+    hi = [max(a) * D2 - min(b) * D1 for a, b in zip(zip(*rows1), zip(*rows2))]
+    if _proportional(grams1) and _proportional(grams2):
+        if len(grams1) == len(data1) and len(grams2) == len(data2):
+            return [range(-(-x // den), y // den + 1) for x, y in zip(lo, hi)]
+        margin = 1
+    else:
+        t = _slope_radius(grams1, rows1, D1) + _slope_radius(grams2, rows2, D2)
+        margin = max(1, t)
+    return [range(x // den - margin, -(-y // den) + margin + 1) for x, y in zip(lo, hi)]
+
+
+def _meets(columns, n_eq):
+    """Is there λ ≥ 0, λ ≠ 0, with Σ λ_r columns[r][i] = 0 for i < n_eq
+    and ≥ 0 for the other i?
+
+    columns[r] holds the values of the pulled-back functionals at ray r
+    of c1; c1 is pointed, so λ ≠ 0 iff Σ λ_r r ≠ 0.  First the quick
+    tests: a row negative on every ray, or an equation row of one strict
+    sign, rejects; a ray zero on the equations and ≥ 0 on the rest
+    accepts.  Otherwise the orthant of λ is cut row by row by the
+    double-description step of `cones.halfspace_slice`, with each extreme
+    ray kept as its values and its zero set: the orthant's facets are
+    0..R−1 and row i is facet R + i.
+    """
+    rows = list(zip(*columns))
+    for i, row in enumerate(rows):
+        if max(row) < 0 or (i < n_eq and min(row) > 0):
+            return False
+    if any(
+        all(v == 0 for v in col[:n_eq]) and all(v >= 0 for v in col[n_eq:])
+        for col in columns
+    ):
+        return True
+    R = len(columns)
+    zeros = [frozenset(range(R)) - {r} for r in range(R)]
+    vecs = columns
+    for i in range(len(rows)):
+        vals = [v[i] for v in vecs]
+        keep = [k for k, x in enumerate(vals) if x == 0 or (x > 0 and i >= n_eq)]
+        pairs = C._dd_pairs(vals, zeros, vecs)
+        zeros = [zeros[k] | {R + i} if vals[k] == 0 else zeros[k] for k in keep] + [
+            zeros[p] & zeros[q] | {R + i} for p, q, _ in pairs
+        ]
+        vecs = [vecs[k] for k in keep] + [v for _, _, v in pairs]
+        if not vecs:
+            return False
+    return True
 
 
 def candidate_translations(c1, c2, base):
     """All m ∈ M with c1 ∩ T_m(c2) ≠ {0}, as a sorted tuple.
 
-    Candidates come from the polytope of ray-slope differences (with a
-    safety margin) and each is verified by an exact cone intersection.
-    Cones fixed pointwise by every translation (all rays have zero base
-    part) intersect independently of m; by convention the answer is then
-    {0} or {} depending on whether they meet at all.
+    No translated cone is built.  A functional f of c2 (a span equation
+    or a facet normal) pulled back by T_m takes the value
+    ⟨f, T_{−m} r⟩ = ⟨f, r⟩ − m·(G_n f_N) at a ray r = (n, n′, n″) of c1,
+    where f_N is f's N-part.  These affine forms are tabulated once per
+    call; each m of `_translation_box` is then decided by `_meets` on
+    their values.  Cones fixed pointwise by every translation (all rays
+    have zero base part) intersect independently of m; by convention the
+    answer is then {0} or {} depending on whether they meet at all.
     """
     g = base.m_rank
     zero = tuple([0] * g)
     if g == 0:
         hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
         return (zero,) if hit else ()
-    s1 = _slopes(base, c1)
-    s2 = _slopes(base, c2)
-    if not s1 or not s2:
+    data1, data2 = _ray_data(base, c1), _ray_data(base, c2)
+    if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
         hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
         return (zero,) if hit else ()
-    margin = 1
-    ranges = []
-    for k in range(g):
-        lo = min(a[k] for a in s1) - max(b[k] for b in s2)
-        hi = max(a[k] for a in s1) - min(b[k] for b in s2)
-        ranges.append(range(math.floor(lo) - margin, math.ceil(hi) + margin + 1))
+    n, b = base.ambient_rank, base.base_rank
+    eqs = integer_kernel(c2.cone.span_basis, n) if c2.dim < n else []
+    functionals = eqs + list(c2.cone.facet_normals)
+    forms = [
+        [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
+        for r, (G, _) in zip(c1.cone.rays, data1)
+    ]
     found = []
-    b = base.base_rank
-    for m in product(*ranges):
-        moved = _shear_cone(c2.cone, shear_block(base, m), b)
-        if C.intersect_cones(c1.cone, moved).dim > 0:
+    for m in product(*_translation_box(data1, data2)):
+        columns = [[c - dot(m, w) for c, w in col] for col in forms]
+        if _meets(columns, len(eqs)):
             found.append(m)
-    return tuple(sorted(found))
+    return tuple(found)
 
 
 def _orbit_form(sc, base):
@@ -317,7 +447,9 @@ def _orbit_form(sc, base):
     zero = tuple([0] * base.m_rank)
     if base.m_rank == 0:
         return sc, zero
-    shifts = {tuple(-math.floor(x) for x in mu) for mu in _slopes(base, sc)}
+    shifts = {
+        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in _ray_data(base, sc) if mu
+    }
     if not shifts:
         return sc, zero
     return min(

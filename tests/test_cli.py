@@ -225,6 +225,18 @@ class TestDocumentCommands:
         with open(fx(f"minimal/{name}.json")) as fh:
             assert out == fh.read()
 
+    @pytest.mark.parametrize(
+        "name", ["tate_one_arc", "tate_three_arc", "tate_two_arc", "tate_two_arc_idx2"]
+    )
+    @pytest.mark.parametrize("cmd", ["validate", "complete", "quotient"])
+    def test_av_golden(self, capsys, fx, name, cmd):
+        # fixtures/av/ holds exit code, stdout and stderr recorded before
+        # the translation scan read intersections from affine ray values.
+        with open(fx(f"av/{name}.json")) as fh:
+            want = json.load(fh)[cmd]
+        code, out, err = run(capsys, cmd, fx(f"{name}.json"))
+        assert {"code": code, "stdout": out, "stderr": err} == want
+
     def test_minimal_rejects_invalid(self, capsys, fx):
         code, _, err = run(capsys, "minimal", fx("delta_fig_bad.json"))
         assert code == 1

@@ -1,5 +1,7 @@
 import importlib.util
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,7 +13,7 @@ import tropfan.oracle as oracle
 import tropfan.semiabelian as S
 import tropfan.serialize as SER
 from conftest import FIXTURES
-from tropfan._linalg import is_zero
+from tropfan._linalg import det, is_zero, rational_rank, rational_solve
 
 import _gen
 
@@ -733,3 +735,147 @@ def test_non_scalar_polarization():
         for m in set(found) | {(rng.randint(-3, 3), rng.randint(-3, 3))}:
             assert _fields(S.translate(c2, m, base)) == _fields(ref_translate(c2, m, base))
     assert hits > 0
+
+
+# --- Candidate scan from affine ray values ----------------------------------
+#
+# ref_candidate_translations is the scan that affine ray values replaced:
+# Fraction slopes, a box with a margin of 1 around the slope-difference
+# ranges, and one sheared cone and one intersect_cones per candidate.
+
+
+def ref_candidate_translations(c1, c2, base):
+    g, b = base.m_rank, base.base_rank
+    zero = tuple([0] * g)
+
+    def slopes(sc):
+        out = []
+        for ray in sc.cone.rays:
+            n, nprime, _ = S.split_point(base, ray)
+            if not is_zero(n):
+                out.append(rational_solve(S.gram(base, n), list(nprime)))
+        return out
+
+    s1, s2 = (slopes(c1), slopes(c2)) if g else ([], [])
+    if not s1 or not s2:
+        hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
+        return (zero,) if hit else ()
+    ranges = []
+    for k in range(g):
+        lo = min(a[k] for a in s1) - max(a[k] for a in s2)
+        hi = max(a[k] for a in s1) - min(a[k] for a in s2)
+        ranges.append(range(math.floor(lo) - 1, math.ceil(hi) + 2))
+    found = []
+    for m in product(*ranges):
+        moved = S._shear_cone(c2.cone, S.shear_block(base, m), b)
+        if C.intersect_cones(c1.cone, moved).dim > 0:
+            found.append(m)
+    return tuple(sorted(found))
+
+
+def _assert_scans_agree(cones, base):
+    hits = 0
+    for c1 in cones:
+        for c2 in cones:
+            found = S.candidate_translations(c1, c2, base)
+            assert found == ref_candidate_translations(c1, c2, base), (c1, c2)
+            hits += bool(found)
+    return hits
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_candidate_scan_matches_reference_on_generated_fans(seed):
+    for fan in _translation_fans(seed):
+        assert _assert_scans_agree(_cones_and_faces(fan), fan.base) > 0
+
+
+def test_candidate_scan_matches_reference_on_fixtures():
+    for fan in _shear_test_fans()[:4]:
+        assert _assert_scans_agree(_cones_and_faces(fan), fan.base) > 0
+
+
+def test_candidate_scan_matches_reference_on_skew_base():
+    base = _skew_base()
+    rng = random.Random(5)
+    cones = [_random_admissible_cone(rng, base) for _ in range(6)]
+    cones = [
+        F.induced_stacky_cone(f, sc.lattice) for sc in cones for f in C.faces(sc.cone)
+    ]
+    assert _assert_scans_agree(cones, base) > 0
+
+
+def _torus_base(g):
+    """g = 1 or 2 over the base ray with Q = identity and torus rank 1."""
+    q = (((1,),),) if g == 1 else (((1,), (0,)), ((0,), (1,)))
+    return S.PolarizedBase(F.stacky_cone([(1,)], [(1,)], 1), g, q, 1)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_candidate_scan_matches_reference_with_torus_rays(g):
+    # Rays with zero base part are fixed by every T_m, so the box keeps
+    # its margin of 1 there.
+    base = _torus_base(g)
+    n = base.ambient_rank
+    rng = random.Random(g)
+    cones = []
+    while len(cones) < 14:
+        rays = [
+            (rng.randint(1, 2),) + tuple(rng.randint(-3, 3) for _ in range(g + 1))
+            for _ in range(rng.randint(1, 2))
+        ]
+        if rng.random() < 0.7:
+            rays.append((0,) * (g + 1) + (rng.choice((-1, 1)),))
+        cone = C.from_rays(rays, n)
+        cones.append(F.StackyCone(cone, L.canonicalize(cone.rays, n)))
+    assert any(is_zero(r[:1]) for sc in cones for r in sc.cone.rays)
+    assert _assert_scans_agree(cones, base) > 0
+
+
+def test_skew_box_is_widened():
+    # A point's slope is a matrix-weighted mean of its rays' slopes, which
+    # can leave their componentwise range when the Grams are not
+    # proportional: here only (-8, -6) meets, while the second slope
+    # coordinate of c1's rays is 0 on both rays.
+    base = _skew_base()
+
+    def cone(rays):
+        c = C.from_rays(rays, 4)
+        return F.StackyCone(c, L.canonicalize(c.rays, 4))
+
+    c1 = cone([(1, 0, -40, -20), (0, 1, 20, 0)])
+    c2 = cone([(7, 5, 14, 18)])
+    assert S.candidate_translations(c1, c2, base) == ((-8, -6),)
+    assert oracle.translations_bruteforce(c1, c2, base, 9) == [(-8, -6)]
+    assert ref_candidate_translations(c1, c2, base) == ()
+
+
+def _cofactor_det(G):
+    if not G:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1 :] for row in G[1:]])
+        for j, x in enumerate(G[0])
+    )
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_ray_slope_matches_rational_solve(g):
+    rng = random.Random(g)
+    seen = 0
+    while seen < 40:
+        A = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
+        G = [[A[i][j] + A[j][i] for j in range(g)] for i in range(g)]
+        q = tuple(tuple((G[i][j],) for j in range(g)) for i in range(g))
+        base = S.PolarizedBase(F.stacky_cone([(1,)], [(1,)], 1), g, q, 0)
+        nprime = tuple(rng.randint(-5, 5) for _ in range(g))
+        ray = (1,) + nprime
+        assert S.gram(base, (1,)) == G
+        assert det(G) == _cofactor_det(G)
+        if rational_rank(G) < g:
+            with pytest.raises(S.DefinitenessRequiredError):
+                S._ray_slope(base, ray, G)
+            continue
+        v, d = S._ray_slope(base, ray, G)
+        assert d == abs(det(G)) and all(isinstance(x, int) for x in v)
+        assert [Fraction(x, d) for x in v] == rational_solve(G, list(nprime))
+        seen += 1
