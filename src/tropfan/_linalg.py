@@ -2,10 +2,11 @@
 
 Ranks, kernels, coordinates in a lattice basis and lattice indices all
 come from the integer Hermite normal form; determinants and adjugate
-solves (the slopes of `semiabelian`) from fraction-free elimination; no
-floats anywhere.  fractions.Fraction is left only in `rational_solve`,
-which `tests/test_kernel.py` and `bench/layers.py` still use, `is_psd`
-and `lp_feasible`, the simplex kept as a reference for the tests.
+solves (the slopes of `semiabelian`) and positive semidefiniteness from
+fraction-free elimination; no floats anywhere.  fractions.Fraction is
+left only in `rational_solve`, which `tests/test_kernel.py` and
+`bench/layers.py` still use, and `lp_feasible`, the simplex kept as a
+reference for the tests.
 Matrices are lists of row tuples/lists.
 """
 
@@ -236,26 +237,32 @@ def rational_solve(mat, rhs):
 
 
 def is_psd(mat):
-    """Exact positive-semidefiniteness of a rational symmetric matrix.
+    """Exact positive-semidefiniteness of an integer symmetric matrix.
 
-    Symmetric Gaussian pivoting: a symmetric matrix is PSD iff at every
-    step the working diagonal is nonnegative and no zero diagonal entry
-    has a nonzero row.
+    Symmetric pivoting on the diagonal: a symmetric matrix is PSD iff at
+    every step the working diagonal is nonnegative and no zero diagonal
+    entry has a nonzero row.  The elimination is fraction-free as in
+    Bareiss (1968): a step at pivot p > 0 sets each trailing entry to
+    (p·a_ij − a_ik·a_kj) / p_prev, an exact division.  The result is a
+    minor of the matrix, the Schur complement entry times p, so its sign
+    is the sign the rational elimination would give.  A skipped zero
+    pivot, whose row is zero, leaves p_prev as it is.
     """
-    a = [[Fraction(x) for x in row] for row in mat]
+    a = [list(row) for row in mat]
     n = len(a)
+    prev = 1
     for k in range(n):
-        if a[k][k] < 0:
+        p = a[k][k]
+        if p < 0:
             return False
-        if a[k][k] == 0:
-            if any(a[k][j] != 0 for j in range(k, n)):
+        if p == 0:
+            if any(a[k][j] for j in range(k + 1, n)):
                 return False
             continue
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
+            for j in range(k + 1, n):
+                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = p
     return True
 
 

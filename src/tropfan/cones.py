@@ -173,12 +173,13 @@ def contains_point(cone, v):
     if cone.dim < cone.ambient_rank:
         if express_in_hnf(cone.span_basis, cone.ambient_rank, v) is None:
             return OUTSIDE
-    signs = [dot(h, v) for h in cone.facet_normals]
-    if any(s < 0 for s in signs):
-        return OUTSIDE
-    if any(s == 0 for s in signs):
-        return BOUNDARY
-    return RELATIVE_INTERIOR
+    on_facet = False
+    for h in cone.facet_normals:
+        s = dot(h, v)
+        if s < 0:
+            return OUTSIDE
+        on_facet = on_facet or s == 0
+    return BOUNDARY if on_facet else RELATIVE_INTERIOR
 
 
 def member(cone, v):

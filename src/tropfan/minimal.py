@@ -181,17 +181,6 @@ def _support_witness(pt, pieces):
     raise AssertionError("support point not in any piece")
 
 
-def minimal_set_member(v, m):
-    """Is v in the point set S of the minimal fan?"""
-    if len(v) != m.ambient_rank:
-        raise L.DimensionError("point has wrong length")
-    if all(x == 0 for x in v):
-        return True
-    return any(
-        C.member(p.cone, v) and L.member(v, p.lattice) for p in m.pieces
-    )
-
-
 def to_coloring(fan):
     """Group the maximal cones of a complete fan by their sublattice."""
     if not F.is_complete(fan):

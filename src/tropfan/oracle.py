@@ -1,8 +1,8 @@
 """Brute-force oracles used to cross-check the symbolic algorithms.
 
-These are deliberately independent code paths: direct box scans and
-seeded random sampling, never the symbolic decision procedures they are
-meant to validate.
+These are deliberately independent code paths: exact box sweeps and
+scans, and seeded random sampling, never the symbolic decision
+procedures they are meant to validate.
 """
 
 import random
@@ -13,6 +13,7 @@ from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
 from . import semiabelian as S
+from ._linalg import dot, integer_kernel
 
 
 def _stacky_pieces(obj):
@@ -32,20 +33,57 @@ def _adds_points(sc, pieces):
 
 
 def s_enumerate(obj, radius):
-    """All points of the S-set inside the box [-radius, radius]^n."""
+    """All points of the S-set inside the box [-radius, radius]^n, in the
+    box's lexicographic order.
+
+    Each piece is swept one box line at a time.  At a fixed prefix u of
+    the first n−1 coordinates, each facet normal of the piece, and each
+    span equation taken with both signs, is affine in the last coordinate
+    t and bounds it from one side, by floor or ceil of an integer
+    division; an equation's two rows pin t to at most one integer.
+    Inside the interval left every point lies in the cone, so only
+    lattice membership is tested, and not even that when the piece's
+    lattice is its span's full lattice.  Every box point is still decided
+    exactly, with no symbolic decision procedure involved.
+    """
     n = obj.ambient_rank
+    if radius < 0 and n > 0:
+        return []  # the box is empty
     pieces = _stacky_pieces(obj)
-    pieces = [p for p in pieces if _adds_points(p, pieces)]
-    out = []
-    for v in product(range(-radius, radius + 1), repeat=n):
-        if all(x == 0 for x in v):
-            out.append(v)
-            continue
-        for p in pieces:
-            if C.member(p.cone, v) and L.member(v, p.lattice):
-                out.append(v)
+    points = {tuple([0] * n)}
+    for p in pieces:
+        if p.dim > 0 and _adds_points(p, pieces):
+            _sweep_piece(p, radius, points)
+    return sorted(points)
+
+
+def _sweep_piece(p, radius, points):
+    """Add to `points` each point of p's cone ∩ lattice in the box."""
+    n = p.ambient_rank
+    cone = p.cone
+    rows = []  # x ∈ cone ⇔ <row, x> >= 0 for every row
+    if cone.dim < n:
+        for e in integer_kernel(cone.span_basis, n):
+            rows += [e, [-x for x in e]]
+    rows += cone.facet_normals
+    check_lattice = p.lattice.basis != cone.span_basis
+    for u in product(range(-radius, radius + 1), repeat=n - 1):
+        lo, hi = -radius, radius
+        for row in rows:
+            a, b = dot(row, u), row[-1]  # <row, (u, t)> = a + b·t
+            if b > 0:
+                lo = max(lo, -(a // b))  # t >= ceil(-a / b)
+            elif b < 0:
+                hi = min(hi, a // -b)  # t <= floor(a / -b)
+            elif a < 0:
                 break
-    return out
+            if lo > hi:
+                break
+        else:
+            for t in range(lo, hi + 1):
+                v = u + (t,)
+                if not check_lattice or L.member(v, p.lattice):
+                    points.add(v)
 
 
 def cover_sample_fan(fan, count, seed, radius=10):

@@ -458,6 +458,23 @@ def _orbit_form(sc, base):
     )
 
 
+def _orbit_forms(base):
+    """`_orbit_form` over one base, computed once per (rays, lattice).
+
+    Each public entry point makes its own, so the memo lives only as long
+    as one call.
+    """
+    memo = {}
+
+    def form(sc):
+        key = (sc.cone.rays, sc.lattice.basis)
+        if key not in memo:
+            memo[key] = _orbit_form(sc, base)
+        return memo[key]
+
+    return form
+
+
 @dataclass(frozen=True)
 class AVStackyFan:
     base: PolarizedBase
@@ -490,6 +507,10 @@ def embedded_base_cone(base):
 
 def validate_av_fan(fan):
     """Violations of the translation-equivariant fan conditions."""
+    return _av_violations(fan, _orbit_forms(fan.base))
+
+
+def _av_violations(fan, form):
     base = fan.base
     out = list(validate_form(base))
     if out:
@@ -554,13 +575,13 @@ def validate_av_fan(fan):
                     )
     out.extend(unfixed)
     # (3): faces of representatives are translates of representatives.
-    forms = {_orbit_form(t, base)[0] for t in reps}
+    forms = {form(t)[0] for t in reps}
     for t in reps:
         for f in C.faces(t.cone):
             if f.rays == () or f.rays == t.cone.rays:
                 continue
             face_sc = F.induced_stacky_cone(f, t.lattice)
-            if _orbit_form(face_sc, base)[0] not in forms:
+            if form(face_sc)[0] not in forms:
                 out.append(
                     f"(3): face {f.rays} of {t.cone.rays} is not a translate "
                     f"of any representative"
@@ -568,16 +589,18 @@ def validate_av_fan(fan):
     return out
 
 
-def _orbit_classes(fan, strict=False):
+def _orbit_classes(fan, strict=False, form=None):
     """Representatives grouped one per T_m-orbit (canonical order).
 
-    Cones are keyed by orbit form and zero cones share one key.  With
-    strict=True, raises NormalizationError when two representatives lie
-    in the same orbit.
+    Cones are keyed by orbit form (`form`, by default a fresh
+    `_orbit_forms`) and zero cones share one key.  With strict=True,
+    raises NormalizationError when two representatives lie in the same
+    orbit.
     """
+    form = form or _orbit_forms(fan.base)
     classes = {}
     for sc in F._sort_stacky(fan.representatives):
-        key = None if sc.dim == 0 else _orbit_form(sc, fan.base)[0]
+        key = None if sc.dim == 0 else form(sc)[0]
         if key not in classes:
             classes[key] = sc
         elif strict:
@@ -609,10 +632,11 @@ class QuotientComplex:
 def quotient_complex(fan):
     """Cone complex of translation-orbit classes with unique face maps."""
     base = fan.base
-    cells = _orbit_classes(fan, strict=True)
-    forms = [_orbit_form(c, base) for c in cells]
+    form = _orbit_forms(base)
+    cells = _orbit_classes(fan, strict=True, form=form)
+    forms = [form(c) for c in cells]
     face_forms = [
-        [_orbit_form(F.induced_stacky_cone(f, b.lattice), base) for f in C.faces(b.cone)]
+        [form(F.induced_stacky_cone(f, b.lattice)) for f in C.faces(b.cone)]
         for b in cells
     ]
     face_maps = []
@@ -656,7 +680,8 @@ def av_complete(fan):
     exactly two maximal cells, counted with translation multiplicity.
     """
     base = fan.base
-    cells = _orbit_classes(fan)
+    orbit_form = _orbit_forms(base)
+    cells = _orbit_classes(fan, form=orbit_form)
     D = base.base_cone.dim + base.m_rank + base.torus_rank
     if D == 0:
         return True
@@ -666,7 +691,7 @@ def av_complete(fan):
 
     def form(cone):
         # Cones are compared without lattices: each carries its span lattice.
-        return _orbit_form(F.StackyCone(cone, F.span_lattice(cone)), base)[0]
+        return orbit_form(F.StackyCone(cone, F.span_lattice(cone)))[0]
 
     # The tops owning each face orbit, once per face of a top.
     owners = {}
@@ -727,7 +752,8 @@ def av_minimal(fan):
     the coarsening translation-equivariant.
     """
     base = fan.base
-    cells = _maximal_classes(_orbit_classes(fan), base)
+    form = _orbit_forms(base)
+    cells = _maximal_classes(_orbit_classes(fan, form=form), base)
     changed = True
     while changed:
         changed = False
@@ -747,17 +773,17 @@ def av_minimal(fan):
                 new_cells = [
                     c for k, c in enumerate(cells) if k not in (i, j)
                 ] + [merged]
-                candidate = _rebuild(base, new_cells)
-                if not validate_av_fan(candidate):
-                    cells = _maximal_classes(_orbit_classes(candidate), base)
+                candidate = _rebuild(base, new_cells, form)
+                if not _av_violations(candidate, form):
+                    cells = _maximal_classes(_orbit_classes(candidate, form=form), base)
                     changed = True
                     break
             if changed:
                 break
-    return _rebuild(base, cells)
+    return _rebuild(base, cells, form)
 
 
-def _rebuild(base, cells):
+def _rebuild(base, cells, form):
     """Fan from maximal cells: add face orbits and the zero cone."""
     reps = list(cells)
     seen_zero = any(c.dim == 0 for c in reps)
@@ -765,13 +791,13 @@ def _rebuild(base, cells):
         n = base.ambient_rank
         reps.append(F.StackyCone(C.zero_cone(n), L.zero_lattice(n)))
     fan = AVStackyFan(base, F._sort_stacky(reps))
-    classes = _orbit_classes(fan)
-    orbits = {_orbit_form(c, base)[0]: c for c in classes}
+    classes = _orbit_classes(fan, form=form)
+    orbits = {form(c)[0]: c for c in classes}
     for c in classes:
         for f in C.faces(c.cone):
             if f.rays != () and f.rays != c.cone.rays:
                 face_sc = F.induced_stacky_cone(f, c.lattice)
-                orbits.setdefault(_orbit_form(face_sc, base)[0], face_sc)
+                orbits.setdefault(form(face_sc)[0], face_sc)
     return av_fan(base, list(orbits.values()))
 
 
@@ -780,8 +806,9 @@ def av_bir_equivalent(f1, f2):
     if f1.base != f2.base:
         raise IncompatibleBaseError("fans are defined over different bases")
     base = f1.base
-    m1 = _maximal_classes(_orbit_classes(f1), base)
-    m2 = _maximal_classes(_orbit_classes(f2), base)
+    form = _orbit_forms(base)
+    m1 = _maximal_classes(_orbit_classes(f1, form=form), base)
+    m2 = _maximal_classes(_orbit_classes(f2, form=form), base)
     return _av_covers(m1, m2, base) and _av_covers(m2, m1, base)
 
 

@@ -215,8 +215,3 @@ def loads(text):
 def load_path(path):
     with open(path) as fh:
         return loads(fh.read())
-
-
-def dump_path(obj, path):
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))

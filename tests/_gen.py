@@ -1,11 +1,13 @@
 """Seeded random generators shared by the test suite."""
 
 import random
+from itertools import product
 from math import gcd
 
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
+import tropfan.serialize as SER
 
 
 def _angular_sort(rays):
@@ -72,25 +74,30 @@ def random_complete_fan2(rng, full_lattice_only=False, max_index=4):
     return F.fan_from_maximal(maximal, 2)
 
 
-def random_fan3(rng, max_index=4):
-    """A random (not necessarily complete) stacky fan of rank 3."""
-    octants = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                octants.append([(sx, 0, 0), (0, sy, 0), (0, 0, sz)])
-    count = rng.randint(1, 4)
-    chosen = rng.sample(range(8), count)
-    lam = random_index_lattice(rng, 3, max_index)
-    full = L.full_lattice(3)
+def random_orthant_fan(rng, n, max_index=4):
+    """A random (not necessarily complete) stacky fan of up to four
+    coordinate orthants of R^n."""
+    orthants = [
+        [tuple(s if j == i else 0 for j in range(n)) for i, s in enumerate(signs)]
+        for signs in product((1, -1), repeat=n)
+    ]
+    count = rng.randint(1, min(4, len(orthants)))
+    chosen = rng.sample(range(len(orthants)), count)
+    lam = random_index_lattice(rng, n, max_index)
+    full = L.full_lattice(n)
     maximal = []
     for i in chosen:
-        cone = C.from_rays(octants[i], 3)
+        cone = C.from_rays(orthants[i], n)
         lat = full
-        if all(L.member(r, lam) for r in octants[i]) and rng.random() < 0.5:
+        if all(L.member(r, lam) for r in orthants[i]) and rng.random() < 0.5:
             lat = lam
         maximal.append(F.StackyCone(cone, lat))
-    return F.fan_from_maximal(maximal, 3)
+    return F.fan_from_maximal(maximal, n)
+
+
+def random_fan3(rng, max_index=4):
+    """A random (not necessarily complete) stacky fan of rank 3."""
+    return random_orthant_fan(rng, 3, max_index)
 
 
 def random_fan(rng, max_index=4):
@@ -133,6 +140,23 @@ def global_root(fan, d=5):
 
 
 # --- helpers only the tests use ----------------------------------------------
+
+def minimal_set_member(v, m):
+    """Is v in the point set S of the minimal fan?"""
+    if len(v) != m.ambient_rank:
+        raise L.DimensionError("point has wrong length")
+    if all(x == 0 for x in v):
+        return True
+    return any(
+        C.member(p.cone, v) and L.member(v, p.lattice) for p in m.pieces
+    )
+
+
+def dump_path(obj, path):
+    """Write obj's JSON document to a file."""
+    with open(path, "w") as fh:
+        fh.write(SER.dumps(obj))
+
 
 def support_member(v, fan):
     """Does the integer point v lie in the support of the fan?"""

@@ -65,7 +65,7 @@ def test_criterion_1_figure_reproduction(capsys):
         assert code == 1 and out.startswith("inequivalent witness ")
         w = tuple(int(x) for x in out.split()[2:])
         trivial = MIN.minimal_fan(load("trivial.json"))
-        assert MIN.minimal_set_member(w, m) != MIN.minimal_set_member(w, trivial)
+        assert _gen.minimal_set_member(w, m) != _gen.minimal_set_member(w, trivial)
 
         svg_out = str(FIXTURES.parent / "test_render_tmp.svg")
         code = cli.main(["render", str(FIXTURES / "delta_fig.json"), "--out", svg_out])

@@ -12,6 +12,8 @@ import tropfan.semiabelian as S
 import tropfan.serialize as SER
 from conftest import FIXTURES
 
+import _gen
+
 ALL_FIXTURES = [
     "delta_fig.json",
     "delta_fig_bad.json",
@@ -29,6 +31,11 @@ ALL_FIXTURES = [
     "trivial.json",
     "zero_loop_graph.json",
 ]
+
+
+ORACLE_GOLDENS = sorted(
+    str(p.relative_to(FIXTURES / "oracle")) for p in (FIXTURES / "oracle").rglob("*.json")
+)
 
 
 def run(capsys, *argv):
@@ -160,8 +167,8 @@ class TestEquivCommand:
         w = tuple(int(x) for x in out.split()[2:])
         _, delta = SER.load_path(fx("delta_fig.json"))
         _, trivial = SER.load_path(fx("trivial.json"))
-        in_a = MIN.minimal_set_member(w, MIN.minimal_fan(delta))
-        in_b = MIN.minimal_set_member(w, MIN.minimal_fan(trivial))
+        in_a = _gen.minimal_set_member(w, MIN.minimal_fan(delta))
+        in_b = _gen.minimal_set_member(w, MIN.minimal_fan(trivial))
         assert in_a != in_b
 
     def test_kind_mismatch(self, capsys, fx):
@@ -302,7 +309,7 @@ class TestRenderCommand:
             3,
         )
         path = tmp_path / "rank3.json"
-        SER.dump_path(fan, str(path))
+        _gen.dump_path(fan, str(path))
         code = cli.main(["render", str(path)])
         assert code == 4
 
@@ -325,9 +332,22 @@ class TestOracleCommands:
             1
             for x in range(-3, 4)
             for y in range(-3, 4)
-            if MIN.minimal_set_member((x, y), m)
+            if _gen.minimal_set_member((x, y), m)
         )
         assert count == expected
+
+    @pytest.mark.parametrize("name", ORACLE_GOLDENS)
+    def test_oracle_golden(self, capsys, monkeypatch, name):
+        # fixtures/oracle/<name> holds exit code, stdout and stderr of
+        # s-enumerate on fixtures/<name> at radius 2 and 5, recorded with
+        # the point-by-point scan before the line sweep replaced it.  The
+        # path is given relative to fixtures/, as it was when recorded.
+        with open(FIXTURES / "oracle" / name) as fh:
+            want = json.load(fh)
+        monkeypatch.chdir(FIXTURES)
+        for radius in ("2", "5"):
+            code, out, err = run(capsys, "oracle", "s-enumerate", name, "--radius", radius)
+            assert {"code": code, "stdout": out, "stderr": err} == want[radius]
 
     def test_cover_sample(self, capsys, fx):
         code, out, _ = run(capsys, "oracle", "cover-sample", fx("trivial.json"),

@@ -8,7 +8,10 @@ pointedness, and Fraction Gaussian elimination for rank, determinant
 
 import ast
 import pathlib
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,13 @@ from hypothesis import strategies as st
 import tropfan
 import tropfan.cones as C
 import tropfan.lattice as L
-from tropfan._linalg import express_in_hnf, lp_feasible, rational_rank, rational_solve
+from tropfan._linalg import (
+    express_in_hnf,
+    is_psd,
+    lp_feasible,
+    rational_rank,
+    rational_solve,
+)
 
 
 def ref_pointed(rays):
@@ -61,6 +70,26 @@ def ref_det(mat):
             f = a[i][c] / a[c][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def ref_is_psd(mat):
+    """Symmetric Gaussian pivoting over Fractions: PSD iff every working
+    diagonal entry is nonnegative and a zero one has a zero row."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] < 0:
+            return False
+        if a[k][k] == 0:
+            if any(a[k][j] != 0 for j in range(k, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return True
 
 
 def ref_contains_point(cone, v):
@@ -166,6 +195,38 @@ def test_contains_point_matches_fraction_solve(case):
         sum(c * r[i] for c, r in zip(coeffs, rays)) + s for i, s in enumerate(shift)
     )
     assert C.contains_point(cone, v) == ref_contains_point(cone, v)
+
+
+def _random_symmetric(rng, g):
+    """A seeded symmetric integer matrix: B·Bᵀ for a B of random width
+    (singular when narrower than g), with a random diagonal shift or
+    sign that makes some indefinite, or a plain random symmetric one."""
+    style = rng.choice(["gram", "shifted", "negated", "plain"])
+    if style == "plain":
+        a = [[rng.randint(-4, 4) for _ in range(g)] for _ in range(g)]
+        return [[a[i][j] + a[j][i] for j in range(g)] for i in range(g)]
+    b = [[rng.randint(-3, 3) for _ in range(rng.randint(0, g + 1))] for _ in range(g)]
+    m = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(g)] for i in range(g)]
+    if style == "shifted":
+        k = rng.randrange(g)
+        m[k][k] += rng.randint(-3, 3)
+    elif style == "negated":
+        m = [[-x for x in row] for row in m]
+    return m
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_is_psd_matches_fraction_pivoting(g):
+    rng = random.Random(g)
+    seen = set()
+    for _ in range(400):
+        m = _random_symmetric(rng, g)
+        want = ref_is_psd(m)
+        assert is_psd(m) == want
+        seen.add((want, ref_rank(m) == g))
+    # PSD and not, singular and not, all occur (a singular 1×1 is 0).
+    want_seen = {(True, True), (True, False), (False, True), (False, False)}
+    assert seen == want_seen - ({(False, False)} if g == 1 else set())
 
 
 def test_only_linalg_imports_fractions():
