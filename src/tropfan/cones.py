@@ -3,26 +3,29 @@
 A Cone keeps three descriptions in sync: primitive extreme rays, a
 saturated basis of the lattice of its linear span (in HNF), and facet
 normals as ambient integer functionals.  Membership is a sign test plus,
-for a lower-dimensional cone, an integer HNF span test.  The facet list
-is complete and irredundant, so ray–facet incidences decide the rest:
-a half-space cut is one double-description step over the rays, an
-intersection is a fold of such cuts, and faces and face tests are read
-from the facet normals vanishing on each ray.  All cones are pointed: a
-cone is pointed iff its dual is full-dimensional in the span, and
-non-pointed input is rejected.
+for a lower-dimensional cone, an integer HNF span test.  Facets come
+from double description (`_dd_cut`): the facet normals are the extreme
+rays of the dual cone, found by cutting a simplicial cone by one
+generator at a time, and the same incidences give the extreme rays and
+pointedness.  The facet list is complete and irredundant, so ray–facet
+incidences decide the rest: a half-space cut is one double-description
+step over the rays, an intersection is a fold of such cuts, and faces
+and face tests are read from the facet normals vanishing on each ray.
+All cones are pointed: a cone is pointed iff none of its generators
+vanishes on the whole dual cone, and non-pointed input is rejected.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import lattice as lat
 from ._linalg import (
     dot,
     express_in_hnf,
+    hnf,
     integer_kernel,
     is_zero,
+    pivot_columns,
     primitive,
-    rational_rank,
     solve_integer,
 )
 from .lattice import DimensionError
@@ -65,43 +68,6 @@ class Cone:
         return f"Cone(rays={list(self.rays)})"
 
 
-def _extreme_rays_of_inequalities(ineqs, k):
-    """Extreme rays of the pointed cone {x in R^k : A x >= 0}.
-
-    This is `from_rays`' dual step: with the rays' span coordinates as
-    rows, it yields the facet normals.  Every extreme ray of a pointed
-    cone has an active constraint set of rank k-1, so enumerating
-    (k-1)-subsets of rows finds all of them.
-    """
-    if k == 0:
-        return []
-    rays = []
-    seen = set()
-    if k == 1:
-        candidates = [(1,), (-1,)]
-        for v in candidates:
-            if all(dot(row, v) >= 0 for row in ineqs):
-                if v not in seen:
-                    seen.add(v)
-                    rays.append(v)
-        # A pointed 1-d cone keeps at most one direction; both directions
-        # surviving means the constraints carve out a line (caller checks).
-        return rays
-    for subset in combinations(range(len(ineqs)), k - 1):
-        rows = [ineqs[i] for i in subset]
-        kernel = integer_kernel(rows, k)
-        if len(kernel) != 1:
-            continue
-        v = primitive(kernel[0])
-        for cand in (v, tuple(-x for x in v)):
-            if all(dot(row, cand) >= 0 for row in ineqs):
-                if cand not in seen:
-                    seen.add(cand)
-                    rays.append(cand)
-                break
-    return rays
-
-
 def from_rays(rays, ambient_rank):
     """Canonical pointed cone generated by the given integer vectors."""
     for r in rays:
@@ -117,18 +83,36 @@ def from_rays(rays, ambient_rank):
     span = lat.saturate(lat.canonicalize(prims, ambient_rank))
     d = span.rank
     coords = [express_in_hnf(span.basis, ambient_rank, p) for p in prims]
-    # Facet normals in span coordinates: extreme rays of the dual cone,
-    # which is pointed because the coordinates span R^d.  The cone is
-    # pointed iff its dual is full-dimensional.
-    normals_d = _extreme_rays_of_inequalities(coords, d)
-    if rational_rank(normals_d) != d:
+    # Facet normals in span coordinates: the extreme rays of the dual cone
+    # {y : <c, y> >= 0 for every coordinate row c}, which is pointed
+    # because the rows span R^d.  Double description starts from the
+    # simplicial cone of d independent rows (the pivot columns of the
+    # transposed rows' HNF) and cuts by the others, each row labelled by
+    # its generator, so each normal's zero set holds the generators it
+    # vanishes on.
+    basis = pivot_columns(hnf(list(zip(*coords)), len(coords)), len(coords))
+    start = []
+    for i in basis:
+        y = primitive(integer_kernel([coords[j] for j in basis if j != i], d)[0])
+        start.append(y if dot(coords[i], y) > 0 else tuple(-x for x in y))
+    normals_d, zeros = _dd_cut(
+        start,
+        [frozenset(basis) - {i} for i in basis],
+        [(j, c) for j, c in enumerate(coords) if j not in basis],
+    )
+    # A generator tight on every facet lies in the lineality space, and
+    # one exists iff the cone contains a line.  A generator is extreme iff
+    # no other generator is tight on every facet it is tight on.
+    tight = [
+        frozenset(k for k, z in enumerate(zeros) if j in z) for j in range(len(prims))
+    ]
+    if any(len(t) == len(normals_d) for t in tight):
         raise PointednessError(f"cone generated by {rays} contains a line")
-    # Extreme-ray filter: active normal set of rank d-1.
-    extreme = []
-    for p, c in zip(prims, coords):
-        active = [h for h in normals_d if dot(h, c) == 0]
-        if rational_rank(active) == d - 1:
-            extreme.append(p)
+    extreme = [
+        p
+        for j, p in enumerate(prims)
+        if not any(i != j and tight[j] <= t for i, t in enumerate(tight))
+    ]
     # Lift normals to ambient integer functionals (the span basis is
     # saturated, so an integer lift always exists).
     lifted = [
@@ -277,26 +261,41 @@ def contains_cone(big, small):
 
 
 def halfspace_slice(cone, h, sign):
-    """cone ∩ {x : sign * <h, x> >= 0} as a Cone: one double-description
-    step (Fukuda–Prodon 1996) over the cone's rays and facet incidences.
-
-    With v_r = sign * <h, r>, the rays with v_r >= 0 stay, and each pair
-    that `_dd_pairs` finds adds its combination on the hyperplane.  The
-    zero sets are exact because a Cone is pointed and its facet normals
-    are its complete facet list.
-    """
-    vals = [sign * dot(h, r) for r in cone.rays]
-    if all(v >= 0 for v in vals):
+    """cone ∩ {x : sign * <h, x> >= 0} as a Cone: one `_dd_cut` step over
+    the cone's rays and their facet incidences, which are exact because a
+    Cone is pointed and its facet normals are its complete facet list."""
+    if all(sign * dot(h, r) >= 0 for r in cone.rays):
         return cone
     zeros = [
         frozenset(i for i, g in enumerate(cone.facet_normals) if dot(g, r) == 0)
         for r in cone.rays
     ]
-    kept = [r for r, v in zip(cone.rays, vals) if v >= 0]
-    kept += [v for _, _, v in _dd_pairs(vals, zeros, cone.rays)]
+    row = tuple(sign * x for x in h)
+    kept, _ = _dd_cut(cone.rays, zeros, [(len(cone.facet_normals), row)])
     if not kept:
         return zero_cone(cone.ambient_rank)
     return from_rays(kept, cone.ambient_rank)
+
+
+def _dd_cut(rays, zeros, rows, n_eq=0):
+    """Double description (Motzkin et al. 1953; Fukuda–Prodon 1996): the
+    pointed cone with extreme rays `rays`, cut in turn by each row
+    (label, f) as <f, x> >= 0, or as <f, x> = 0 for the first n_eq rows.
+
+    zeros[k] is the set of labels of the inequalities tight at rays[k].
+    Returns the extreme rays of the cut cone and their zero sets.
+    """
+    for i, (label, row) in enumerate(rows):
+        if not rays:
+            break
+        vals = [dot(row, r) for r in rays]
+        pairs = _dd_pairs(vals, zeros, rays)
+        keep = [k for k, v in enumerate(vals) if v == 0 or (v > 0 and i >= n_eq)]
+        zeros = [zeros[k] | {label} if vals[k] == 0 else zeros[k] for k in keep] + [
+            zeros[p] & zeros[q] | {label} for p, q, _ in pairs
+        ]
+        rays = [rays[k] for k in keep] + [v for _, _, v in pairs]
+    return rays, zeros
 
 
 def _dd_pairs(vals, zeros, vectors):

@@ -252,15 +252,19 @@ def is_complete(fan):
     for a, b in by_ridge.values():
         adj[a].add(b)
         adj[b].add(a)
+    return _connected(adj)
+
+
+def _connected(adj):
+    """Is the graph on 0..len(adj)−1 with neighbour sets adj connected?"""
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for j in adj[i]:
+        for j in adj[stack.pop()]:
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == len(tops)
+    return len(seen) == len(adj)
 
 
 def smallest_containing(fan, cone):

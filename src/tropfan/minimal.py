@@ -230,9 +230,15 @@ def from_coloring(c):
 
 
 def coloring_is_complete(m):
-    """Does the union of the pieces cover all of R^n?"""
+    """Does the union of the pieces cover all of R^n?  R^n is covered by
+    the n + 1 simplicial cones spanned by all but one of e_1, …, e_n and
+    −(e_1 + … + e_n)."""
     n = m.ambient_rank
     if n == 0:
         return True
     tops = [p.cone for p in m.pieces if p.dim == n]
-    return all(C.cone_covered_by(o, tops) for o in C.arrangement_cells([], n))
+    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    return all(
+        C.cone_covered_by(C.from_rays(gens[:i] + gens[i + 1 :], n), tops)
+        for i in range(n + 1)
+    )

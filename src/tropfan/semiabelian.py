@@ -367,10 +367,8 @@ def _meets(columns, n_eq):
     of c1; c1 is pointed, so λ ≠ 0 iff Σ λ_r r ≠ 0.  First the quick
     tests: a row negative on every ray, or an equation row of one strict
     sign, rejects; a ray zero on the equations and ≥ 0 on the rest
-    accepts.  Otherwise the orthant of λ is cut row by row by the
-    double-description step of `cones.halfspace_slice`, with each extreme
-    ray kept as its values and its zero set: the orthant's facets are
-    0..R−1 and row i is facet R + i.
+    accepts.  Otherwise the orthant of λ, with facets labelled 0..R−1,
+    is cut by the rows, labelled R, R+1, …, with `cones._dd_cut`.
     """
     rows = list(zip(*columns))
     for i, row in enumerate(rows):
@@ -382,19 +380,10 @@ def _meets(columns, n_eq):
     ):
         return True
     R = len(columns)
+    units = [tuple(int(k == r) for k in range(R)) for r in range(R)]
     zeros = [frozenset(range(R)) - {r} for r in range(R)]
-    vecs = columns
-    for i in range(len(rows)):
-        vals = [v[i] for v in vecs]
-        keep = [k for k, x in enumerate(vals) if x == 0 or (x > 0 and i >= n_eq)]
-        pairs = C._dd_pairs(vals, zeros, vecs)
-        zeros = [zeros[k] | {R + i} if vals[k] == 0 else zeros[k] for k in keep] + [
-            zeros[p] & zeros[q] | {R + i} for p, q, _ in pairs
-        ]
-        vecs = [vecs[k] for k in keep] + [v for _, _, v in pairs]
-        if not vecs:
-            return False
-    return True
+    rays, _ = C._dd_cut(units, zeros, list(enumerate(rows, R)), n_eq)
+    return bool(rays)
 
 
 def candidate_translations(c1, c2, base):
@@ -712,15 +701,7 @@ def av_complete(fan):
             if len(paired) != 2:
                 return False
             adjacency[ti].update(paired)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adjacency[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(tops)
+    return F._connected(adjacency)
 
 
 def _maximal_classes(cells, base):

@@ -7,11 +7,83 @@ from hypothesis import strategies as st
 
 import tropfan.cones as C
 import tropfan.lattice as L
-from tropfan._linalg import dot, primitive
+from tropfan._linalg import (
+    dot,
+    express_in_hnf,
+    integer_kernel,
+    primitive,
+    rational_rank,
+)
 
 
 # Reference implementations: the subset-enumerating cone operations that
-# the double-description step and the incidence walks replaced.
+# double description and the incidence walks replaced.
+
+
+def ref_extreme_rays_of_inequalities(ineqs, k):
+    """Extreme rays of the pointed cone {x in R^k : A x >= 0}.
+
+    Every extreme ray of a pointed cone has an active constraint set of
+    rank k-1, so enumerating (k-1)-subsets of rows finds all of them.
+    """
+    if k == 0:
+        return []
+    rays = []
+    seen = set()
+    if k == 1:
+        for v in [(1,), (-1,)]:
+            if all(dot(row, v) >= 0 for row in ineqs) and v not in seen:
+                seen.add(v)
+                rays.append(v)
+        # Both directions surviving means the constraints carve out a
+        # line; the caller checks.
+        return rays
+    for subset in combinations(range(len(ineqs)), k - 1):
+        rows = [ineqs[i] for i in subset]
+        kernel = integer_kernel(rows, k)
+        if len(kernel) != 1:
+            continue
+        v = primitive(kernel[0])
+        for cand in (v, tuple(-x for x in v)):
+            if all(dot(row, cand) >= 0 for row in ineqs):
+                if cand not in seen:
+                    seen.add(cand)
+                    rays.append(cand)
+                break
+    return rays
+
+
+def ref_from_rays(rays, ambient_rank):
+    """`from_rays` with the subset-enumerating dual step and one rank test
+    per generator: extreme iff its active facet normals have rank d-1."""
+    prims = []
+    for r in rays:
+        p = primitive(r)
+        if any(p) and p not in prims:
+            prims.append(p)
+    if not prims:
+        return C.zero_cone(ambient_rank)
+    span = L.saturate(L.canonicalize(prims, ambient_rank))
+    d = span.rank
+    coords = [express_in_hnf(span.basis, ambient_rank, p) for p in prims]
+    normals_d = ref_extreme_rays_of_inequalities(coords, d)
+    if rational_rank(normals_d) != d:
+        raise C.PointednessError(f"cone generated by {rays} contains a line")
+    extreme = [
+        p
+        for p, c in zip(prims, coords)
+        if rational_rank([h for h in normals_d if dot(h, c) == 0]) == d - 1
+    ]
+    lifted = [
+        primitive(y)
+        for y in C._lift_functionals(span.basis, normals_d, ambient_rank)
+    ]
+    return C.Cone(
+        ambient_rank,
+        tuple(sorted(extreme)),
+        tuple(span.basis),
+        tuple(sorted(lifted)),
+    )
 
 
 def _lift(coords, basis, n):
@@ -29,7 +101,7 @@ def ref_halfspace_slice(cone, h, sign):
     ineqs = [tuple(dot(g, b) for b in cone.span_basis) for g in cone.facet_normals]
     ineqs.append(tuple(dot(hh, b) for b in cone.span_basis))
     lifted = []
-    for r in C._extreme_rays_of_inequalities(ineqs, cone.dim):
+    for r in ref_extreme_rays_of_inequalities(ineqs, cone.dim):
         v = _lift(r, cone.span_basis, n)
         if C.member(cone, v) and dot(hh, v) >= 0:
             lifted.append(v)
@@ -56,7 +128,7 @@ def ref_intersect_cones(c1, c2):
     ]
     lifted = [
         _lift(r, span.basis, n)
-        for r in C._extreme_rays_of_inequalities(ineqs, span.rank)
+        for r in ref_extreme_rays_of_inequalities(ineqs, span.rank)
     ]
     lifted = [v for v in lifted if C.member(c1, v) and C.member(c2, v)]
     if not lifted:
@@ -382,10 +454,50 @@ def _random_halfspace(rng):
     return cone, tuple(h), rng.choice([1, -1])
 
 
+def _random_generators(rng):
+    """(generators, n) at rank 1 to 5: pointed sets, sets with a lower-
+    dimensional span, and sets that are not pointed, each with redundant
+    generators (multiples, repeats and sums of others) mixed in."""
+    n = rng.randint(1, 5)
+    count = rng.randint(1, n + 4)
+    kind = rng.choice(["pointed", "low", "line"])
+    if kind == "low" and n > 1:
+        basis = [_vector(rng, n) for _ in range(rng.randint(1, n - 1))]
+        coeffs = [_vector(rng, len(basis)) for _ in range(count)]
+        vs = [[dot(cs, col) for col in zip(*basis)] for cs in coeffs]
+    else:
+        vs = [_vector(rng, n) for _ in range(count)]
+    if kind != "line" or rng.random() < 0.5:
+        vs = _oriented(vs, _vector(rng, n)) or [_vector(rng, n)]
+    if kind == "line":
+        vs.append([-x for x in rng.choice(vs)])
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(vs), rng.choice(vs)
+        extra = [[2 * x for x in a], list(a), [x + y for x, y in zip(a, b)]]
+        vs.append(rng.choice(extra))
+    rng.shuffle(vs)
+    return vs, n
+
+
+def _from_rays_outcome(build, vs, n):
+    try:
+        return _full(build(vs, n))
+    except C.PointednessError as e:
+        return str(e)
+
+
 _seeds = st.integers(0, 2**32 - 1).map(random.Random)
 
 
 class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_seeds)
+    def test_from_rays(self, rng):
+        vs, n = _random_generators(rng)
+        assert _from_rays_outcome(C.from_rays, vs, n) == _from_rays_outcome(
+            ref_from_rays, vs, n
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(_seeds)
     def test_halfspace_slice(self, rng):
@@ -426,3 +538,10 @@ class TestAgainstReference:
         cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
         dims = [f.dim for f in C.faces(cone)]
         assert [dims.count(d) for d in range(6)] == [1, 14, 91, 154, 77, 1]
+
+    def test_cut_of_cyclic_polytope_cone(self):
+        # The cone over C(14, 4) cut by t^4 >= 42: 44 rays and 78 facets.
+        # Its dual step has 44 generators in rank 5.
+        cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
+        cut = C.halfspace_slice(cone, (-42, 0, 0, 0, 1), 1)
+        assert (len(cut.rays), len(cut.facet_normals)) == (44, 78)

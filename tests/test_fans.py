@@ -78,6 +78,17 @@ class TestCompleteness:
         partial = F.fan_from_maximal(maxs[:-1], 2)
         assert not F.is_complete(partial)
 
+    def test_ridge_paired_but_disconnected(self):
+        # Two complete fans with no common ray: every ridge bounds exactly
+        # two tops, but no ridge joins the two fans' tops.
+        axes = F.maximal_cones(load_fan("trivial.json"))
+        diagonals = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+        tilted = [
+            F.StackyCone(C.from_rays([a, b], 2), L.full_lattice(2))
+            for a, b in zip(diagonals, diagonals[1:] + diagonals[:1])
+        ]
+        assert not F.is_complete(F.fan_from_maximal(axes + tilted, 2))
+
     def test_rank1(self):
         pos = F.stacky_cone([(1,)], [(1,)], 1)
         neg = F.stacky_cone([(-1,)], [(1,)], 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -205,3 +206,18 @@ class TestColoring:
         assert MIN.coloring_is_complete(MIN.minimal_fan(load("trivial.json")))
         assert MIN.coloring_is_complete(MIN.minimal_fan(load("delta_fig.json")))
         assert not MIN.coloring_is_complete(MIN.minimal_fan(load("quadrant.json")))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coloring_missing_one_orthant_is_incomplete(self, n):
+        axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        orthants = [
+            C.from_rays([[s * x for x in e] for s, e in zip(signs, axes)], n)
+            for signs in itertools.product((1, -1), repeat=n)
+        ]
+        full = L.full_lattice(n)
+        for k in range(len(orthants)):
+            pieces = [F.StackyCone(o, full) for i, o in enumerate(orthants) if i != k]
+            fan = F.fan_from_maximal(pieces, n)
+            assert not MIN.coloring_is_complete(MIN.minimal_fan(fan))
+        whole = F.fan_from_maximal([F.StackyCone(o, full) for o in orthants], n)
+        assert MIN.coloring_is_complete(MIN.minimal_fan(whole))
