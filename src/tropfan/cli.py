@@ -102,6 +102,8 @@ def cmd_equiv(args):
         print(f"inequivalent witness {' '.join(str(x) for x in witness)}")
         return FAIL
     if kind_a == "av_fan" and kind_b == "av_fan":
+        if S.local_violations(a) or S.local_violations(b):
+            raise CliError(FAIL, "input fan is invalid; run validate")
         try:
             eq = S.av_bir_equivalent(a, b)
         except S.IncompatibleBaseError as exc:
@@ -147,6 +149,8 @@ def cmd_complete(args):
     elif kind == "coloring":
         ok = MIN.coloring_is_complete(obj)
     else:
+        if S.local_violations(obj):
+            raise CliError(FAIL, "input fan is invalid; run validate")
         ok = S.av_complete(obj)
     print("true" if ok else "false")
     return OK if ok else FAIL

@@ -13,9 +13,15 @@ step over the rays, an intersection is a fold of such cuts, and faces
 and face tests are read from the facet normals vanishing on each ray.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
+
+The simplicial cone that starts the dual step (`_simplicial_start`) also
+starts the chambers of a hyperplane arrangement: n independent normals
+cut R^n into 2^n simplicial chambers, and `arrangement_chambers` splits
+those by the remaining normals.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import lattice as lat
 from ._linalg import (
@@ -86,15 +92,10 @@ def from_rays(rays, ambient_rank):
     # Facet normals in span coordinates: the extreme rays of the dual cone
     # {y : <c, y> >= 0 for every coordinate row c}, which is pointed
     # because the rows span R^d.  Double description starts from the
-    # simplicial cone of d independent rows (the pivot columns of the
-    # transposed rows' HNF) and cuts by the others, each row labelled by
-    # its generator, so each normal's zero set holds the generators it
-    # vanishes on.
-    basis = pivot_columns(hnf(list(zip(*coords)), len(coords)), len(coords))
-    start = []
-    for i in basis:
-        y = primitive(integer_kernel([coords[j] for j in basis if j != i], d)[0])
-        start.append(y if dot(coords[i], y) > 0 else tuple(-x for x in y))
+    # simplicial cone of d independent rows and cuts by the others, each
+    # row labelled by its generator, so each normal's zero set holds the
+    # generators it vanishes on.
+    basis, start = _simplicial_start(coords, d)
     normals_d, zeros = _dd_cut(
         start,
         [frozenset(basis) - {i} for i in basis],
@@ -124,6 +125,23 @@ def from_rays(rays, ambient_rank):
         tuple(span.basis),
         tuple(sorted(lifted)),
     )
+
+
+def _simplicial_start(rows, d):
+    """(basis, duals) for integer rows of length d.
+
+    `basis` indexes a maximal independent set of rows, the pivot columns
+    of one HNF of the transposed rows.  When the rows span Q^d, duals[k]
+    is the primitive vector that vanishes on every basis row but the k-th
+    and is positive on that one, so the duals are the extreme rays of the
+    simplicial cone cut out by the basis rows.
+    """
+    basis = pivot_columns(hnf(list(zip(*rows)), len(rows)), len(rows))
+    duals = []
+    for i in basis:
+        y = primitive(integer_kernel([rows[j] for j in basis if j != i], d)[0])
+        duals.append(y if dot(rows[i], y) > 0 else tuple(-x for x in y))
+    return basis, duals
 
 
 def _lift_functionals(span_basis, hs, ambient_rank):
@@ -326,39 +344,38 @@ def _dd_pairs(vals, zeros, vectors):
 def split_by_hyperplanes(cones, hyperplanes):
     """Refine a list of cones by the hyperplanes {<h, x> = 0}.
 
-    Keeps every resulting cell (cells of all dimensions may appear but
-    only cells of the original dimensions matter to callers).
+    Each cell keeps the dimension of the cone it came from: a cone is the
+    union of its two sides, so at least one side has its dimension, and a
+    side of lower dimension is dropped.
     """
     cells = list(cones)
     for h in hyperplanes:
         new_cells = []
         for c in cells:
-            sides = [halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)]
-            for s in sides:
+            for s in (halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)):
                 if s.dim == c.dim and s not in new_cells:
                     new_cells.append(s)
-            if all(s.dim < c.dim for s in sides) and c not in new_cells:
-                new_cells.append(c)
         cells = new_cells
     return cells
 
 
-def arrangement_cells(hyperplanes, ambient_rank):
-    """Cells of the central arrangement {<h, x> = 0} of the hyperplanes.
+def arrangement_chambers(normals, ambient_rank):
+    """Chambers of the central arrangement {<h, x> = 0} of normals that
+    span R^n, as full-dimensional cones sorted by rays.
 
-    The 2^n orthants of R^n are split by every hyperplane; exact and fine
-    for the small ranks this library targets.  Cells of lower dimension
-    may appear, so callers keep the full-dimensional ones.
+    n independent normals (`_simplicial_start`) cut R^n into the 2^n
+    simplicial chambers spanned by the sign flips of their duals.  Each
+    chamber of the whole arrangement lies in one of them, so splitting
+    them by the other normals gives every chamber exactly once.
     """
-    n = ambient_rank
-    orthants = []
-    for mask in range(2 ** n):
-        rays = []
-        for i in range(n):
-            sign = -1 if (mask >> i) & 1 else 1
-            rays.append(tuple(sign if j == i else 0 for j in range(n)))
-        orthants.append(from_rays(rays, n))
-    return split_by_hyperplanes(orthants, hyperplanes)
+    normals = [tuple(h) for h in normals]
+    basis, duals = _simplicial_start(normals, ambient_rank)
+    if len(basis) != ambient_rank:
+        raise DimensionError(f"normals {normals} do not span R^{ambient_rank}")
+    flips = [(y, tuple(-x for x in y)) for y in duals]
+    start = [from_rays(rays, ambient_rank) for rays in product(*flips)]
+    rest = [h for j, h in enumerate(normals) if j not in basis]
+    return sorted(split_by_hyperplanes(start, rest), key=lambda c: c.rays)
 
 
 def _splitting_hyperplanes(target, pieces):
@@ -380,13 +397,10 @@ def uncovered_point(target, pieces):
     """An integer interior point of target outside every piece, or None.
 
     Exact: the target is split by every facet hyperplane of every piece
-    that cuts it; each full-dimensional cell is represented by an interior
-    point which must land in some piece.
+    that cuts it; each cell, of the target's dimension, is represented by
+    an interior point which must land in some piece.
     """
-    cells = split_by_hyperplanes([target], _splitting_hyperplanes(target, pieces))
-    for cell in cells:
-        if cell.dim != target.dim:
-            continue
+    for cell in split_by_hyperplanes([target], _splitting_hyperplanes(target, pieces)):
         pt = interior_point(cell)
         if not any(member(p, pt) for p in pieces):
             return pt

@@ -90,14 +90,13 @@ def induced_stacky_cone(cone, parent_lattice):
 
 def _restrict(lattice, cone):
     """lattice ∩ Span(cone)."""
-    if cone.dim == 0:
-        return L.zero_lattice(lattice.ambient_rank)
-    return L.restrict_to_span(lattice, [list(b) for b in cone.span_basis])
+    return L.intersect(lattice, span_lattice(cone))
 
 
 def span_lattice(cone):
-    """Z^n ∩ Span(cone) as a Sublattice (the cone's saturated span)."""
-    return L.canonicalize([list(b) for b in cone.span_basis], cone.ambient_rank)
+    """Z^n ∩ Span(cone) as a Sublattice: the cone's span basis is already
+    saturated and in HNF."""
+    return L.Sublattice(cone.ambient_rank, cone.span_basis)
 
 
 def validate_stacky_cone(sc):
@@ -279,17 +278,8 @@ def smallest_containing(fan, cone):
 
 def is_subdivision(fine, coarse):
     """Equal supports, refined cones, and induced lattices."""
-    if fine.ambient_rank != coarse.ambient_rank:
-        raise L.DimensionError("ambient ranks differ")
-    if not supports_equal(fine, coarse):
-        return False
-    for sc in fine.cones:
-        parent = smallest_containing(coarse, sc.cone)
-        if parent is None:
-            return False
-        if sc.lattice != _restrict(parent.lattice, sc.cone):
-            return False
-    return True
+    morphism = FanMorphismData(fine, coarse)  # DimensionError if ranks differ
+    return supports_equal(fine, coarse) and is_representable(morphism)
 
 
 def is_root_construction(fine, coarse):

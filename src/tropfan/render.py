@@ -11,6 +11,7 @@ import math
 
 from . import cones as C
 from . import fans as F
+from . import lattice as L
 from . import minimal as MIN
 
 PALETTE = (
@@ -129,9 +130,7 @@ def render_svg(obj, radius=4):
                 v = (x, y)
                 if v in drawn:
                     continue
-                if C.member(p.cone, v) and (
-                    v == (0, 0) or _in_lattice(v, p.lattice)
-                ):
+                if C.member(p.cone, v) and L.member(v, p.lattice):
                     px, py = _to_px(x, y)
                     lines.append(
                         f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
@@ -140,9 +139,3 @@ def render_svg(obj, radius=4):
                     drawn.add(v)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _in_lattice(v, lattice):
-    from . import lattice as L
-
-    return L.member(v, lattice)

@@ -490,8 +490,7 @@ def embedded_base_cone(base):
     rays = [tuple(r) + (0,) * pad for r in base.base_cone.cone.rays]
     lat = [tuple(bv) + (0,) * pad for bv in base.base_cone.lattice.basis]
     n = base.ambient_rank
-    cone = C.from_rays(rays, n) if rays else C.zero_cone(n)
-    return F.StackyCone(cone, L.canonicalize(lat, n))
+    return F.StackyCone(C.from_rays(rays, n), L.canonicalize(lat, n))
 
 
 def validate_av_fan(fan):
@@ -499,15 +498,16 @@ def validate_av_fan(fan):
     return _av_violations(fan, _orbit_forms(fan.base))
 
 
-def _av_violations(fan, form):
+def local_violations(fan):
+    """Violations of the form and of each representative on its own: its
+    ambient rank, its lattice and the admissibility of its rays.  The
+    orbit and translation code (`_ray_data`) assumes there are none."""
     base = fan.base
     out = list(validate_form(base))
     if out:
         return ["base form invalid: " + v for v in out]
-    n_amb = base.ambient_rank
-    reps = list(fan.representatives)
-    for sc in reps:
-        if sc.ambient_rank != n_amb:
+    for sc in fan.representatives:
+        if sc.ambient_rank != base.ambient_rank:
             return [f"representative {sc.cone.rays} has wrong ambient rank"]
         out.extend(F.validate_stacky_cone(sc))
         for ray in sc.cone.rays:
@@ -518,8 +518,15 @@ def _av_violations(fan, form):
                 out.append(f"ray {ray} is not an admissible point")
             if is_zero(n) and not is_zero(nprime):
                 out.append(f"ray {ray} has zero base part but nonzero N part")
+    return out
+
+
+def _av_violations(fan, form):
+    out = local_violations(fan)
     if out:
         return out
+    base = fan.base
+    reps = list(fan.representatives)
     # (7) the embedded base cone is present.
     bc = embedded_base_cone(base)
     if not any(sc == bc for sc in reps):
@@ -810,27 +817,6 @@ def _av_covers(pieces1, pieces2, base):
     return True
 
 
-def arrangement_fan_cones(normals, rank):
-    """Full-dimensional cells of the central arrangement {x·h = 0}."""
-    cells = C.arrangement_cells(list(normals), rank)
-    # Merge cells not separated by an arrangement hyperplane: group by the
-    # sign vector of an interior point.
-    groups = {}
-    for cell in cells:
-        if cell.dim != rank:
-            continue
-        p = C.interior_point(cell)
-        sig = tuple(0 if dot(h, p) == 0 else (1 if dot(h, p) > 0 else -1) for h in normals)
-        groups.setdefault(sig, []).append(cell)
-    out = []
-    for group in groups.values():
-        rays = []
-        for cell in group:
-            rays.extend(cell.rays)
-        out.append(C.from_rays(rays, rank))
-    return sorted(out, key=lambda c: c.rays)
-
-
 def reference_subdivision(symmetry_vectors, torus_rank):
     """Complete fan on the torus factor cut by symmetry hyperplanes."""
     if torus_rank == 0:
@@ -840,10 +826,10 @@ def reference_subdivision(symmetry_vectors, torus_rank):
         raise ArrangementDegenerateError(
             "symmetry vectors do not span the torus factor"
         )
-    cells = arrangement_fan_cones(vectors, torus_rank)
     full = L.full_lattice(torus_rank)
     return F.fan_from_maximal(
-        [F.StackyCone(c, full) for c in cells], torus_rank
+        [F.StackyCone(c, full) for c in C.arrangement_chambers(vectors, torus_rank)],
+        torus_rank,
     )
 
 

@@ -55,8 +55,7 @@ def _enc_stacky_cone(sc):
 def _dec_stacky_cone(obj, ambient_rank):
     rays = _dec_mat(obj["rays"])
     lat = _dec_mat(obj["lattice"])
-    cone = C.from_rays(rays, ambient_rank) if rays else C.zero_cone(ambient_rank)
-    return F.StackyCone(cone, L.canonicalize(lat, ambient_rank))
+    return F.StackyCone(C.from_rays(rays, ambient_rank), L.canonicalize(lat, ambient_rank))
 
 
 def _enc_fan(fan):
@@ -86,7 +85,7 @@ def _dec_minimal(payload):
     for color in payload["colors"]:
         lat = L.canonicalize(_dec_mat(color["lattice"]), n)
         for rays in color["cones"]:
-            cone = C.from_rays(_dec_mat(rays), n) if rays else C.zero_cone(n)
+            cone = C.from_rays(_dec_mat(rays), n)
             pieces.append(F.StackyCone(cone, F._restrict(lat, cone)))
     return MIN.MinimalFan(n, tuple(sorted(pieces, key=lambda p: (p.dim, p.cone.rays))))
 
@@ -108,6 +107,8 @@ def _dec_base(payload):
     q = tuple(
         tuple(_dec_vec(v) for v in row) for row in payload["q_matrix"]
     )
+    if len(q) != g or any(len(row) != g or any(len(v) != b for v in row) for row in q):
+        raise ValueError(f"q_matrix is not {g} × {g} vectors of length {b}")
     return S.PolarizedBase(base_cone, g, q, _dec_int(payload["torus_rank"]))
 
 
@@ -196,7 +197,7 @@ def from_document(doc):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers the library's own input checks, such as
-        # PointednessError and DimensionError.
+        # PointednessError and DimensionError, and the decoders' shape checks.
         raise ParseError(f"malformed {kind} payload: {exc}")
 
 

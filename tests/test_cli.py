@@ -104,24 +104,28 @@ class TestValidateCommand:
         assert code == 4
 
     @pytest.mark.parametrize(
-        "edit",
+        "name, kind, edit",
         [
             # A cone containing the line R·(1, 0).
-            lambda p: p["cones"].append({"lattice": [["1", "0"]], "rays": [["1", "0"], ["-1", "0"]]}),
+            ("quadrant.json", "stacky_fan",
+             lambda p: p["cones"].append({"lattice": [["1", "0"]], "rays": [["1", "0"], ["-1", "0"]]})),
             # A ray of length 3 in ambient rank 2.
-            lambda p: p["cones"][1]["rays"][0].append("0"),
-            lambda p: p.update(ambient_rank="-1"),
+            ("quadrant.json", "stacky_fan", lambda p: p["cones"][1]["rays"][0].append("0")),
+            ("quadrant.json", "stacky_fan", lambda p: p.update(ambient_rank="-1")),
+            # A q_matrix row with no entries where g = 1 asks for one.
+            ("tate_two_arc.json", "av_fan", lambda p: p["base"]["q_matrix"][0].clear()),
         ],
-        ids=["non_pointed", "ray_length", "negative_rank"],
+        ids=["non_pointed", "ray_length", "negative_rank", "q_row_empty"],
     )
-    def test_decode_error_is_parse_error(self, capsys, fx, tmp_path, edit):
-        with open(fx("quadrant.json")) as fh:
+    def test_decode_error_is_parse_error(self, capsys, fx, tmp_path, name, kind, edit):
+        with open(fx(name)) as fh:
             doc = json.load(fh)
         edit(doc["payload"])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "validate", str(path))
-        assert code == 2 and "malformed stacky_fan payload" in err
+        for cmd in ("validate", "complete"):
+            code, _, err = run(capsys, cmd, str(path))
+            assert code == 2 and f"malformed {kind} payload" in err
 
     def test_singular_gram_unsupported(self, capsys, fx, tmp_path):
         """Slopes over a base ray with a singular Gram matrix are unsupported."""
@@ -201,6 +205,20 @@ class TestPredicateCommands:
         assert code == 1 and out.strip() == "false"
         code, out, _ = run(capsys, "complete", fx("tate_two_arc.json"))
         assert code == 0
+
+    def test_av_fan_with_invalid_ray(self, capsys, fx, tmp_path):
+        """A ray with zero base part and nonzero N part is a violation, not
+        an error inside the translation code."""
+        with open(fx("tate_two_arc.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["representatives"].append({"lattice": [["0", "1"]], "rays": [["0", "1"]]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1 and "zero base part but nonzero N part" in out
+        for argv in (["complete", str(path)], ["equiv", str(path), fx("tate_two_arc.json")]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and err.strip() == "input fan is invalid; run validate"
 
 
 class TestDocumentCommands:

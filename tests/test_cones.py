@@ -86,6 +86,45 @@ def ref_from_rays(rays, ambient_rank):
     )
 
 
+def ref_arrangement_fan_cones(normals, n):
+    """Chambers of the arrangement {<h, x> = 0} by the orthant start: the
+    2^n orthants split by every normal, the full-dimensional cells grouped
+    by the sign vector of an interior point, each group rebuilt as one
+    cone."""
+    orthants = [
+        C.from_rays(
+            [tuple(-(i == j) if (mask >> i) & 1 else int(i == j) for j in range(n))
+             for i in range(n)],
+            n,
+        )
+        for mask in range(2**n)
+    ]
+    groups = {}
+    for cell in C.split_by_hyperplanes(orthants, normals):
+        if cell.dim == n:
+            p = C.interior_point(cell)
+            sign = tuple((dot(h, p) > 0) - (dot(h, p) < 0) for h in normals)
+            groups.setdefault(sign, []).extend(cell.rays)
+    return sorted((C.from_rays(rays, n) for rays in groups.values()), key=lambda c: c.rays)
+
+
+def whitney_chamber_count(normals):
+    """Number of chambers of a central arrangement by Whitney's formula
+    (Zaslavsky 1975): r = sum over subsets S of the distinct hyperplanes
+    of (-1)^(|S| - rank S)."""
+    hyperplanes = set()
+    for h in normals:
+        p = primitive(h)
+        if any(p):
+            hyperplanes.add(max(p, tuple(-x for x in p)))
+    hyperplanes = sorted(hyperplanes)
+    total = 0
+    for k in range(len(hyperplanes) + 1):
+        for subset in combinations(hyperplanes, k):
+            total += (-1) ** (k - rational_rank(list(subset)))
+    return total
+
+
 def _lift(coords, basis, n):
     v = [0] * n
     for c, b in zip(coords, basis):
@@ -340,6 +379,11 @@ class TestSplitting:
         tops = [c for c in cells if c.dim == 2]
         assert len(tops) == 2
 
+    def test_arrangement_not_spanning_raises(self):
+        # The braid normals e_i - e_j all vanish on (1, 1, 1).
+        with pytest.raises(L.DimensionError):
+            C.arrangement_chambers([(1, -1, 0), (1, 0, -1), (0, 1, -1)], 3)
+
     def test_covered(self):
         q = quadrant()
         lower = C.from_rays([(1, 0), (1, 1)], 2)
@@ -479,6 +523,19 @@ def _random_generators(rng):
     return vs, n
 
 
+def _random_arrangement(rng):
+    """(normals, n): n to n + 3 normals with entries in [-2, 2] that span
+    R^n, at rank 1 to 4; zero normals, repeats and negatives may occur."""
+    n = rng.randint(1, 4)
+    while True:
+        normals = [
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(n, n + 3))
+        ]
+        if rational_rank(normals) == n:
+            return normals, n
+
+
 def _from_rays_outcome(build, vs, n):
     try:
         return _full(build(vs, n))
@@ -545,3 +602,13 @@ class TestAgainstReference:
         cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
         cut = C.halfspace_slice(cone, (-42, 0, 0, 0, 1), 1)
         assert (len(cut.rays), len(cut.facet_normals)) == (44, 78)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_seeds)
+    def test_arrangement_chambers(self, rng):
+        normals, n = _random_arrangement(rng)
+        chambers = C.arrangement_chambers(normals, n)
+        assert [_full(c) for c in chambers] == [
+            _full(c) for c in ref_arrangement_fan_cones(normals, n)
+        ]
+        assert len(chambers) == whitney_chamber_count(normals)

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
 import tropfan.serialize as SER
 from conftest import FIXTURES
+from tropfan._linalg import dot
 
 import _gen
 
@@ -140,6 +143,36 @@ class TestSubdivision:
     def test_common_refinement_support_mismatch(self):
         with pytest.raises(F.SupportMismatchError):
             F.common_refinement(load_fan("quadrant.json"), load_fan("trivial.json"))
+
+
+def _random_cone_and_lattice(rng):
+    """A pointed cone of rank 1 to 4 (the zero cone, a full one, or one
+    with a lower-dimensional span) and a lattice of any rank."""
+    def vec(k):
+        return [rng.randint(-3, 3) for _ in range(k)]
+
+    n = rng.randint(1, 4)
+    span = [vec(n) for _ in range(rng.randint(0, n))]
+    w = vec(n)
+    rays = []
+    for _ in range(rng.randint(1, 5)):
+        v = [dot(vec(len(span)), col) for col in zip(*span)] if span else []
+        if v and dot(w, v) != 0:
+            rays.append(v if dot(w, v) > 0 else [-x for x in v])
+    lattice = L.canonicalize([vec(n) for _ in range(rng.randint(0, n + 1))], n)
+    return C.from_rays(rays, n), lattice
+
+
+class TestRestrict:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    def test_matches_restrict_to_span(self, rng):
+        """`_restrict` takes the span lattice from the cone; the reference
+        saturates the span basis again."""
+        cone, lattice = _random_cone_and_lattice(rng)
+        assert F._restrict(lattice, cone) == L.restrict_to_span(
+            lattice, [list(b) for b in cone.span_basis]
+        )
 
 
 class TestRootConstruction:

@@ -277,6 +277,15 @@ class TestReferenceSubdivision:
         assert F.is_complete(fan)
         assert len(F.maximal_cones(fan)) == 8
 
+    def test_braid_and_coordinates_r3(self):
+        # The 6 orderings of the coordinates, each cut by the coordinate
+        # planes into one chamber per sign pattern it meets: 24 in all.
+        vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1)]
+        fan = S.reference_subdivision(vectors, 3)
+        assert F.validate(fan) == []
+        assert F.is_complete(fan)
+        assert len(F.maximal_cones(fan)) == 24
+
     def test_degenerate_raises(self):
         with pytest.raises(S.ArrangementDegenerateError):
             S.reference_subdivision([(1, 0), (2, 0)], 2)
