@@ -92,6 +92,8 @@ def cmd_equiv(args):
     if kind_a in fan_kinds and kind_b in fan_kinds:
         if a.ambient_rank != b.ambient_rank:
             raise CliError(INCOMPATIBLE, "ambient ranks differ")
+        if any(isinstance(f, F.StackyFan) and F.validate(f) for f in (a, b)):
+            raise CliError(FAIL, "input fan is invalid; run validate")
         if MIN.birationally_equivalent(a, b):
             print("equivalent")
             return OK

@@ -8,9 +8,11 @@ from double description (`_dd_cut`): the facet normals are the extreme
 rays of the dual cone, found by cutting a simplicial cone by one
 generator at a time, and the same incidences give the extreme rays and
 pointedness.  The facet list is complete and irredundant, so ray–facet
-incidences decide the rest: a half-space cut is one double-description
-step over the rays, an intersection is a fold of such cuts, and faces
-and face tests are read from the facet normals vanishing on each ray.
+incidences decide the rest: every cut (`_cut`) is one double-description
+pass over the rays, so a half-space slice cuts by one row and an
+intersection by the other cone's span equations and facet normals, and
+faces and face tests are read from the facet normals vanishing on each
+ray.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
@@ -232,24 +234,21 @@ def facets(cone):
     return sorted(fs, key=lambda f: f.rays)
 
 
+def span_equations(cone):
+    """A basis of the integer functionals vanishing on the cone's span:
+    none for a full-dimensional cone, the unit vectors for the zero cone."""
+    if cone.dim == cone.ambient_rank:
+        return []
+    return integer_kernel(cone.span_basis, cone.ambient_rank)
+
+
 def intersect_cones(c1, c2):
-    """Intersection cone: c1 sliced by both sides of each equation of c2's
-    span, then by each facet normal of c2.  Cutting down to the span
-    first leaves a smaller cone for the facet cuts, or none at all."""
+    """Intersection cone: c1 cut by c2's span equations, as equations, and
+    then by c2's facet normals, in one `_cut`."""
     if c1.ambient_rank != c2.ambient_rank:
         raise DimensionError("ambient ranks differ")
-    n = c1.ambient_rank
-    cuts = []
-    if c2.dim < n:
-        for e in integer_kernel(c2.span_basis, n):
-            cuts += [(e, 1), (e, -1)]
-    cuts += [(h, 1) for h in c2.facet_normals]
-    out = c1
-    for h, sign in cuts:
-        if out.dim == 0:
-            break
-        out = halfspace_slice(out, h, sign)
-    return out
+    eqs = span_equations(c2)
+    return _cut(c1, eqs + list(c2.facet_normals), len(eqs))
 
 
 def is_face_of(f, cone):
@@ -279,17 +278,25 @@ def contains_cone(big, small):
 
 
 def halfspace_slice(cone, h, sign):
-    """cone ∩ {x : sign * <h, x> >= 0} as a Cone: one `_dd_cut` step over
-    the cone's rays and their facet incidences, which are exact because a
-    Cone is pointed and its facet normals are its complete facet list."""
-    if all(sign * dot(h, r) >= 0 for r in cone.rays):
-        return cone
+    """cone ∩ {x : sign * <h, x> >= 0} as a Cone."""
+    return _cut(cone, [tuple(sign * x for x in h)])
+
+
+def _cut(cone, rows, n_eq=0):
+    """cone ∩ {x : <f, x> >= 0 for each row f}, the first n_eq rows taken
+    as equations <f, x> = 0: one `_dd_cut` pass over the cone's rays and
+    their facet incidences, which are exact because a Cone is pointed and
+    its facet normals are its complete facet list.  Returns the cone
+    itself when no row cuts it, else one `from_rays` of the rays left."""
+    normals = cone.facet_normals
     zeros = [
-        frozenset(i for i, g in enumerate(cone.facet_normals) if dot(g, r) == 0)
+        frozenset(i for i, g in enumerate(normals) if dot(g, r) == 0)
         for r in cone.rays
     ]
-    row = tuple(sign * x for x in h)
-    kept, _ = _dd_cut(cone.rays, zeros, [(len(cone.facet_normals), row)])
+    labelled = list(enumerate(rows, len(normals)))
+    kept, _ = _dd_cut(list(cone.rays), zeros, labelled, n_eq)
+    if kept == list(cone.rays):
+        return cone
     if not kept:
         return zero_cone(cone.ambient_rank)
     return from_rays(kept, cone.ambient_rank)
@@ -344,17 +351,18 @@ def _dd_pairs(vals, zeros, vectors):
 def split_by_hyperplanes(cones, hyperplanes):
     """Refine a list of cones by the hyperplanes {<h, x> = 0}.
 
-    Each cell keeps the dimension of the cone it came from: a cone is the
-    union of its two sides, so at least one side has its dimension, and a
-    side of lower dimension is dropped.
+    A cell with rays strictly on both sides of h becomes its two sides,
+    each of the cell's dimension; every other cell stays whole.
     """
     cells = list(cones)
     for h in hyperplanes:
         new_cells = []
         for c in cells:
-            for s in (halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)):
-                if s.dim == c.dim and s not in new_cells:
-                    new_cells.append(s)
+            vals = [dot(h, r) for r in c.rays]
+            if min(vals, default=0) < 0 < max(vals, default=0):
+                new_cells += [halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)]
+            else:
+                new_cells.append(c)
         cells = new_cells
     return cells
 
@@ -378,29 +386,17 @@ def arrangement_chambers(normals, ambient_rank):
     return sorted(split_by_hyperplanes(start, rest), key=lambda c: c.rays)
 
 
-def _splitting_hyperplanes(target, pieces):
-    """Facet hyperplanes of the pieces that actually cut the target."""
-    hyperplanes = []
-    for p in pieces:
-        if p.dim < target.dim:
-            continue
-        for h in p.facet_normals:
-            if h in hyperplanes or tuple(-x for x in h) in hyperplanes:
-                continue
-            signs = [dot(h, r) for r in target.rays]
-            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-                hyperplanes.append(h)
-    return hyperplanes
-
-
 def uncovered_point(target, pieces):
     """An integer interior point of target outside every piece, or None.
 
-    Exact: the target is split by every facet hyperplane of every piece
-    that cuts it; each cell, of the target's dimension, is represented by
-    an interior point which must land in some piece.
+    Exact: the target is split by every facet hyperplane of every piece of
+    at least its dimension (a hyperplane that cuts no cell, such as one
+    already used, leaves the cells whole); each cell, of the target's
+    dimension, is represented by an interior point which must land in
+    some piece.
     """
-    for cell in split_by_hyperplanes([target], _splitting_hyperplanes(target, pieces)):
+    hyperplanes = [h for p in pieces if p.dim >= target.dim for h in p.facet_normals]
+    for cell in split_by_hyperplanes([target], hyperplanes):
         pt = interior_point(cell)
         if not any(member(p, pt) for p in pieces):
             return pt

@@ -125,13 +125,6 @@ class StackyFan:
     def __repr__(self):
         return f"StackyFan(rank {self.ambient_rank}, {len(self.cones)} cones)"
 
-    def cone_with_rays(self, rays):
-        key = tuple(sorted(tuple(r) for r in rays))
-        for sc in self.cones:
-            if sc.cone.rays == key:
-                return sc
-        return None
-
 
 def _sort_stacky(scs):
     return tuple(sorted(scs, key=lambda sc: (sc.dim, sc.cone.rays)))

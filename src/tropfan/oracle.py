@@ -13,7 +13,7 @@ from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
 from . import semiabelian as S
-from ._linalg import dot, integer_kernel
+from ._linalg import dot
 
 
 def _stacky_pieces(obj):
@@ -62,9 +62,8 @@ def _sweep_piece(p, radius, points):
     n = p.ambient_rank
     cone = p.cone
     rows = []  # x ∈ cone ⇔ <row, x> >= 0 for every row
-    if cone.dim < n:
-        for e in integer_kernel(cone.span_basis, n):
-            rows += [e, [-x for x in e]]
+    for e in C.span_equations(cone):
+        rows += [e, [-x for x in e]]
     rows += cone.facet_normals
     check_lattice = p.lattice.basis != cone.span_basis
     for u in product(range(-radius, radius + 1), repeat=n - 1):

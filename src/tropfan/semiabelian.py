@@ -30,6 +30,7 @@ from itertools import product
 from . import cones as C
 from . import fans as F
 from . import lattice as L
+from . import minimal as MIN
 from ._linalg import (
     adjugate_solve,
     det,
@@ -399,16 +400,12 @@ def candidate_translations(c1, c2, base):
     answer is then {0} or {} depending on whether they meet at all.
     """
     g = base.m_rank
-    zero = tuple([0] * g)
-    if g == 0:
-        hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
-        return (zero,) if hit else ()
-    data1, data2 = _ray_data(base, c1), _ray_data(base, c2)
+    data1, data2 = (_ray_data(base, c1), _ray_data(base, c2)) if g else ((), ())
     if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
         hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
-        return (zero,) if hit else ()
-    n, b = base.ambient_rank, base.base_rank
-    eqs = integer_kernel(c2.cone.span_basis, n) if c2.dim < n else []
+        return (tuple([0] * g),) if hit else ()
+    b = base.base_rank
+    eqs = C.span_equations(c2.cone)
     functionals = eqs + list(c2.cone.facet_normals)
     forms = [
         [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
@@ -808,12 +805,8 @@ def _av_covers(pieces1, pieces2, base):
                 translates.append(translate(rho, m, base))
         if not C.cone_covered_by(t1.cone, [t.cone for t in translates]):
             return False
-        for t in translates:
-            cell = C.intersect_cones(t1.cone, t.cone)
-            if cell.dim == 0:
-                continue
-            if F._restrict(t1.lattice, cell) != F._restrict(t.lattice, cell):
-                return False
+        if MIN._overlay_mismatch([t1], translates) is not None:
+            return False
     return True
 
 

@@ -185,6 +185,35 @@ class TestEquivCommand:
         code, out, _ = run(capsys, "equiv", fx("tate_two_arc.json"), fx("tate_two_arc_idx2.json"))
         assert code == 1
 
+    def test_equiv_golden(self, capsys, fx):
+        # fixtures/equiv/golden.json holds exit code, stdout and stderr of
+        # equiv on every ordered pair of the valid stacky fans and their
+        # minimal colorings, recorded before the hyperplane split kept
+        # uncut cells whole.  The split order decides the witness points.
+        with open(fx("equiv/golden.json")) as fh:
+            golden = json.load(fh)
+        assert len(golden) == 144
+        for pair, want in golden.items():
+            a, b = pair.split()
+            code, out, err = run(capsys, "equiv", fx(a), fx(b))
+            assert {"code": code, "stdout": out, "stderr": err} == want, pair
+
+    def test_invalid_stacky_fan_rejected(self, capsys, fx, tmp_path):
+        """An invalid fan is reported, not compared: delta_fig_bad.json, and
+        delta_fig.json with a zero row in a 2-cone's lattice, whose lattice
+        then has rank 1 (the witness search used to end in TypeError)."""
+        with open(fx("delta_fig.json")) as fh:
+            doc = json.load(fh)
+        two_cone = next(c for c in doc["payload"]["cones"] if len(c["rays"]) == 2)
+        two_cone["lattice"][0] = ["0", "0"]
+        path = tmp_path / "rank_deficient.json"
+        path.write_text(json.dumps(doc))
+        for bad in (fx("delta_fig_bad.json"), str(path)):
+            for argv in ([bad, bad], [bad, fx("delta_fig.json")], [fx("p2.json"), bad]):
+                code, out, err = run(capsys, "equiv", *argv)
+                assert (code, out) == (1, "")
+                assert err.strip() == "input fan is invalid; run validate"
+
 
 class TestPredicateCommands:
     def test_subdivision(self, capsys, fx):

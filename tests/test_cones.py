@@ -203,6 +203,47 @@ def ref_is_face_of(f, cone):
     return C.from_rays(face_rays, cone.ambient_rank) == f
 
 
+def ref_split_by_hyperplanes(cones, hyperplanes):
+    """Both sides of every cell by every hyperplane; a side of lower
+    dimension than its cell is dropped, and so is a repeated side."""
+    cells = list(cones)
+    for h in hyperplanes:
+        new_cells = []
+        for c in cells:
+            for s in (C.halfspace_slice(c, h, 1), C.halfspace_slice(c, h, -1)):
+                if s.dim == c.dim and s not in new_cells:
+                    new_cells.append(s)
+        cells = new_cells
+    return cells
+
+
+def ref_splitting_hyperplanes(target, pieces):
+    """Facet hyperplanes of the pieces of at least the target's dimension
+    that cut the target, each once up to sign."""
+    hyperplanes = []
+    for p in pieces:
+        if p.dim < target.dim:
+            continue
+        for h in p.facet_normals:
+            if h in hyperplanes or tuple(-x for x in h) in hyperplanes:
+                continue
+            signs = [dot(h, r) for r in target.rays]
+            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
+                hyperplanes.append(h)
+    return hyperplanes
+
+
+def ref_uncovered_point(target, pieces):
+    """The target split by the hyperplanes that cut it; the interior point
+    of the first cell that no piece contains."""
+    hyperplanes = ref_splitting_hyperplanes(target, pieces)
+    for cell in ref_split_by_hyperplanes([target], hyperplanes):
+        pt = C.interior_point(cell)
+        if not any(C.member(p, pt) for p in pieces):
+            return pt
+    return None
+
+
 def _full(cone):
     return (cone.ambient_rank, cone.rays, cone.span_basis, cone.facet_normals)
 
@@ -430,15 +471,19 @@ def _rank(rng):
     return rng.choice((1, 2, 3, 3, 4, 4))
 
 
-def _random_cone(rng, n, max_rays=7):
+def _random_cone(rng, n, max_rays=7, span_rank=None):
     """A nonzero pointed cone of ambient rank n; about a third are
     lower-dimensional, their rays drawn from the span of fewer than n
-    random vectors.  Each ray is oriented to pair positively with a
-    random functional, so the cone is pointed."""
+    random vectors (of span_rank vectors, when given).  Each ray is
+    oriented to pair positively with a random functional, so the cone is
+    pointed."""
     while True:
         count = rng.randint(2, max_rays)
-        if n > 1 and rng.random() < 1 / 3:
-            basis = [_vector(rng, n) for _ in range(rng.randint(1, n - 1))]
+        k = span_rank
+        if k is None and n > 1 and rng.random() < 1 / 3:
+            k = rng.randint(1, n - 1)
+        if k is not None:
+            basis = [_vector(rng, n) for _ in range(k)]
             coeffs = [_vector(rng, len(basis)) for _ in range(count)]
             vs = [[dot(cs, col) for col in zip(*basis)] for cs in coeffs]
         else:
@@ -496,6 +541,26 @@ def _random_halfspace(rng):
             if min(vals) < 0 < max(vals):
                 break
     return cone, tuple(h), rng.choice([1, -1])
+
+
+def _random_cover(rng):
+    """(target, pieces) at rank 1 to 4: random pieces, some of lower
+    dimension than the target, plus the two sides of the target cut by a
+    random hyperplane (opposite normals, and pieces that may cover it),
+    a piece repeated (repeated normals) and a piece negated."""
+    n = _rank(rng)
+    target = _random_cone(rng, n)
+    pieces = [_random_cone(rng, n) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        h = _vector(rng, n)
+        pieces += [C.halfspace_slice(target, h, 1), C.halfspace_slice(target, h, -1)]
+    if rng.random() < 0.5:
+        pieces.append(rng.choice(pieces))
+    if rng.random() < 0.5:
+        p = rng.choice(pieces)
+        pieces.append(C.from_rays([[-x for x in r] for r in p.rays], n))
+    rng.shuffle(pieces)
+    return target, pieces
 
 
 def _random_generators(rng):
@@ -570,6 +635,37 @@ class TestAgainstReference:
         ref = _full(ref_intersect_cones(c1, c2))
         assert _full(C.intersect_cones(c1, c2)) == ref
         assert _full(C.intersect_cones(c2, c1)) == ref
+
+    def test_intersect_cones_low_dimensional(self):
+        # c2 of codimension 2 or more, whose span equations are cut as
+        # equations: a random low cone, or a face of c1 so that the two
+        # meet; and the zero cone on either side.
+        rng = random.Random(2024)
+        for _ in range(150):
+            n = rng.choice((3, 4))
+            c1 = _random_cone(rng, n)
+            faces = [f for f in C.faces(c1) if 0 < f.dim <= n - 2]
+            low = _random_cone(rng, n, span_rank=rng.randint(1, n - 2))
+            for c2 in (low, rng.choice(faces or [low]), C.zero_cone(n)):
+                assert c2.dim <= n - 2
+                ref = _full(ref_intersect_cones(c1, c2))
+                assert _full(C.intersect_cones(c1, c2)) == ref
+                assert _full(C.intersect_cones(c2, c1)) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(_seeds)
+    def test_split_by_hyperplanes(self, rng):
+        target, pieces = _random_cover(rng)
+        normals = [h for p in pieces for h in p.facet_normals]
+        assert [_full(c) for c in C.split_by_hyperplanes([target], normals)] == [
+            _full(c) for c in ref_split_by_hyperplanes([target], normals)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_seeds)
+    def test_uncovered_point(self, rng):
+        target, pieces = _random_cover(rng)
+        assert C.uncovered_point(target, pieces) == ref_uncovered_point(target, pieces)
 
     @settings(max_examples=150, deadline=None)
     @given(_seeds)
