@@ -49,38 +49,37 @@ def _emit(doc_text, out):
         sys.stdout.write(doc_text)
 
 
+def _violations(obj):
+    """Violation strings of a decoded stacky fan, coloring, polarized base
+    or translation fan (empty when valid)."""
+    if isinstance(obj, F.StackyFan):
+        return F.validate(obj)
+    if isinstance(obj, MIN.MinimalFan):
+        return MIN.validate_coloring(MIN.coloring_of(obj.pieces, obj.ambient_rank))
+    if isinstance(obj, S.PolarizedBase):
+        return S.validate_form(obj)
+    return S.validate_av_fan(obj)
+
+
+def _verdict(ok):
+    print("true" if ok else "false")
+    return OK if ok else FAIL
+
+
 def cmd_validate(args):
     kind, obj = _load(args.file)
-    if kind in ("stacky_fan",):
-        violations = F.validate(obj)
-    elif kind == "coloring":
-        violations = MIN.validate_coloring(MIN.coloring_of(obj.pieces, obj.ambient_rank))
-    elif kind == "polarized_base":
-        violations = S.validate_form(obj)
-    elif kind == "av_fan":
-        violations = S.validate_av_fan(obj)
-    else:
+    if kind == "graph":
         raise CliError(UNSUPPORTED, "validate does not apply to graph documents")
-    if violations:
-        for v in violations:
-            print(v)
-        return FAIL
-    print("ok")
-    return OK
+    violations = _violations(obj)
+    print("\n".join(violations) or "ok")
+    return FAIL if violations else OK
 
 
 def cmd_minimal(args):
     kind, obj = _load_kind(args.file, ("stacky_fan", "coloring", "av_fan"))
-    if kind == "stacky_fan":
-        if F.validate(obj):
-            raise CliError(FAIL, "input fan is invalid; run validate")
-        result = MIN.minimal_fan(obj)
-    elif kind == "coloring":
-        result = MIN.minimal_fan(obj)
-    else:
-        if S.validate_av_fan(obj):
-            raise CliError(FAIL, "input fan is invalid; run validate")
-        result = S.av_minimal(obj)
+    if _violations(obj):
+        raise CliError(FAIL, "input fan is invalid; run validate")
+    result = S.av_minimal(obj) if kind == "av_fan" else MIN.minimal_fan(obj)
     _emit(SER.dumps(result), args.out)
     return OK
 
@@ -92,7 +91,7 @@ def cmd_equiv(args):
     if kind_a in fan_kinds and kind_b in fan_kinds:
         if a.ambient_rank != b.ambient_rank:
             raise CliError(INCOMPATIBLE, "ambient ranks differ")
-        if any(isinstance(f, F.StackyFan) and F.validate(f) for f in (a, b)):
+        if _violations(a) or _violations(b):
             raise CliError(FAIL, "input fan is invalid; run validate")
         if MIN.birationally_equivalent(a, b):
             print("equivalent")
@@ -115,47 +114,30 @@ def cmd_equiv(args):
     raise CliError(INCOMPATIBLE, f"cannot compare {kind_a} with {kind_b}")
 
 
-def _two_fans(args):
+MORPHISM_TESTS = {
+    "subdivision": lambda m: F.is_subdivision(m.source, m.target),
+    "proper": F.is_proper,
+    "representable": F.is_representable,
+}
+
+
+def cmd_morphism(args):
     _, fine = _load_kind(args.fine, ("stacky_fan",))
     _, coarse = _load_kind(args.coarse, ("stacky_fan",))
     if fine.ambient_rank != coarse.ambient_rank:
         raise CliError(INCOMPATIBLE, "ambient ranks differ")
-    return fine, coarse
-
-
-def cmd_subdivision(args):
-    fine, coarse = _two_fans(args)
-    ok = F.is_subdivision(fine, coarse)
-    print("true" if ok else "false")
-    return OK if ok else FAIL
-
-
-def cmd_proper(args):
-    fine, coarse = _two_fans(args)
-    ok = F.is_proper(F.FanMorphismData(fine, coarse))
-    print("true" if ok else "false")
-    return OK if ok else FAIL
-
-
-def cmd_representable(args):
-    fine, coarse = _two_fans(args)
-    ok = F.is_representable(F.FanMorphismData(fine, coarse))
-    print("true" if ok else "false")
-    return OK if ok else FAIL
+    return _verdict(MORPHISM_TESTS[args.command](F.FanMorphismData(fine, coarse)))
 
 
 def cmd_complete(args):
     kind, obj = _load_kind(args.file, ("stacky_fan", "coloring", "av_fan"))
     if kind == "stacky_fan":
-        ok = F.is_complete(obj)
-    elif kind == "coloring":
-        ok = MIN.coloring_is_complete(obj)
-    else:
-        if S.local_violations(obj):
-            raise CliError(FAIL, "input fan is invalid; run validate")
-        ok = S.av_complete(obj)
-    print("true" if ok else "false")
-    return OK if ok else FAIL
+        return _verdict(F.is_complete(obj))
+    if kind == "coloring":
+        return _verdict(MIN.coloring_is_complete(obj))
+    if S.local_violations(obj):
+        raise CliError(FAIL, "input fan is invalid; run validate")
+    return _verdict(S.av_complete(obj))
 
 
 def cmd_quotient(args):
@@ -247,8 +229,7 @@ def cmd_oracle(args):
         )
         if args.cells:
             i, j = args.cells
-            reps = sorted(fan.representatives, key=lambda sc: (sc.dim, sc.cone.rays))
-            c1, c2 = reps[i], reps[j]
+            c1, c2 = fan.representatives[i], fan.representatives[j]
         else:
             if len(tops) < 2:
                 raise CliError(INCOMPATIBLE, "need at least two positive cells")
@@ -282,15 +263,11 @@ def build_parser():
     p.add_argument("b")
     p.set_defaults(func=cmd_equiv)
 
-    for name, func in (
-        ("subdivision", cmd_subdivision),
-        ("proper", cmd_proper),
-        ("representable", cmd_representable),
-    ):
+    for name in MORPHISM_TESTS:
         p = sub.add_parser(name, help=f"{name} test for a fan morphism")
         p.add_argument("fine")
         p.add_argument("coarse")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser("complete", help="completeness test")
     p.add_argument("file")

@@ -408,8 +408,13 @@ def cone_covered_by(target, pieces):
     return uncovered_point(target, pieces) is None
 
 
-def same_union(cones1, cones2):
-    """Exact test: do two lists of cones cover the same set?"""
-    return all(cone_covered_by(c, cones2) for c in cones1) and all(
-        cone_covered_by(c, cones1) for c in cones2
-    )
+def union_difference(cones1, cones2):
+    """An interior point of a cone of one list outside the other list's
+    union, or None when the two unions are equal.  The first list's cones
+    are scanned first, in order, then the second list's."""
+    for targets, pieces in ((cones1, cones2), (cones2, cones1)):
+        for target in targets:
+            pt = uncovered_point(target, pieces)
+            if pt is not None:
+                return pt
+    return None

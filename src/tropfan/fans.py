@@ -215,9 +215,9 @@ def maximal_cones(fan):
 
 
 def supports_equal(f1, f2):
-    return C.same_union(
+    return C.union_difference(
         [sc.cone for sc in maximal_cones(f1)], [sc.cone for sc in maximal_cones(f2)]
-    )
+    ) is None
 
 
 def is_complete(fan):

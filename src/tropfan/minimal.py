@@ -9,7 +9,11 @@ MinimalFan coarsens a fan by greedily merging two pieces at a time across
 a common wall where the sublattices agree and the union stays a pointed
 convex cone.  The pieces left depend on the input, not only on S, so
 MinimalFan equality is decided semantically (equal S-sets), not by
-comparing piece tuples.
+comparing piece tuples.  Equal S-sets means equal supports
+(`cones.union_difference`, whose point also gives the support witness)
+and equal lattices on the overlay.  A coloring becomes pieces only in
+`_color_pieces`, so the decoder, `from_coloring` and `validate_coloring`
+(which checks each piece's lattice rank) all see the same pieces.
 """
 
 from dataclasses import dataclass
@@ -55,7 +59,9 @@ class SublatticeColoring:
 def _pieces_of(obj):
     if isinstance(obj, MinimalFan):
         return list(obj.pieces)
-    return F.maximal_cones(obj)
+    if isinstance(obj, F.StackyFan):
+        return F.maximal_cones(obj)
+    raise TypeError(f"expected a StackyFan or MinimalFan, got {type(obj).__name__}")
 
 
 def _merge_pieces(pieces):
@@ -114,7 +120,7 @@ def s_sets_equal(a, b):
     if a.ambient_rank != b.ambient_rank:
         raise L.DimensionError("ambient ranks differ")
     p1, p2 = _pieces_of(a), _pieces_of(b)
-    if not C.same_union([p.cone for p in p1], [p.cone for p in p2]):
+    if C.union_difference([p.cone for p in p1], [p.cone for p in p2]) is not None:
         return False
     return _overlay_mismatch(p1, p2) is None
 
@@ -132,16 +138,11 @@ def s_witness(a, b):
     if a.ambient_rank != b.ambient_rank:
         raise L.DimensionError("ambient ranks differ")
     p1, p2 = _pieces_of(a), _pieces_of(b)
-    c1 = [p.cone for p in p1]
-    c2 = [p.cone for p in p2]
-    for target in c1:
-        pt = C.uncovered_point(target, c2)
-        if pt is not None:
-            return _support_witness(pt, p1)
-    for target in c2:
-        pt = C.uncovered_point(target, c1)
-        if pt is not None:
-            return _support_witness(pt, p2)
+    pt = C.union_difference([p.cone for p in p1], [p.cone for p in p2])
+    if pt is not None:
+        # pt lies in one support only, so the first piece holding it is
+        # on that side.
+        return _support_witness(pt, p1 + p2)
     mismatch = _overlay_mismatch(p1, p2)
     if mismatch is None:
         return None
@@ -202,9 +203,19 @@ def coloring_of(pieces, ambient_rank):
     return SublatticeColoring(ambient_rank, colors)
 
 
+def _color_pieces(colors):
+    """Each region of a coloring as a piece, with its color's lattice
+    restricted to the region's span."""
+    return [F.StackyCone(cone, F._restrict(lat, cone)) for lat, cs in colors for cone in cs]
+
+
 def validate_coloring(c):
-    """Violations: region interiors must be disjoint across distinct colors."""
-    out = []
+    """Violations: each piece must be a valid stacky cone (its lattice of
+    full rank in the region's span), and region interiors must be disjoint
+    across distinct colors."""
+    out = [v for p in _color_pieces(c.colors) for v in F.validate_stacky_cone(p)]
+    if out:
+        return out
     for i in range(len(c.colors)):
         for j in range(i + 1, len(c.colors)):
             for a in c.colors[i][1]:
@@ -222,11 +233,7 @@ def from_coloring(c):
     bad = validate_coloring(c)
     if bad:
         raise ColoringInvalidError("; ".join(bad))
-    pieces = []
-    for lat, cs in c.colors:
-        for cone in cs:
-            pieces.append(F.StackyCone(cone, F._restrict(lat, cone)))
-    return MinimalFan(c.ambient_rank, _merge_pieces(pieces))
+    return MinimalFan(c.ambient_rank, _merge_pieces(_color_pieces(c.colors)))
 
 
 def coloring_is_complete(m):

@@ -10,7 +10,6 @@ tests.
 import math
 
 from . import cones as C
-from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
 
@@ -31,14 +30,6 @@ SCALE = 44
 
 class RankError(ValueError):
     pass
-
-
-def _pieces(obj):
-    if isinstance(obj, MIN.MinimalFan):
-        return list(obj.pieces)
-    if isinstance(obj, F.StackyFan):
-        return F.maximal_cones(obj)
-    raise TypeError(f"cannot render {type(obj).__name__}")
 
 
 def _fmt(x):
@@ -81,7 +72,7 @@ def _oriented_rays(cone):
 
 
 def render_svg(obj, radius=4):
-    pieces = _pieces(obj)
+    pieces = MIN._pieces_of(obj)
     if any(p.ambient_rank != 2 for p in pieces) or (
         not pieces and getattr(obj, "ambient_rank", 2) != 2
     ):

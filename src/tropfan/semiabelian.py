@@ -582,15 +582,13 @@ def _av_violations(fan, form):
     return out
 
 
-def _orbit_classes(fan, strict=False, form=None):
+def _orbit_classes(fan, form, strict=False):
     """Representatives grouped one per T_m-orbit (canonical order).
 
-    Cones are keyed by orbit form (`form`, by default a fresh
-    `_orbit_forms`) and zero cones share one key.  With strict=True,
-    raises NormalizationError when two representatives lie in the same
-    orbit.
+    Cones are keyed by orbit form (`form`, from `_orbit_forms`) and zero
+    cones share one key.  With strict=True, raises NormalizationError when
+    two representatives lie in the same orbit.
     """
-    form = form or _orbit_forms(fan.base)
     classes = {}
     for sc in F._sort_stacky(fan.representatives):
         key = None if sc.dim == 0 else form(sc)[0]
@@ -626,7 +624,7 @@ def quotient_complex(fan):
     """Cone complex of translation-orbit classes with unique face maps."""
     base = fan.base
     form = _orbit_forms(base)
-    cells = _orbit_classes(fan, strict=True, form=form)
+    cells = _orbit_classes(fan, form, strict=True)
     forms = [form(c) for c in cells]
     face_forms = [
         [form(F.induced_stacky_cone(f, b.lattice)) for f in C.faces(b.cone)]
@@ -674,7 +672,7 @@ def av_complete(fan):
     """
     base = fan.base
     orbit_form = _orbit_forms(base)
-    cells = _orbit_classes(fan, form=orbit_form)
+    cells = _orbit_classes(fan, orbit_form)
     D = base.base_cone.dim + base.m_rank + base.torus_rank
     if D == 0:
         return True
@@ -738,7 +736,7 @@ def av_minimal(fan):
     """
     base = fan.base
     form = _orbit_forms(base)
-    cells = _maximal_classes(_orbit_classes(fan, form=form), base)
+    cells = _maximal_classes(_orbit_classes(fan, form), base)
     changed = True
     while changed:
         changed = False
@@ -760,7 +758,7 @@ def av_minimal(fan):
                 ] + [merged]
                 candidate = _rebuild(base, new_cells, form)
                 if not _av_violations(candidate, form):
-                    cells = _maximal_classes(_orbit_classes(candidate, form=form), base)
+                    cells = _maximal_classes(_orbit_classes(candidate, form), base)
                     changed = True
                     break
             if changed:
@@ -776,7 +774,7 @@ def _rebuild(base, cells, form):
         n = base.ambient_rank
         reps.append(F.StackyCone(C.zero_cone(n), L.zero_lattice(n)))
     fan = AVStackyFan(base, F._sort_stacky(reps))
-    classes = _orbit_classes(fan, form=form)
+    classes = _orbit_classes(fan, form)
     orbits = {form(c)[0]: c for c in classes}
     for c in classes:
         for f in C.faces(c.cone):
@@ -792,8 +790,8 @@ def av_bir_equivalent(f1, f2):
         raise IncompatibleBaseError("fans are defined over different bases")
     base = f1.base
     form = _orbit_forms(base)
-    m1 = _maximal_classes(_orbit_classes(f1, form=form), base)
-    m2 = _maximal_classes(_orbit_classes(f2, form=form), base)
+    m1 = _maximal_classes(_orbit_classes(f1, form), base)
+    m2 = _maximal_classes(_orbit_classes(f2, form), base)
     return _av_covers(m1, m2, base) and _av_covers(m2, m1, base)
 
 
@@ -854,50 +852,37 @@ def jacobian_form(num_vertices, edges, base_cone, torus_rank=0):
             chords.append(idx)
     if len({find(x) for x in range(num_vertices)}) != 1:
         raise ConnectivityError("graph is not connected")
-    g = len(chords)
-    # Fundamental cycle of each chord: chord + tree path back.
+    # One walk of the tree from vertex 0: path[x] holds the signed edge
+    # coefficients of the tree path 0 -> x.
     adjacency = {v: [] for v in range(num_vertices)}
     for idx in tree:
         u, v, _ = edges[idx]
         adjacency[u].append((v, idx, 1))
         adjacency[v].append((u, idx, -1))
-
-    def tree_path(u, v):
-        """Edge coefficients of the tree path u -> v."""
-        prev = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y, idx, sgn in adjacency[x]:
-                if y not in prev:
-                    prev[y] = (x, idx, sgn)
-                    stack.append(y)
-        coeffs = {}
-        x = v
-        while prev[x] is not None:
-            px, idx, sgn = prev[x]
-            coeffs[idx] = sgn
-            x = px
-        return coeffs
-
+    path = {0: [0] * len(edges)}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, idx, sgn in adjacency[x]:
+            if y not in path:
+                path[y] = list(path[x])
+                path[y][idx] = sgn
+                stack.append(y)
+    # Fundamental cycle of chord (u, v): the chord, then the tree path
+    # v -> u, which is path[u] - path[v].
     cycles = []
     for idx in chords:
         u, v, _ = edges[idx]
-        coeffs = tree_path(v, u)
-        coeffs[idx] = 1
-        cycles.append(coeffs)
-    q = []
-    for ci in cycles:
-        row = []
-        for cj in cycles:
-            total = [0] * b
-            for idx, a in ci.items():
-                c = cj.get(idx, 0)
-                if c:
-                    length = edges[idx][2]
-                    total = [t + a * c * x for t, x in zip(total, length)]
-            row.append(tuple(total))
-        q.append(tuple(row))
-    return PolarizedBase(base_cone, g, tuple(q), torus_rank)
+        cycle = [a - c for a, c in zip(path[u], path[v])]
+        cycle[idx] = 1
+        cycles.append(cycle)
+
+    def pairing(ci, cj):
+        total = [0] * b
+        for a, c, (_, _, length) in zip(ci, cj, edges):
+            if a and c:
+                total = [t + a * c * x for t, x in zip(total, length)]
+        return tuple(total)
+
+    q = [tuple(pairing(ci, cj) for cj in cycles) for ci in cycles]
+    return PolarizedBase(base_cone, len(chords), tuple(q), torus_rank)

@@ -81,13 +81,14 @@ def _enc_coloring_from_minimal(m):
 
 def _dec_minimal(payload):
     n = _dec_int(payload["ambient_rank"])
-    pieces = []
-    for color in payload["colors"]:
-        lat = L.canonicalize(_dec_mat(color["lattice"]), n)
-        for rays in color["cones"]:
-            cone = C.from_rays(_dec_mat(rays), n)
-            pieces.append(F.StackyCone(cone, F._restrict(lat, cone)))
-    return MIN.MinimalFan(n, tuple(sorted(pieces, key=lambda p: (p.dim, p.cone.rays))))
+    colors = [
+        (
+            L.canonicalize(_dec_mat(color["lattice"]), n),
+            [C.from_rays(_dec_mat(rays), n) for rays in color["cones"]],
+        )
+        for color in payload["colors"]
+    ]
+    return MIN.MinimalFan(n, F._sort_stacky(MIN._color_pieces(colors)))
 
 
 def _enc_base(base):

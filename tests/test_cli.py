@@ -215,6 +215,26 @@ class TestEquivCommand:
                 assert err.strip() == "input fan is invalid; run validate"
 
 
+    @pytest.mark.parametrize("lattice", [[["1", "0"]], [["1", "0"], ["0", "0"]]])
+    def test_invalid_coloring_rejected(self, capsys, fx, tmp_path, lattice):
+        """A coloring whose lattice has rank 1 on a 2-dimensional region is
+        reported by validate and refused by minimal and equiv (the witness
+        search used to end in TypeError)."""
+        with open(fx("minimal/quadrant.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["colors"][0]["lattice"] = lattice
+        bad = str(tmp_path / "rank_deficient.json")
+        with open(bad, "w") as fh:
+            json.dump(doc, fh)
+        code, out, _ = run(capsys, "validate", bad)
+        assert code == 1
+        assert out.startswith("lattice rank 1 != cone dimension 2 ")
+        for argv in (["minimal", bad], ["equiv", bad, fx("quadrant.json")],
+                     ["equiv", fx("quadrant.json"), bad], ["equiv", bad, bad]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.strip() == "input fan is invalid; run validate"
+
 class TestPredicateCommands:
     def test_subdivision(self, capsys, fx):
         code, out, _ = run(capsys, "subdivision", fx("split_quadrant.json"), fx("quadrant.json"))
@@ -234,6 +254,21 @@ class TestPredicateCommands:
         assert code == 1 and out.strip() == "false"
         code, out, _ = run(capsys, "complete", fx("tate_two_arc.json"))
         assert code == 0
+
+    def test_predicate_golden(self, capsys, monkeypatch):
+        # fixtures/cli/golden.json holds exit code, stdout and stderr of
+        # subdivision, proper and representable on every ordered pair of
+        # the 7 stacky-fan fixtures, validate and complete on those fans
+        # and the 6 colorings of fixtures/minimal/, and jacobian on the 4
+        # graphs, recorded before the three morphism commands became one.
+        # Paths are relative to fixtures/, as they were when recorded.
+        with open(FIXTURES / "cli" / "golden.json") as fh:
+            golden = json.load(fh)
+        assert len(golden) == 177
+        monkeypatch.chdir(FIXTURES)
+        for line, want in golden.items():
+            code, out, err = run(capsys, *line.split())
+            assert {"code": code, "stdout": out, "stderr": err} == want, line
 
     def test_av_fan_with_invalid_ray(self, capsys, fx, tmp_path):
         """A ray with zero base part and nonzero N part is a violation, not

@@ -131,6 +131,85 @@ class TestWitness:
         assert MIN.s_witness(m1, m2) is None
 
 
+def ref_same_union(cones1, cones2):
+    """The support test before `cones.union_difference`: each list's cones
+    covered by the other list."""
+    return all(C.cone_covered_by(c, cones2) for c in cones1) and all(
+        C.cone_covered_by(c, cones1) for c in cones2
+    )
+
+
+def ref_s_witness(a, b):
+    """`s_witness` before `cones.union_difference`, with one uncovered-point
+    loop per side and the support witness taken from that side's pieces."""
+    p1, p2 = MIN._pieces_of(a), MIN._pieces_of(b)
+    c1 = [p.cone for p in p1]
+    c2 = [p.cone for p in p2]
+    for target in c1:
+        pt = C.uncovered_point(target, c2)
+        if pt is not None:
+            return MIN._support_witness(pt, p1)
+    for target in c2:
+        pt = C.uncovered_point(target, c1)
+        if pt is not None:
+            return MIN._support_witness(pt, p2)
+    mismatch = MIN._overlay_mismatch(p1, p2)
+    if mismatch is None:
+        return None
+    cell, r1, r2 = mismatch
+    v = MIN._lattice_difference_vector(r1, r2)
+    interior = C.interior_point(cell)
+    e = L.index_in(L.intersect(r1, r2), F.span_lattice(cell))
+    step = tuple(e * x for x in interior)
+    w = tuple(v)
+    while C.contains_point(cell, w) != C.RELATIVE_INTERIOR:
+        w = tuple(x + y for x, y in zip(w, step))
+    return w
+
+
+def _support_pairs(seed):
+    """Seeded rank-2/3 fan pairs: a fan against itself with one maximal
+    cone dropped (both orders), against a stellar subdivision, against a
+    root, and against an unrelated fan of its rank (both orders)."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(6):
+        a = _gen.random_fan(rng)
+        n = a.ambient_rank
+        other = _gen.random_complete_fan2(rng) if n == 2 else _gen.random_fan3(rng)
+        pairs += [(a, _gen.random_stellar(rng, a)), (a, _gen.global_root(a, 2))]
+        pairs += [(a, other), (other, a)]
+        maxs = F.maximal_cones(a)
+        if len(maxs) > 1:
+            k = rng.randrange(len(maxs))
+            dropped = F.fan_from_maximal(maxs[:k] + maxs[k + 1 :], n)
+            pairs += [(a, dropped), (dropped, a)]
+    return pairs
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_difference_and_witness(self, seed):
+        sides = set()
+        for a, b in _support_pairs(seed):
+            c1 = [p.cone for p in F.maximal_cones(a)]
+            c2 = [p.cone for p in F.maximal_cones(b)]
+            pt = C.union_difference(c1, c2)
+            assert (pt is None) == ref_same_union(c1, c2)
+            assert F.supports_equal(a, b) == (pt is None)
+            if pt is None:
+                sides.add("equal")
+            else:
+                in1 = any(C.member(c, pt) for c in c1)
+                in2 = any(C.member(c, pt) for c in c2)
+                assert in1 != in2
+                sides.add("first" if in1 else "second")
+            assert MIN.s_witness(a, b) == ref_s_witness(a, b)
+            ma, mb = MIN.minimal_fan(a), MIN.minimal_fan(b)
+            assert MIN.s_witness(ma, mb) == ref_s_witness(ma, mb)
+        assert sides == {"equal", "first", "second"}
+
+
 class TestSetMembership:
     def test_against_enumeration(self):
         m = MIN.minimal_fan(load("delta_fig.json"))
@@ -199,6 +278,18 @@ class TestColoring:
             ),
         )
         assert MIN.validate_coloring(coloring)
+        with pytest.raises(MIN.ColoringInvalidError):
+            MIN.from_coloring(coloring)
+
+    @pytest.mark.parametrize("gens", [[(1, 0)], [(1, 0), (0, 0)]])
+    def test_rank_deficient_lattice_invalid(self, gens):
+        """A color lattice of rank 1 on a 2-dimensional region is a
+        violation, and from_coloring refuses it."""
+        q = C.from_rays([(1, 0), (0, 1)], 2)
+        coloring = MIN.SublatticeColoring(2, ((L.canonicalize(gens, 2), (q,)),))
+        assert MIN.validate_coloring(coloring) == [
+            "lattice rank 1 != cone dimension 2 for cone with rays ((0, 1), (1, 0))"
+        ]
         with pytest.raises(MIN.ColoringInvalidError):
             MIN.from_coloring(coloring)
 

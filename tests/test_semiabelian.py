@@ -216,6 +216,104 @@ class TestTateSuite:
             S.av_bir_equivalent(two, other)
 
 
+def ref_jacobian_form(num_vertices, edges, base_cone, torus_rank=0):
+    """`jacobian_form` before one tree walk gave all paths: one search of
+    the tree per chord, and cycles as sparse dicts."""
+    b = base_cone.ambient_rank
+    parent = list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    chords = []
+    for idx, (u, v, _) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append(idx)
+        else:
+            chords.append(idx)
+    if len({find(x) for x in range(num_vertices)}) != 1:
+        raise S.ConnectivityError("graph is not connected")
+    adjacency = {v: [] for v in range(num_vertices)}
+    for idx in tree:
+        u, v, _ = edges[idx]
+        adjacency[u].append((v, idx, 1))
+        adjacency[v].append((u, idx, -1))
+
+    def tree_path(u, v):
+        prev = {u: None}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            if x == v:
+                break
+            for y, idx, sgn in adjacency[x]:
+                if y not in prev:
+                    prev[y] = (x, idx, sgn)
+                    stack.append(y)
+        coeffs = {}
+        x = v
+        while prev[x] is not None:
+            px, idx, sgn = prev[x]
+            coeffs[idx] = sgn
+            x = px
+        return coeffs
+
+    cycles = []
+    for idx in chords:
+        u, v, _ = edges[idx]
+        coeffs = tree_path(v, u)
+        coeffs[idx] = 1
+        cycles.append(coeffs)
+    q = []
+    for ci in cycles:
+        row = []
+        for cj in cycles:
+            total = [0] * b
+            for idx, a in ci.items():
+                c = cj.get(idx, 0)
+                if c:
+                    total = [t + a * c * x for t, x in zip(total, edges[idx][2])]
+            row.append(tuple(total))
+        q.append(tuple(row))
+    return S.PolarizedBase(base_cone, len(chords), tuple(q), torus_rank)
+
+
+def _random_multigraph(rng, connected=True):
+    """A seeded multigraph on 1–7 vertices over a base of rank 1–3: a
+    random spanning tree (or a forest with two components) plus extra
+    edges, loops and parallel edges among them, in shuffled order."""
+    n = rng.randint(2 if not connected else 1, 7)
+    b = rng.randint(1, 3)
+    order = list(range(n))
+    rng.shuffle(order)
+    cut = n if connected else rng.randint(1, n - 1)
+    edges = []
+    for i in range(1, n):
+        if i == cut:
+            continue
+        lo, hi = (0, cut) if i < cut else (cut, n)
+        edges.append((order[i], order[rng.randrange(lo, i)]))
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.25:
+            u = rng.randrange(n)
+            edges.append((u, u))
+        elif kind < 0.5 and edges:
+            edges.append(rng.choice(edges))
+        elif connected:
+            edges.append((rng.randrange(n), rng.randrange(n)))
+    rng.shuffle(edges)
+    lengths = [tuple(rng.randint(-3, 3) for _ in range(b)) for _ in edges]
+    e = [tuple(int(i == j) for j in range(b)) for i in range(b)]
+    return n, [(u, v, ln) for (u, v), ln in zip(edges, lengths)], F.stacky_cone(e, e, b)
+
+
 class TestJacobian:
     def test_theta_graph(self):
         num_vertices, edges, base_cone, torus_rank = load("theta_graph.json")
@@ -255,6 +353,25 @@ class TestJacobian:
         _, _, base_cone, _ = load("loop_graph.json")
         with pytest.raises(S.ConnectivityError):
             S.jacobian_form(3, [(0, 1, (1,))], base_cone, 0)
+
+    def test_matches_reference(self):
+        rng = random.Random(2026)
+        ranks = set()
+        for _ in range(600):
+            graph = _random_multigraph(rng)
+            got, want = S.jacobian_form(*graph), ref_jacobian_form(*graph)
+            assert (got.m_rank, got.q_matrix) == (want.m_rank, want.q_matrix)
+            ranks.add(got.m_rank)
+        assert {0, 1, 2, 3} <= ranks
+
+    def test_disconnected_matches_reference(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            graph = _random_multigraph(rng, connected=False)
+            with pytest.raises(S.ConnectivityError):
+                S.jacobian_form(*graph)
+            with pytest.raises(S.ConnectivityError):
+                ref_jacobian_form(*graph)
 
     def test_congruent_by(self):
         q1 = (((2,), (0,)), ((0,), (3,)))
@@ -565,7 +682,8 @@ def test_orbit_form_matches_box_searches(seed):
     for fan in fans:
         valid = _outcome(S.validate_av_fan, fan)
         assert valid == _outcome(ref_validate_av_fan, fan)
-        assert _outcome(S._orbit_classes, fan) == _outcome(ref_orbit_classes, fan)
+        classes = _outcome(lambda f: S._orbit_classes(f, S._orbit_forms(f.base)), fan)
+        assert classes == _outcome(ref_orbit_classes, fan)
         assert _outcome(S.av_complete, fan) == _outcome(ref_av_complete, fan)
         quotient = _outcome(S.quotient_complex, fan)
         assert quotient == _outcome(ref_quotient_complex, fan)
