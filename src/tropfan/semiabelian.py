@@ -491,7 +491,21 @@ def embedded_base_cone(base):
 
 
 def validate_av_fan(fan):
-    """Violations of the translation-equivariant fan conditions."""
+    """Violations of the translation-equivariant fan conditions.
+
+    The overlap checks (1), (4) and (5) are decided on the pairs of tops
+    only: the representatives of positive dimension that are not a
+    translate of a proper face of one.  This is exact by the fan lemma.
+    Let σ be a face of σ′ and τ a face of τ′.  If ρ = σ′ ∩ τ′ is a face
+    of both, then σ ∩ ρ and τ ∩ ρ are faces of ρ, so σ ∩ τ is a face of σ
+    and of τ; lattice restrictions compose the same way, so (4) passes
+    down to faces.  Fixedness passes down too: for τ = T_a(face of τ′),
+    τ ∩ T_m τ ⊆ T_a(τ′ ∩ T_m τ′), and T_a keeps the base part that
+    Q_hom,N(m) reads.  The lemma needs every representative to lie in a
+    translate of a top, which is check (3), so (3) runs first.  Only when
+    some check fails are all pairs scanned, so that the list names every
+    violating pair.
+    """
     return _av_violations(fan, _orbit_forms(fan.base))
 
 
@@ -522,14 +536,56 @@ def _av_violations(fan, form):
     out = local_violations(fan)
     if out:
         return out
-    base = fan.base
-    reps = list(fan.representatives)
+    head, faces, tops = _orbit_checks(fan, form)
+    if head or faces or _overlap_violations(tops, fan.base):
+        return head + _overlap_violations(fan.representatives, fan.base) + faces
+    return []
+
+
+def _av_valid(fan, form):
+    """Is the fan valid?  `_av_violations(fan, form) == []`, without
+    scanning every pair when it is not."""
+    if local_violations(fan):
+        return False
+    head, faces, tops = _orbit_checks(fan, form)
+    return not (head or faces or _overlap_violations(tops, fan.base))
+
+
+def _orbit_checks(fan, form):
+    """(head, faces, tops) for a fan with no `local_violations`: the (7)
+    and zero-cone messages, the (3) messages, and the tops, which are the
+    representatives of positive dimension that are not a translate of a
+    proper face of a representative."""
+    reps = fan.representatives
+    head = []
     # (7) the embedded base cone is present.
-    bc = embedded_base_cone(base)
+    bc = embedded_base_cone(fan.base)
     if not any(sc == bc for sc in reps):
-        out.append("(7): base cone σ0×{0}×{0} is not among the representatives")
+        head.append("(7): base cone σ0×{0}×{0} is not among the representatives")
     if not any(sc.cone.rays == () for sc in reps):
-        out.append("(3): zero cone missing from representatives")
+        head.append("(3): zero cone missing from representatives")
+    # (3): faces of representatives are translates of representatives.
+    forms = {form(t)[0] for t in reps}
+    face_forms = set()
+    faces = []
+    for t in reps:
+        for f in C.faces(t.cone):
+            if f.rays == () or f.rays == t.cone.rays:
+                continue
+            face_form = form(F.induced_stacky_cone(f, t.lattice))[0]
+            face_forms.add(face_form)
+            if face_form not in forms:
+                faces.append(
+                    f"(3): face {f.rays} of {t.cone.rays} is not a translate "
+                    f"of any representative"
+                )
+    tops = [t for t in reps if t.dim > 0 and form(t)[0] not in face_forms]
+    return head, faces, tops
+
+
+def _overlap_violations(reps, base):
+    """The (1)/(4) messages, then the (5) messages, of every pair of reps."""
+    out = []
     # (1),(2),(4): all translated pairwise intersections are common faces
     # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
     # i.e. lies in the vanishing locus of x ↦ Q_hom,N(m)(x_base); its
@@ -566,20 +622,7 @@ def _av_violations(fan, form):
                         f"(4): lattices disagree on the overlap of "
                         f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
                     )
-    out.extend(unfixed)
-    # (3): faces of representatives are translates of representatives.
-    forms = {form(t)[0] for t in reps}
-    for t in reps:
-        for f in C.faces(t.cone):
-            if f.rays == () or f.rays == t.cone.rays:
-                continue
-            face_sc = F.induced_stacky_cone(f, t.lattice)
-            if form(face_sc)[0] not in forms:
-                out.append(
-                    f"(3): face {f.rays} of {t.cone.rays} is not a translate "
-                    f"of any representative"
-                )
-    return out
+    return out + unfixed
 
 
 def _orbit_classes(fan, form, strict=False):
@@ -757,7 +800,7 @@ def av_minimal(fan):
                     c for k, c in enumerate(cells) if k not in (i, j)
                 ] + [merged]
                 candidate = _rebuild(base, new_cells, form)
-                if not _av_violations(candidate, form):
+                if _av_valid(candidate, form):
                     cells = _maximal_classes(_orbit_classes(candidate, form), base)
                     changed = True
                     break

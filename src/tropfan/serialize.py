@@ -147,9 +147,11 @@ def _dec_graph(payload):
     ]
     num_vertices = _dec_int(payload["num_vertices"])
     torus_rank = _dec_int(payload["torus_rank"])
-    for u, v, _ in edges:
+    for u, v, length in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ParseError(f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}")
+        if len(length) != b:
+            raise ParseError(f"edge ({u}, {v}) has a length of {len(length)} entries, not {b}")
     return num_vertices, edges, base_cone, torus_rank
 
 

@@ -358,6 +358,15 @@ class TestDocumentCommands:
         code, _, err = run(capsys, "jacobian", str(path))
         assert code == 2 and "outside 0..1" in err
 
+    def test_jacobian_short_length_is_parse_error(self, capsys, fx, tmp_path):
+        with open(fx("theta_graph.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["edges"][0][2] = doc["payload"]["edges"][0][2][:2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "jacobian", str(path))
+        assert code == 2 and out == "" and "2 entries, not 3" in err
+
     def test_refine(self, capsys, fx):
         code, out, _ = run(capsys, "refine", fx("p2.json"), fx("trivial.json"))
         assert code == 0

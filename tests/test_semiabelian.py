@@ -692,6 +692,106 @@ def test_orbit_form_matches_box_searches(seed):
     assert {"valid", "invalid", S.QuotientComplex, S.NormalizationError} <= outcomes
 
 
+# --- Overlap checks on the tops only ------------------------------------------
+#
+# validate_av_fan scans the overlaps of the tops (representatives that are
+# not a translate of a proper face of one) and scans every pair only when
+# the fan is invalid.  ref_validate_av_fan scans every pair always.
+
+
+def _chord(fan, rng):
+    """The fan with the cone on two of its rays that do not span a cell of
+    it added, on the full lattice of its span.  The chord's faces are
+    representatives, so (3) passes and only the overlap scan rejects it."""
+    base = fan.base
+    n = fan.ambient_rank
+    form = S._orbit_forms(base)
+    forms = {form(sc)[0] for sc in fan.representatives}
+    rays = [sc for sc in fan.representatives if sc.dim == 1]
+    while True:
+        r1, r2 = rng.choice(rays), rng.choice(rays)
+        m = tuple(rng.randint(-2, 2) for _ in range(base.m_rank))
+        ends = {r1.cone.rays[0], S.translate(r2, m, base).cone.rays[0]}
+        if len(ends) < 2:
+            continue
+        chord = F.induced_stacky_cone(C.from_rays(sorted(ends), n), L.full_lattice(n))
+        if form(chord)[0] not in forms:
+            return S.av_fan(base, list(fan.representatives) + [chord])
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_validate_matches_reference_beyond_tops(seed):
+    rng = random.Random(seed)
+    fans = _translation_fans(seed) + [gen.torus_grid_fan(2)]
+    chords = [
+        _chord(fan, rng)
+        for fan in fans
+        if all(sc.lattice == F._restrict(L.full_lattice(fan.ambient_rank), sc.cone)
+               for sc in fan.representatives)
+    ]
+    fans += [mutant for fan in fans for mutant in _mutants(fan, rng)]
+    assert len(chords) == 6
+    for fan in fans + chords:
+        assert _outcome(S.validate_av_fan, fan) == _outcome(ref_validate_av_fan, fan)
+    for fan in chords:
+        violations = S.validate_av_fan(fan)
+        assert violations and not any(v.startswith("(3)") for v in violations)
+
+
+def ref_av_minimal(fan):
+    """The av_minimal loop with each merge decided by ref_validate_av_fan."""
+    base = fan.base
+    form = S._orbit_forms(base)
+    cells = S._maximal_classes(S._orbit_classes(fan, form), base)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(cells)):
+            for j in range(len(cells)):
+                merged = None
+                if cells[i].dim != cells[j].dim or cells[i].dim == 0:
+                    continue
+                for m in S.candidate_translations(cells[i], cells[j], base):
+                    if i == j and is_zero(m):
+                        continue
+                    merged = F.merge_across_wall(cells[i], S.translate(cells[j], m, base))
+                    if merged is not None:
+                        break
+                if merged is None:
+                    continue
+                new_cells = [c for k, c in enumerate(cells) if k not in (i, j)] + [merged]
+                candidate = S._rebuild(base, new_cells, form)
+                if not ref_validate_av_fan(candidate):
+                    cells = S._maximal_classes(S._orbit_classes(candidate, form), base)
+                    changed = True
+                    break
+            if changed:
+                break
+    return S._rebuild(base, cells, form)
+
+
+# Seed 2 holds a merge that only the overlap checks refuse.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_av_minimal_matches_reference(seed):
+    coarsened = 0
+    for fan in _translation_fans(seed):
+        if S.validate_av_fan(fan):
+            continue
+        minimal = S.av_minimal(fan)
+        assert SER.dumps(minimal) == SER.dumps(ref_av_minimal(fan))
+        coarsened += len(minimal.representatives) < len(fan.representatives)
+    assert coarsened
+
+
+def test_torus_grid_3_validates():
+    fan = gen.torus_grid_fan(3)
+    assert S.validate_av_fan(fan) == []
+    assert S.av_complete(fan)
+    counts = S.quotient_complex(fan).cells_by_dim()
+    assert [counts[d] for d in (1, 2, 3)] == [9, 27, 18]
+    assert sum((-1) ** (d - 1) * c for d, c in counts.items() if d > 0) == 0
+
+
 def test_face_orbit_witness_agrees_with_form():
     for fan in _translation_fans(2):
         base = fan.base
