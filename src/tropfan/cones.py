@@ -7,8 +7,9 @@ for a lower-dimensional cone, an integer HNF span test.  Facets come
 from double description (`_dd_cut`): the facet normals are the extreme
 rays of the dual cone, found by cutting a simplicial cone by one
 generator at a time, and the same incidences give the extreme rays and
-pointedness.  The facet list is complete and irredundant, so ray–facet
-incidences decide the rest: every cut (`_cut`) is one double-description
+pointedness (`extreme_generators`, which a wall merge also applies to
+its pieces' facets).  The facet list is complete and irredundant, so
+ray–facet incidences decide the rest: every cut (`_cut`) is one double-description
 pass over the rays, so a half-space slice cuts by one row and an
 intersection by the other cone's span equations and facet normals, and
 faces and face tests are read from the facet normals vanishing on each
@@ -103,19 +104,12 @@ def from_rays(rays, ambient_rank):
         [frozenset(basis) - {i} for i in basis],
         [(j, c) for j, c in enumerate(coords) if j not in basis],
     )
-    # A generator tight on every facet lies in the lineality space, and
-    # one exists iff the cone contains a line.  A generator is extreme iff
-    # no other generator is tight on every facet it is tight on.
     tight = [
         frozenset(k for k, z in enumerate(zeros) if j in z) for j in range(len(prims))
     ]
-    if any(len(t) == len(normals_d) for t in tight):
+    extreme = extreme_generators(prims, tight, len(normals_d))
+    if extreme is None:
         raise PointednessError(f"cone generated by {rays} contains a line")
-    extreme = [
-        p
-        for j, p in enumerate(prims)
-        if not any(i != j and tight[j] <= t for i, t in enumerate(tight))
-    ]
     # Lift normals to ambient integer functionals (the span basis is
     # saturated, so an integer lift always exists).
     lifted = [
@@ -127,6 +121,26 @@ def from_rays(rays, ambient_rank):
         tuple(span.basis),
         tuple(sorted(lifted)),
     )
+
+
+def extreme_generators(gens, tight, n_facets):
+    """The generators that are extreme rays of the cone they generate, in
+    order, or None when that cone contains a line.
+
+    tight[j] is the set of facets tight at gens[j], out of the cone's
+    complete list of n_facets facets.  A generator tight on every facet
+    lies in the lineality space, and one exists iff the cone contains a
+    line, since the minimal face is generated by the generators in it.
+    A generator is extreme iff no other generator is tight on every facet
+    it is tight on.
+    """
+    if any(len(t) == n_facets for t in tight):
+        return None
+    return [
+        g
+        for j, g in enumerate(gens)
+        if not any(i != j and tight[j] <= t for i, t in enumerate(tight))
+    ]
 
 
 def _simplicial_start(rows, d):

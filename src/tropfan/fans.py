@@ -46,27 +46,46 @@ def merge_across_wall(p, q):
     """The StackyCone p ∪ q when it is a pointed convex cone with p ∩ q a
     common facet and the lattices of p and q agree; else None.
 
-    Equal lattices give one span and one dimension d.  For d >= 1 the
-    union is convex across a common facet iff exactly one facet normal
-    h_p of p is negative on some ray of q, exactly one h_q of q is
-    negative on some ray of p, and h_p, h_q vanish on the same rays
-    (the wall).  Then every other facet inequality holds on both cones,
-    and together they cut conv(p ∪ q) back to p on one side of the wall
-    and to q on the other.
+    Equal lattices give one span, so one span basis and one dimension d.
+    For d >= 1 the union is convex across a common facet iff exactly one
+    facet normal h_p of p is negative on some ray of q, exactly one h_q
+    of q is negative on some ray of p, and h_p, h_q vanish on the same
+    rays (the wall).  Then every other facet inequality holds on both
+    cones, and together they cut conv(p ∪ q) back to p on one side of
+    the wall and to q on the other.
+
+    The union U is built from the two pieces, with no double description:
+    - Its facet normals are p's without h_p and q's without h_q.  Each
+      such h is nonnegative on U, and U ∩ {h = 0} contains a facet of p
+      or of q, of dimension d − 1, so h is a facet of U; and every facet
+      of U meets p or q in a facet other than h_p, h_q.  Normals are
+      lifted from the common span basis in one canonical way, so a
+      hyperplane that bounds both pieces gives one tuple.
+    - U contains a line iff some generator is tight on every one of these
+      normals, because the minimal face of U is generated by the
+      generators in it; e.g. two adjacent quadrants make a half-plane.
+    - Its rays are the generators that `cones.extreme_generators` keeps.
     """
-    if p.lattice != q.lattice or p.dim != q.dim or p.dim == 0:
+    if p.dim == 0 or p.lattice != q.lattice or p.cone.span_basis != q.cone.span_basis:
         return None
     h_p = _only_cutting_normal(p.cone, q.cone)
     h_q = _only_cutting_normal(q.cone, p.cone)
     if h_p is None or h_q is None:
         return None
-    rays = p.cone.rays + q.cone.rays
-    if any((dot(h_p, r) == 0) != (dot(h_q, r) == 0) for r in rays):
+    gens = sorted(set(p.cone.rays) | set(q.cone.rays))
+    if any((dot(h_p, r) == 0) != (dot(h_q, r) == 0) for r in gens):
         return None
-    try:
-        union = C.from_rays(rays, p.ambient_rank)
-    except C.PointednessError:
-        return None  # e.g. two adjacent quadrants make a half-plane
+    normals = sorted(
+        {h for h in p.cone.facet_normals if h != h_p}
+        | {h for h in q.cone.facet_normals if h != h_q}
+    )
+    tight = [
+        frozenset(k for k, h in enumerate(normals) if dot(h, r) == 0) for r in gens
+    ]
+    rays = C.extreme_generators(gens, tight, len(normals))
+    if rays is None:
+        return None
+    union = C.Cone(p.ambient_rank, tuple(rays), p.cone.span_basis, tuple(normals))
     return StackyCone(union, p.lattice)
 
 
@@ -201,14 +220,20 @@ def validate(fan):
 
 
 def maximal_cones(fan):
-    """StackyCones that are not proper faces of another cone of the fan."""
+    """StackyCones contained in no cone of the fan of higher dimension.
+
+    This tests containment, not only faces, so that a cone inside another
+    without being a face of it (which only an invalid fan has) is not
+    maximal either.  A face's rays are rays of the cone, so a ray-set test
+    settles every proper face first; only the cones it leaves are scanned
+    for containment.
+    """
+    cones = [(sc, sc.dim, frozenset(sc.cone.rays)) for sc in fan.cones]
     out = []
-    for sc in fan.cones:
-        if not any(
-            other is not sc
-            and other.dim > sc.dim
-            and C.contains_cone(other.cone, sc.cone)
-            for other in fan.cones
+    for sc, d, rays in cones:
+        higher = [(o, r) for o, e, r in cones if e > d]
+        if not any(rays <= r for _, r in higher) and not any(
+            C.contains_cone(o.cone, sc.cone) for o, _ in higher
         ):
             out.append(sc)
     return out

@@ -7,7 +7,9 @@ works with lists of maximal stacky cones ("pieces").
 
 MinimalFan coarsens a fan by greedily merging two pieces at a time across
 a common wall where the sublattices agree and the union stays a pointed
-convex cone.  The pieces left depend on the input, not only on S, so
+convex cone.  A merge reads the union's facets and rays from the two
+pieces (`fans.merge_across_wall`) and makes no `from_rays` call.  The
+pieces left depend on the input, not only on S, so
 MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.  Equal S-sets means equal supports
 (`cones.union_difference`, whose point also gives the support witness)
@@ -89,10 +91,12 @@ def minimal_fan(fan):
 
     Pieces are merged two at a time, in a fixed order, until no pair
     merges.  The result has the input's S-set, but its piece list is not
-    a canonical form: a stellar subdivision of a simplicial cone of rank
-    >= 3 stays subdivided, since no two of its pieces have a convex
-    union.  Accepts a StackyFan or a MinimalFan (on which it is
-    idempotent).
+    a canonical form.  At rank 2 the four quadrants of Z^2 stay four
+    pieces, since two adjacent quadrants make a half-plane, which is not
+    pointed, yet the same fan subdivided at (1, 1) merges to three.  A
+    stellar subdivision of a simplicial cone of rank >= 3 stays
+    subdivided, since no two of its pieces have a convex union.  Accepts
+    a StackyFan or a MinimalFan (on which it is idempotent).
     """
     pieces = _pieces_of(fan)
     return MinimalFan(fan.ambient_rank, _merge_pieces(pieces))

@@ -67,6 +67,57 @@ class TestConstruction:
         assert all(sc.dim == 2 for sc in maxs)
 
 
+def ref_maximal_cones(fan):
+    """The containment scan over all pairs of cones, before the ray-set pass."""
+    return [
+        sc
+        for sc in fan.cones
+        if not any(
+            other is not sc
+            and other.dim > sc.dim
+            and C.contains_cone(other.cone, sc.cone)
+            for other in fan.cones
+        )
+    ]
+
+
+class TestMaximalCones:
+    def _same(self, fan):
+        got, ref = F.maximal_cones(fan), ref_maximal_cones(fan)
+        assert len(got) == len(ref)
+        assert all(a is b for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_on_random_fans(self, seed):
+        rng = random.Random(seed)
+        for _ in range(8):
+            fan = _gen.random_fan(rng)
+            maxs = F.maximal_cones(fan)
+            drop = rng.randrange(len(maxs))
+            dropped = F.fan_from_maximal(
+                [sc for i, sc in enumerate(maxs) if i != drop], fan.ambient_rank
+            )
+            for f in (fan, _gen.random_stellar(rng, fan), dropped):
+                self._same(f)
+
+    def test_cone_inside_another_is_not_maximal(self):
+        quadrant = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
+        diagonal = F.stacky_cone([(1, 1)], [(1, 1)], 2)
+        fan = F.make_fan([quadrant, diagonal], 2)
+        self._same(fan)
+        assert F.maximal_cones(fan) == [quadrant]
+
+    def test_overlapping_cones(self):
+        a = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
+        b = F.stacky_cone([(1, 1), (-1, 1)], [(1, 0), (0, 1)], 2)
+        fan = F.fan_from_maximal([a, b], 2)
+        self._same(fan)
+        # The ray (1, 1) of b lies inside a without being a face of it.
+        assert [sc.cone.rays for sc in F.maximal_cones(fan)] == [
+            ((-1, 1), (1, 1)), ((0, 1), (1, 0))
+        ]
+
+
 class TestCompleteness:
     def test_complete_fixtures(self):
         for name in ("trivial.json", "p2.json", "hirzebruch.json", "delta_fig.json"):

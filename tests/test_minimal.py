@@ -65,6 +65,38 @@ class TestMinimalFan:
         assert MIN.minimal_fan(sub) == MIN.minimal_fan(orthant)
         assert len(MIN.minimal_fan(sub).pieces) == 1
 
+    def test_merges_make_no_from_rays_call(self, monkeypatch):
+        trivial = load("trivial.json")
+        units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        orthant = F.fan_from_maximal(
+            [F.StackyCone(C.from_rays(units, 3), L.full_lattice(3))], 3
+        )
+        octants = F.fan_from_maximal(
+            [
+                F.StackyCone(
+                    C.from_rays([[s * x for x in e] for s, e in zip(signs, units)], 3),
+                    L.full_lattice(3),
+                )
+                for signs in itertools.product((1, -1), repeat=3)
+            ],
+            3,
+        )
+        fans = [
+            trivial,
+            F.stellar_subdivision(trivial, (1, 1)),
+            orthant,
+            F.stellar_subdivision(orthant, (1, 1, 1)),
+            octants,
+        ]
+        calls = []
+        from_rays = C.from_rays
+        monkeypatch.setattr(C, "from_rays", lambda *a: calls.append(a) or from_rays(*a))
+        pieces = [len(MIN.minimal_fan(fan).pieces) for fan in fans]
+        assert calls == []
+        # Two adjacent quadrants make a half-plane, so the four quadrants
+        # stay four pieces, but subdivided at (1, 1) they merge to three.
+        assert pieces == [4, 3, 1, 3, 8]
+
     def test_idempotent(self):
         rng = random.Random(9)
         for _ in range(10):
