@@ -13,7 +13,12 @@ ray–facet incidences decide the rest: every cut (`_cut`) is one double-descrip
 pass over the rays, so a half-space slice cuts by one row and an
 intersection by the other cone's span equations and facet normals, and
 faces and face tests are read from the facet normals vanishing on each
-ray.
+ray.  A cut, a face or a facet is then built from those incidences
+(`_from_incidences`) with no `from_rays`: its facets are cut out by the
+parent's facet normals and the cut rows whose zero sets on its rays are
+maximal, and `canonical_normals` turns those into the normals
+`from_rays` would give (the translation shear uses it too).  `from_rays`
+stays for generators whose facets are unknown.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
@@ -225,27 +230,101 @@ def dual(cone):
 
 def faces(cone):
     """All faces of the cone, including {0} and the cone itself, found by
-    walking facets of facets: one `from_rays` per face."""
+    walking facets of facets.  Each face is built from its parent's facet
+    incidences (`_from_incidences`), with no `from_rays`."""
     found = {cone.rays: cone}
     todo = [cone]
     while todo:
         f = todo.pop()
-        for h in f.facet_normals:
-            rays = tuple(r for r in f.rays if dot(h, r) == 0)
+        for rays, zeros in _facet_incidences(f):
             if rays not in found:
-                found[rays] = from_rays(rays, cone.ambient_rank)
+                found[rays] = _from_incidences(
+                    rays, zeros, f.facet_normals, f.span_basis, cone.ambient_rank
+                )
                 todo.append(found[rays])
     return sorted(found.values(), key=lambda c: (c.dim, c.rays))
 
 
 def facets(cone):
     """Codimension-one faces: one per facet normal, cut out by the rays on
-    which it vanishes."""
+    which it vanishes and built from the cone's facet incidences."""
     fs = [
-        from_rays([r for r in cone.rays if dot(h, r) == 0], cone.ambient_rank)
-        for h in cone.facet_normals
+        _from_incidences(
+            rays, zeros, cone.facet_normals, cone.span_basis, cone.ambient_rank
+        )
+        for rays, zeros in _facet_incidences(cone)
     ]
     return sorted(fs, key=lambda f: f.rays)
+
+
+def _facet_incidences(cone):
+    """(rays, zeros) for each facet normal in turn: the rays on which it
+    vanishes, and for each of them the indexes of the normals vanishing
+    on it."""
+    zeros = _zero_sets(cone.rays, cone.facet_normals)
+    for i in range(len(cone.facet_normals)):
+        on = [k for k, z in enumerate(zeros) if i in z]
+        yield tuple(cone.rays[k] for k in on), [zeros[k] for k in on]
+
+
+def _zero_sets(rays, functionals):
+    """For each ray, the set of indexes of the functionals vanishing on it."""
+    return [
+        frozenset(i for i, g in enumerate(functionals) if dot(g, r) == 0)
+        for r in rays
+    ]
+
+
+def _from_incidences(rays, zeros, functionals, span_basis, ambient_rank):
+    """The cone with extreme rays `rays`, from integer functionals that
+    are nonnegative on it and, within the saturated span `span_basis`,
+    cut it out; zeros[k] is the set of indexes of the functionals
+    vanishing on rays[k].
+
+    Its faces are cut out by the functionals, so its facets are those of
+    the functionals whose ray sets are maximal among the proper ones
+    (Ziegler, Lectures on Polytopes, §2.2); a functional vanishing on
+    every ray is an implicit equality.  With none, the cone has the whole
+    span; else its span is recomputed from the rays.
+    """
+    if not rays:
+        return zero_cone(ambient_rank)
+    masks = [0] * len(functionals)
+    for k, z in enumerate(zeros):
+        for i in z:
+            masks[i] |= 1 << k
+    full = (1 << len(rays)) - 1
+    if full in masks:
+        # A primitive vector spans a saturated lattice.
+        span = lat.canonicalize(rays, ambient_rank)
+        span_basis = (span if len(rays) == 1 else lat.saturate(span)).basis
+    first = {}
+    for i, m in enumerate(masks):
+        if m != full:
+            first.setdefault(m, functionals[i])
+    maximal = []
+    for m in sorted(first, key=int.bit_count, reverse=True):
+        if not any(m & a == m for a in maximal):
+            maximal.append(m)
+    return Cone(
+        ambient_rank,
+        tuple(sorted(rays)),
+        tuple(span_basis),
+        canonical_normals(span_basis, [first[m] for m in maximal], ambient_rank),
+    )
+
+
+def canonical_normals(span_basis, functionals, ambient_rank):
+    """The facet normals `from_rays` gives a cone with this saturated
+    span basis, from ambient functionals that each cut out one of its
+    facets, sorted.  In full dimension a normal is the primitive
+    functional; else the functional is read in the span basis, made
+    primitive, lifted (`_lift_functionals`) and made primitive again."""
+    if len(span_basis) == ambient_rank:
+        return tuple(sorted(primitive(h) for h in functionals))
+    values = [primitive([dot(s, h) for s in span_basis]) for h in functionals]
+    lifted = _lift_functionals(span_basis, values, ambient_rank)
+    return tuple(sorted(primitive(y) for y in lifted))
 
 
 def span_equations(cone):
@@ -301,19 +380,19 @@ def _cut(cone, rows, n_eq=0):
     as equations <f, x> = 0: one `_dd_cut` pass over the cone's rays and
     their facet incidences, which are exact because a Cone is pointed and
     its facet normals are its complete facet list.  Returns the cone
-    itself when no row cuts it, else one `from_rays` of the rays left."""
+    itself when no row cuts it, else the cone built from the rays left
+    and their zero sets over the facet normals and the rows
+    (`_from_incidences`), with no `from_rays`."""
     normals = cone.facet_normals
-    zeros = [
-        frozenset(i for i, g in enumerate(normals) if dot(g, r) == 0)
-        for r in cone.rays
-    ]
     labelled = list(enumerate(rows, len(normals)))
-    kept, _ = _dd_cut(list(cone.rays), zeros, labelled, n_eq)
+    kept, zeros = _dd_cut(
+        list(cone.rays), _zero_sets(cone.rays, normals), labelled, n_eq
+    )
     if kept == list(cone.rays):
         return cone
-    if not kept:
-        return zero_cone(cone.ambient_rank)
-    return from_rays(kept, cone.ambient_rank)
+    return _from_incidences(
+        kept, zeros, list(normals) + list(rows), cone.span_basis, cone.ambient_rank
+    )
 
 
 def _dd_cut(rays, zeros, rows, n_eq=0):

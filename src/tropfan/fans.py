@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import cones as C
 from . import lattice as L
-from ._linalg import dot
+from ._linalg import dot, express_in_hnf
 
 
 class SupportMismatchError(ValueError):
@@ -108,7 +108,17 @@ def induced_stacky_cone(cone, parent_lattice):
 
 
 def _restrict(lattice, cone):
-    """lattice ∩ Span(cone)."""
+    """lattice ∩ Span(cone): the lattice itself when the cone is
+    full-dimensional, or when the lattice has the cone's rank and lies in
+    its span (the span basis is saturated, so a vector lies in the span
+    iff it has integer coordinates in that basis)."""
+    n = cone.ambient_rank
+    if cone.dim == n:
+        return lattice
+    if lattice.rank == cone.dim and all(
+        express_in_hnf(cone.span_basis, n, b) is not None for b in lattice.basis
+    ):
+        return lattice
     return L.intersect(lattice, span_lattice(cone))
 
 

@@ -11,8 +11,9 @@ g×b block A_m (`shear_block`) has A_m[j][k] = Σᵢ mᵢ·q[i][j][k].  It is
 unimodular with inverse T_{−m}, so `translate` maps a cone's rays, span
 basis and lattice basis by T_m, and pulls each facet normal back by
 T_{−m}ᵀ.  On a lower-dimensional cone the pulled-back normal is only one
-ambient lift of the facet functional; it is re-lifted from the span so
-that it equals the normal `cones.from_rays` would give.
+ambient lift of the facet functional; `cones.canonical_normals` re-lifts
+it from the span so that it equals the normal `cones.from_rays` would
+give.
 
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
@@ -39,7 +40,6 @@ from ._linalg import (
     integer_kernel,
     is_psd,
     is_zero,
-    primitive,
     rational_rank,
 )
 
@@ -216,12 +216,10 @@ def _shear_cone(cone, A, b):
     n = cone.ambient_rank
     rays = tuple(sorted(_shear(A, b, r) for r in cone.rays))
     normals = [_pull_back(A, b, h) for h in cone.facet_normals]
-    if cone.dim == n:
-        return C.Cone(n, rays, cone.span_basis, tuple(sorted(normals)))
-    span = hnf([_shear(A, b, s) for s in cone.span_basis], n)
-    values = [primitive([dot(s, h) for s in span]) for h in normals]
-    lifted = [primitive(y) for y in C._lift_functionals(span, values, n)]
-    return C.Cone(n, rays, tuple(span), tuple(sorted(lifted)))
+    span = cone.span_basis
+    if cone.dim < n:
+        span = tuple(hnf([_shear(A, b, s) for s in span], n))
+    return C.Cone(n, rays, span, C.canonical_normals(span, normals, n))
 
 
 def translate(sc, m, base):

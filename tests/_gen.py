@@ -107,8 +107,8 @@ def random_fan(rng, max_index=4):
         # possibly partial rank-2 fan: drop a maximal cone
         fan = random_complete_fan2(rng, max_index=max_index)
         maxs = F.maximal_cones(fan)
-        kept = [sc for i, sc in enumerate(maxs) if i != rng.randrange(len(maxs))]
-        return F.fan_from_maximal(kept, 2)
+        drop = rng.randrange(len(maxs))
+        return F.fan_from_maximal([sc for i, sc in enumerate(maxs) if i != drop], 2)
     return random_fan3(rng, max_index)
 
 

@@ -189,6 +189,15 @@ def ref_faces(cone):
     return sorted(result.values(), key=lambda c: (c.dim, c.rays))
 
 
+def ref_facets(cone):
+    """One `from_rays` per facet normal, of the rays on which it vanishes."""
+    fs = [
+        C.from_rays([r for r in cone.rays if dot(h, r) == 0], cone.ambient_rank)
+        for h in cone.facet_normals
+    ]
+    return sorted(fs, key=lambda f: f.rays)
+
+
 def ref_is_face_of(f, cone):
     if not all(C.member(cone, r) for r in f.rays):
         return False
@@ -652,6 +661,57 @@ class TestAgainstReference:
                 assert _full(C.intersect_cones(c1, c2)) == ref
                 assert _full(C.intersect_cones(c2, c1)) == ref
 
+    @settings(max_examples=100, deadline=None)
+    @given(_seeds)
+    def test_cuts_of_low_dimensional_parents(self, rng):
+        # Parents of span rank 2 to n - 1 at rank 4 and 5, sliced by a
+        # random half-space and intersected with a random cone.
+        n = rng.choice((4, 5))
+        cone = _random_cone(rng, n, max_rays=6, span_rank=rng.randint(2, n - 1))
+        h, sign = tuple(_vector(rng, n)), rng.choice([1, -1])
+        assert _full(C.halfspace_slice(cone, h, sign)) == _full(
+            ref_halfspace_slice(cone, h, sign)
+        )
+        other = _random_cone(rng, n, max_rays=6)
+        ref = _full(ref_intersect_cones(cone, other))
+        assert _full(C.intersect_cones(cone, other)) == ref
+        assert _full(C.intersect_cones(other, cone)) == ref
+
+    def test_equation_cuts_to_lower_dimension(self):
+        # Rank 4 and 5 parents, some lower-dimensional, cut by the
+        # equations of a proper face of their own (which gives the face)
+        # or of a random cone whose span has rank 1 to n - 2.
+        rng = random.Random(16)
+        for _ in range(60):
+            n = rng.choice((4, 5))
+            c1 = _random_cone(rng, n, max_rays=6)
+            proper = [f for f in C.faces(c1) if 0 < f.dim < c1.dim]
+            face = rng.choice(proper or [C.zero_cone(n)])
+            low = _random_cone(rng, n, max_rays=5, span_rank=rng.randint(1, n - 2))
+            assert _full(C.intersect_cones(c1, face)) == _full(face)
+            assert _full(C.intersect_cones(face, c1)) == _full(face)
+            ref = _full(ref_intersect_cones(c1, low))
+            assert _full(C.intersect_cones(c1, low)) == ref
+            assert _full(C.intersect_cones(low, c1)) == ref
+
+    def test_rows_vanishing_on_the_parent(self):
+        # A zero row, or a span equation of a lower-dimensional parent,
+        # keeps the parent alone and is an implicit equality beside a row
+        # that cuts.
+        rng = random.Random(17)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            cone = _random_cone(rng, n)
+            rows = [(0,) * n] + [tuple(e) for e in C.span_equations(cone)]
+            for h in rows:
+                for sign in (1, -1):
+                    assert _full(C.halfspace_slice(cone, h, sign)) == _full(cone)
+            assert _full(C._cut(cone, rows, len(rows))) == _full(cone)
+            h = tuple(_vector(rng, n))
+            ref = _full(ref_halfspace_slice(cone, h, 1))
+            assert _full(C._cut(cone, rows + [h])) == ref
+            assert _full(C._cut(cone, rows + [h], len(rows))) == ref
+
     @settings(max_examples=200, deadline=None)
     @given(_seeds)
     def test_split_by_hyperplanes(self, rng):
@@ -672,6 +732,28 @@ class TestAgainstReference:
     def test_faces(self, rng):
         cone = _random_cone(rng, _rank(rng))
         assert [_full(f) for f in C.faces(cone)] == [_full(f) for f in ref_faces(cone)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeds)
+    def test_facets(self, rng):
+        cone = _random_cone(rng, rng.randint(1, 5))
+        assert [_full(f) for f in C.facets(cone)] == [
+            _full(f) for f in ref_facets(cone)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeds)
+    def test_built_cones_match_from_rays(self, rng):
+        # Every cone that faces, facets and cuts build from incidences
+        # equals `from_rays` of its rays on every field, at rank 1 to 5.
+        n = rng.randint(1, 5)
+        cone = _random_cone(rng, n)
+        h = tuple(_vector(rng, n))
+        built = C.faces(cone) + C.facets(cone)
+        built += [C.halfspace_slice(cone, h, 1), C.halfspace_slice(cone, h, -1)]
+        built.append(C.intersect_cones(cone, _random_cone(rng, n)))
+        for c in built:
+            assert _full(c) == _full(C.from_rays(c.rays, n))
 
     @settings(max_examples=150, deadline=None)
     @given(_seeds)
@@ -708,3 +790,29 @@ class TestAgainstReference:
             _full(c) for c in ref_arrangement_fan_cones(normals, n)
         ]
         assert len(chambers) == whitney_chamber_count(normals)
+
+
+def test_cuts_and_faces_make_no_from_rays_call(monkeypatch):
+    # Faces, facets, slices, intersections, splits and coverage of rank 2
+    # to 5 cones and of the cone over C(14, 4), built before `from_rays`
+    # is counted.
+    rng = random.Random(18)
+    cones = [_random_cone(rng, n) for n in (2, 3, 4, 5) for _ in range(8)]
+    cones.append(C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5))
+    others = [_random_cone(rng, c.ambient_rank) for c in cones]
+    calls = []
+    real = C.from_rays
+    monkeypatch.setattr(C, "from_rays", lambda *a: calls.append(a) or real(*a))
+    changed = 0
+    for cone, other in zip(cones, others):
+        n = cone.ambient_rank
+        h = tuple(_vector(rng, n))
+        C.faces(cone)
+        C.facets(cone)
+        cuts = [C.halfspace_slice(cone, h, 1), C.halfspace_slice(cone, h, -1)]
+        cuts.append(C.intersect_cones(cone, other))
+        cuts += C.split_by_hyperplanes([cone], other.facet_normals)
+        C.uncovered_point(cone, [other, cuts[0]])
+        changed += sum(c != cone for c in cuts)
+    assert calls == []
+    assert changed > len(cones)

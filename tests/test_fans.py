@@ -225,6 +225,39 @@ class TestRestrict:
             lattice, [list(b) for b in cone.span_basis]
         )
 
+    def test_matches_intersect_with_span(self):
+        """On full-dimensional cells, on lower-dimensional ones with root
+        lattices, lattices of the cell's rank inside its span and lattices
+        of the cell's rank in another span, `_restrict` equals the
+        intersection with the span lattice, and returns the lattice itself
+        exactly when the lattice lies in the span."""
+        rng = random.Random(16)
+        seen = {"full": 0, "inside": 0, "outside": 0}
+        for _ in range(300):
+            cell, other = _random_cone_and_lattice(rng)
+            n, d = cell.ambient_rank, cell.dim
+            span = F.span_lattice(cell)
+            coeffs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            combos = [[dot(c, col) for col in zip(*span.basis)] for c in coeffs]
+            scale = rng.randint(2, 5)
+            tilted = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+            lattices = [
+                other,
+                L.canonicalize([[scale * x for x in b] for b in span.basis], n),
+                L.canonicalize(combos, n),
+                L.canonicalize(tilted, n),
+            ]
+            for lattice in lattices:
+                got = F._restrict(lattice, cell)
+                assert got == L.intersect(lattice, span)
+                inside = L.contains(span, lattice)
+                if d == n:
+                    seen["full"] += 1
+                elif lattice.rank == d:
+                    seen["inside" if inside else "outside"] += 1
+                    assert (got is lattice) == inside
+        assert min(seen.values()) >= 50
+
 
 class TestRootConstruction:
     def test_global_root(self):
