@@ -352,12 +352,15 @@ def is_face_of(f, cone):
     """
     if f.ambient_rank != cone.ambient_rank:
         raise DimensionError("ambient ranks differ")
-    if not all(member(cone, r) for r in f.rays):
+    return _is_face(f.rays, cone)
+
+
+def _is_face(rays, cone):
+    """`is_face_of` for a cone given by its sorted extreme rays alone."""
+    if not all(member(cone, r) for r in rays):
         return False
-    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in f.rays)]
-    return f.rays == tuple(
-        r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)
-    )
+    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in rays)]
+    return rays == tuple(r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing))
 
 
 def common_face(c1, c2):

@@ -108,10 +108,17 @@ def induced_stacky_cone(cone, parent_lattice):
 
 
 def _restrict(lattice, cone):
-    """lattice ∩ Span(cone): the lattice itself when the cone is
-    full-dimensional, or when the lattice has the cone's rank and lies in
-    its span (the span basis is saturated, so a vector lies in the span
-    iff it has integer coordinates in that basis)."""
+    """lattice ∩ Span(cone), with two fast paths besides the full-dimensional
+    cone, where it is the lattice itself.
+
+    - The lattice has the cone's rank and lies in its span: it is its own
+      restriction (the span basis is saturated, so a vector lies in the
+      span iff it has integer coordinates in that basis).
+    - The lattice holds every vector of the cone's saturated span basis:
+      then Zⁿ ∩ Span ⊆ L ∩ Span ⊆ Zⁿ ∩ Span, so the restriction is
+      `span_lattice(cone)`.  This is the case of a saturated parent
+      lattice, such as the full lattice, on each of its cone's faces.
+    """
     n = cone.ambient_rank
     if cone.dim == n:
         return lattice
@@ -119,6 +126,10 @@ def _restrict(lattice, cone):
         express_in_hnf(cone.span_basis, n, b) is not None for b in lattice.basis
     ):
         return lattice
+    if lattice.rank >= cone.dim and all(
+        express_in_hnf(lattice.basis, n, s) is not None for s in cone.span_basis
+    ):
+        return span_lattice(cone)
     return L.intersect(lattice, span_lattice(cone))
 
 

@@ -117,10 +117,17 @@ def intersect(l1, l2):
 
 
 def saturate(lattice):
-    """Span_Q(L) intersected with Z^n: the saturation of L."""
+    """Span_Q(L) intersected with Z^n: the saturation of L.
+
+    A basis in HNF whose pivots are all 1 has a maximal minor equal to 1,
+    so it is saturated and is returned as it is; otherwise the saturation
+    is the kernel of the kernel.
+    """
     n = lattice.ambient_rank
     if not lattice.basis:
         return zero_lattice(n)
+    if all(next(x for x in row if x) == 1 for row in lattice.basis):
+        return lattice
     perp = integer_kernel([list(b) for b in lattice.basis], n)
     if not perp:
         return full_lattice(n)

@@ -17,11 +17,19 @@ give.
 
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
-normal form (`_orbit_form`), not by a search over translations;
-`candidate_translations` answers only which translates meet.  It builds
-no translated cone: pulled back by T_m, each functional of one cone is
-affine in m at each ray of the other, and the m to test come from the
-ranges of integer ray slopes (adj(G_n)·n′ / det G_n, fraction-free).
+normal form (`_orbit_form`), not by a search over translations: a key of
+sheared rays and one sheared lattice basis.  `candidate_translations`
+answers only which translates meet: pulled back by T_m, each functional
+of one cone is affine in m at each ray of the other, and the m to test
+come from the ranges of integer ray slopes (adj(G_n)·n′ / det G_n,
+fraction-free).  The validity, completeness and quotient checks build no
+translated cone either: an overlap c1 ∩ T_m(c2) is c1 cut by c2's
+functionals pulled back by T_{−m}, and face and containment tests move
+rays back by T_{−m}.  On a 2-core machine this took `validate_av_fan`
+on the g = 2 grid fan, k = 3, from 121 to 45 ms, and the benchmark's
+translation workload (seed 1) from 9.4 to 6.4 ref.  `translate` stays
+for the wall merges of `av_minimal` and the covers of
+`av_bir_equivalent`, which need whole cones.
 """
 
 import math
@@ -115,7 +123,12 @@ def split_point(base, v):
 
 
 def _shear(A, b, v):
-    """T_m v = (n, n′ + A_m n, n″) for the shear block A = A_m."""
+    """T_m v = (n, n′ + A_m n, n″) for the shear block A = A_m.
+
+    T_m keeps the lexicographic order of vectors: it keeps the base part n,
+    and adds the same A_m n to the N part of vectors with equal base part.
+    So sorted rays stay sorted.
+    """
     n = v[:b]
     return (
         tuple(n)
@@ -397,8 +410,18 @@ def candidate_translations(c1, c2, base):
     have zero base part) intersect independently of m; by convention the
     answer is then {0} or {} depending on whether they meet at all.
     """
+    return _candidates(c1, c2, _scan_data(base, c1), _scan_data(base, c2), base)
+
+
+def _scan_data(base, sc):
+    """The `_ray_data` a scan reads, none when g = 0."""
+    return _ray_data(base, sc) if base.m_rank else ()
+
+
+def _candidates(c1, c2, data1, data2, base):
+    """`candidate_translations` from the cones' `_scan_data`, which a
+    scan over many pairs computes once per cone."""
     g = base.m_rank
-    data1, data2 = (_ray_data(base, c1), _ray_data(base, c2)) if g else ((), ())
     if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
         hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
         return (tuple([0] * g),) if hit else ()
@@ -418,28 +441,35 @@ def candidate_translations(c1, c2, base):
 
 
 def _orbit_form(sc, base):
-    """(form, shift): the least of sc's candidate translates T_shift(sc).
+    """(form, shift): the key (rays, lattice basis) of the least of sc's
+    candidate translates T_shift(sc), ordered by that key.
 
     The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
-    rays with nonzero base part; translates are ordered by (rays, lattice
-    basis).  Slopes of T_d(sc) are those of sc plus d, so T_d(sc) has the
-    same candidates and the same least one.  Hence a and b share an orbit
-    iff their forms are equal, and then T_{s_a − s_b}(a) = b, the only such
-    m when a has a ray with nonzero base part (G_n is nonsingular there).
-    Other cones, and all cones when g = 0, are their own form with shift 0.
+    rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
+    d, so T_d(sc) has the same candidates and the same least one.  Hence a
+    and b share an orbit iff their forms are equal, and then
+    T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
+    base part (G_n is nonsingular there).  For the same reason no two
+    shifts give the same sheared rays, so the least translate is found
+    from its `_shear`ed rays alone, which stay sorted, and only its
+    lattice is sheared and put in HNF; no translated cone is built.  Other
+    cones, and all cones when g = 0, are their own form with shift 0.
     """
     zero = tuple([0] * base.m_rank)
+    key = (sc.cone.rays, sc.lattice.basis)
     if base.m_rank == 0:
-        return sc, zero
+        return key, zero
     shifts = {
         tuple(-(x // mu[1]) for x in mu[0]) for _, mu in _ray_data(base, sc) if mu
     }
     if not shifts:
-        return sc, zero
-    return min(
-        ((translate(sc, s, base), s) for s in shifts),
-        key=lambda pair: (pair[0].cone.rays, pair[0].lattice.basis),
-    )
+        return key, zero
+    b = base.base_rank
+    blocks = {s: shear_block(base, s) for s in shifts}
+    rays = {s: tuple(_shear(A, b, r) for r in sc.cone.rays) for s, A in blocks.items()}
+    s = min(shifts, key=rays.__getitem__)
+    lat = [_shear(blocks[s], b, v) for v in sc.lattice.basis]
+    return (rays[s], L.canonicalize(lat, sc.ambient_rank).basis), s
 
 
 def _orbit_forms(base):
@@ -582,8 +612,24 @@ def _orbit_checks(fan, form):
 
 
 def _overlap_violations(reps, base):
-    """The (1)/(4) messages, then the (5) messages, of every pair of reps."""
+    """The (1)/(4) messages, then the (5) messages, of every pair of reps.
+
+    No translated cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by
+    t2's span equations and facet normals pulled back by T_{−m}
+    (`_pull_back`), and `_cut` canonicalizes whatever rows cut it out, so
+    it is the cone `intersect_cones` would give.  It is a face of T_m(t2)
+    iff T_{−m} of its rays span a face of t2.  T_m keeps saturation, so
+    (4) holds when both lattices are their cones' span lattices; else
+    only t2's lattice is sheared.
+    """
     out = []
+    b, n = base.base_rank, base.ambient_rank
+    data = [_scan_data(base, t) for t in reps]
+    cuts = []
+    for t in reps:
+        eqs = C.span_equations(t.cone)
+        cuts.append((eqs + list(t.cone.facet_normals), len(eqs)))
+    saturated = [t.lattice == F.span_lattice(t.cone) for t in reps]
     # (1),(2),(4): all translated pairwise intersections are common faces
     # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
     # i.e. lies in the vanishing locus of x ↦ Q_hom,N(m)(x_base); its
@@ -593,29 +639,32 @@ def _overlap_violations(reps, base):
         for j, t2 in enumerate(reps):
             if j < i:
                 continue
-            for m in candidate_translations(t1, t2, base):
+            rows, n_eq = cuts[j]
+            for m in _candidates(t1, t2, data[i], data[j], base):
                 if i == j and is_zero(m):
                     continue
-                moved = translate(t2, m, base)
-                inter = C.intersect_cones(t1.cone, moved.cone)
+                A = shear_block(base, m)
+                inter = C._cut(t1.cone, [_pull_back(A, b, f) for f in rows], n_eq)
                 if i == j:
                     for x in inter.rays:
-                        nb, _, _ = split_point(base, x)
-                        if not is_zero(q_hom(base, m, nb)):
+                        if any(dot(row, x[:b]) for row in A):
                             unfixed.append(
                                 f"(5): {x} in the overlap of {t1.cone.rays} with "
                                 f"its T_{m}-translate is not fixed: T_{m}{x} = "
-                                f"{translate_vector(base, x, m)}"
+                                f"{_shear(A, b, x)}"
                             )
-                if not (
-                    C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)
-                ):
+                back = shear_block(base, tuple(-k for k in m))
+                pulled = tuple(_shear(back, b, x) for x in inter.rays)
+                if not (C.is_face_of(inter, t1.cone) and C._is_face(pulled, t2.cone)):
                     out.append(
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
                         f"meet along a common face"
                     )
                     continue
-                if F._restrict(t1.lattice, inter) != F._restrict(moved.lattice, inter):
+                if saturated[i] and saturated[j]:
+                    continue
+                moved = L.canonicalize([_shear(A, b, v) for v in t2.lattice.basis], n)
+                if F._restrict(t1.lattice, inter) != F._restrict(moved, inter):
                     out.append(
                         f"(4): lattices disagree on the overlap of "
                         f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
@@ -748,24 +797,27 @@ def av_complete(fan):
 
 
 def _maximal_classes(cells, base):
-    out = []
-    for c in cells:
-        is_max = True
-        for rho in cells:
-            if rho.dim <= c.dim:
-                continue
-            if c.dim == 0:
-                is_max = False
-                break
-            for m in candidate_translations(c, rho, base):
-                if C.contains_cone(translate(rho, m, base).cone, c.cone):
-                    is_max = False
-                    break
-            if not is_max:
-                break
-        if is_max:
-            out.append(c)
-    return out
+    """The cells in no translate of a cell of higher dimension.  No
+    translate is built: c ⊆ T_m(ρ) iff T_{−m} maps every ray of c into ρ."""
+    b = base.base_rank
+    data = [_scan_data(base, c) for c in cells]
+
+    def inside(i, k):
+        c, rho = cells[i], cells[k]
+        for m in _candidates(c, rho, data[i], data[k], base):
+            A = shear_block(base, tuple(-x for x in m))
+            if all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays):
+                return True
+        return False
+
+    return [
+        c
+        for i, c in enumerate(cells)
+        if not any(
+            rho.dim > c.dim and (c.dim == 0 or inside(i, k))
+            for k, rho in enumerate(cells)
+        )
+    ]
 
 
 def av_minimal(fan):

@@ -257,6 +257,27 @@ class TestRestrict:
                     seen["inside" if inside else "outside"] += 1
                     assert (got is lattice) == inside
         assert min(seen.values()) >= 50
+        # Lattices that hold the span basis but leave the span: the full
+        # lattice, and a parent's lattice (its span lattice or a sublattice
+        # of its rank in its span) on each of the parent's faces.
+        held = 0
+        for _ in range(100):
+            parent, _ = _random_cone_and_lattice(rng)
+            n, d = parent.ambient_rank, parent.dim
+            span = F.span_lattice(parent)
+            coeffs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+            combos = [[dot(c, col) for col in zip(*span.basis)] for c in coeffs]
+            lattices = [L.full_lattice(n), span, L.canonicalize(combos, n)]
+            for cell in C.faces(parent):
+                cell_span = F.span_lattice(cell)
+                for lattice in lattices:
+                    got = F._restrict(lattice, cell)
+                    assert got == L.intersect(lattice, cell_span)
+                    if lattice.rank == cell.dim:
+                        assert (got is lattice) == L.contains(cell_span, lattice)
+                    elif cell.dim < n and L.contains(lattice, cell_span):
+                        held += 1
+        assert held >= 50
 
 
 class TestRootConstruction:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropfan.lattice as L
+from tropfan._linalg import integer_kernel
 
 small_int = st.integers(min_value=-5, max_value=5)
 
@@ -144,6 +145,48 @@ class TestSaturate:
     def test_already_saturated(self):
         lat = L.canonicalize([(1, 2)], 2)
         assert L.saturate(lat) == lat
+
+    def test_saturated_with_non_unit_pivot(self):
+        lat = L.canonicalize([(2, 1)], 2)
+        assert lat.basis == ((2, 1),)
+        assert L.saturate(lat) == lat == ref_saturate(lat)
+
+    def test_matches_reference(self):
+        """Seeded lattices of rank 0 to n in Z^1 … Z^5: a basis with unit
+        pivots comes back as it is, and every kind of lattice saturates as
+        the two-kernel reference does."""
+        rng = random.Random(19)
+        seen = dict.fromkeys(("zero", "full", "unit", "saturated", "unsaturated"), 0)
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            lat = L.canonicalize(rows, n)
+            got = L.saturate(lat)
+            assert got == ref_saturate(lat)
+            unit = all(next(x for x in row if x) == 1 for row in lat.basis)
+            if not lat.basis:
+                kind = "zero"
+            elif lat.rank == n:
+                kind = "full"
+            elif unit:
+                kind = "unit"
+                assert got is lat
+            else:
+                kind = "saturated" if got == lat else "unsaturated"
+            seen[kind] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+def ref_saturate(lattice):
+    """`saturate` before the unit-pivot fast path: always the kernel of the
+    kernel."""
+    n = lattice.ambient_rank
+    if not lattice.basis:
+        return L.zero_lattice(n)
+    perp = integer_kernel([list(b) for b in lattice.basis], n)
+    if not perp:
+        return L.full_lattice(n)
+    return L.canonicalize(integer_kernel([list(p) for p in perp], n), n)
 
 
 class TestGroupClosure:

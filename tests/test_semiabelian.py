@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 from fractions import Fraction
@@ -1037,13 +1038,10 @@ def _torus_base(g):
     return S.PolarizedBase(F.stacky_cone([(1,)], [(1,)], 1), g, q, 1)
 
 
-@pytest.mark.parametrize("g", [1, 2])
-def test_candidate_scan_matches_reference_with_torus_rays(g):
-    # Rays with zero base part are fixed by every T_m, so the box keeps
-    # its margin of 1 there.
-    base = _torus_base(g)
-    n = base.ambient_rank
-    rng = random.Random(g)
+def _torus_cones(g, rng):
+    """14 cones over `_torus_base(g)`, most with a ray of zero base part,
+    each on the lattice its rays generate."""
+    n = g + 2
     cones = []
     while len(cones) < 14:
         rays = [
@@ -1055,7 +1053,15 @@ def test_candidate_scan_matches_reference_with_torus_rays(g):
         cone = C.from_rays(rays, n)
         cones.append(F.StackyCone(cone, L.canonicalize(cone.rays, n)))
     assert any(is_zero(r[:1]) for sc in cones for r in sc.cone.rays)
-    assert _assert_scans_agree(cones, base) > 0
+    return cones
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_candidate_scan_matches_reference_with_torus_rays(g):
+    # Rays with zero base part are fixed by every T_m, so the box keeps
+    # its margin of 1 there.
+    cones = _torus_cones(g, random.Random(g))
+    assert _assert_scans_agree(cones, _torus_base(g)) > 0
 
 
 def test_skew_box_is_widened():
@@ -1106,3 +1112,172 @@ def test_ray_slope_matches_rational_solve(g):
         assert d == abs(det(G)) and all(isinstance(x, int) for x in v)
         assert [Fraction(x, d) for x in v] == rational_solve(G, list(nprime))
         seen += 1
+
+
+# --- Orbit keys, overlaps and containment without translated cones ----------
+#
+# The ref_* functions below are the code that sheared rays and pulled-back
+# functionals replaced: each builds the translated cone with `translate`.
+# ref_orbit_form returns the least translate itself, whose (rays, lattice
+# basis) is the key `_orbit_form` returns.
+
+
+def ref_orbit_form(sc, base):
+    zero = tuple([0] * base.m_rank)
+    if base.m_rank == 0:
+        return sc, zero
+    shifts = {
+        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in S._ray_data(base, sc) if mu
+    }
+    if not shifts:
+        return sc, zero
+    return min(
+        ((S.translate(sc, s, base), s) for s in shifts),
+        key=lambda pair: (pair[0].cone.rays, pair[0].lattice.basis),
+    )
+
+
+def ref_overlap_violations(reps, base):
+    out = []
+    unfixed = []
+    for i, t1 in enumerate(reps):
+        for j, t2 in enumerate(reps):
+            if j < i:
+                continue
+            for m in S.candidate_translations(t1, t2, base):
+                if i == j and is_zero(m):
+                    continue
+                moved = S.translate(t2, m, base)
+                inter = C.intersect_cones(t1.cone, moved.cone)
+                if i == j:
+                    for x in inter.rays:
+                        nb, _, _ = S.split_point(base, x)
+                        if not is_zero(S.q_hom(base, m, nb)):
+                            unfixed.append(
+                                f"(5): {x} in the overlap of {t1.cone.rays} with "
+                                f"its T_{m}-translate is not fixed: T_{m}{x} = "
+                                f"{S.translate_vector(base, x, m)}"
+                            )
+                if not (
+                    C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)
+                ):
+                    out.append(
+                        f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
+                        f"meet along a common face"
+                    )
+                    continue
+                if F._restrict(t1.lattice, inter) != F._restrict(moved.lattice, inter):
+                    out.append(
+                        f"(4): lattices disagree on the overlap of "
+                        f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
+                    )
+    return out + unfixed
+
+
+def ref_maximal_classes(cells, base):
+    out = []
+    for c in cells:
+        is_max = True
+        for rho in cells:
+            if rho.dim <= c.dim:
+                continue
+            if c.dim == 0:
+                is_max = False
+                break
+            for m in S.candidate_translations(c, rho, base):
+                if C.contains_cone(S.translate(rho, m, base).cone, c.cone):
+                    is_max = False
+                    break
+            if not is_max:
+                break
+        if is_max:
+            out.append(c)
+    return out
+
+
+def _assert_translation_checks_agree(cones, base):
+    """Form key and shift of every cone and face, the overlap messages of
+    every pair in order, and the maximal classes, against the references.
+    Returns the number of overlap messages."""
+    for sc in _cones_and_faces(S.av_fan(base, cones)):
+        key, shift = S._orbit_form(sc, base)
+        form, ref_shift = ref_orbit_form(sc, base)
+        assert (key, shift) == ((form.cone.rays, form.lattice.basis), ref_shift), sc
+    messages = _outcome(S._overlap_violations, cones, base)
+    assert messages == _outcome(ref_overlap_violations, cones, base)
+    assert S._maximal_classes(cones, base) == ref_maximal_classes(cones, base)
+    return len(messages)
+
+
+def _translation_check_fans(seed):
+    rng = random.Random(seed)
+    fans = _translation_fans(seed)
+    chords = [
+        _chord(fan, rng)
+        for fan in fans
+        if all(sc.lattice == F.span_lattice(sc.cone) for sc in fan.representatives)
+    ]
+    return fans + chords + [mutant for fan in fans for mutant in _mutants(fan, rng)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_translation_checks_match_reference_on_generated_fans(seed):
+    messages = 0
+    for fan in _translation_check_fans(seed):
+        if not S.local_violations(fan):
+            messages += _assert_translation_checks_agree(list(fan.representatives), fan.base)
+    assert messages > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_translation_checks_match_reference_on_grids(k):
+    rng = random.Random(k)
+    fan = gen.torus_grid_fan(k)
+    for other in [fan, _chord(fan, rng)] + _mutants(fan, rng):
+        _assert_translation_checks_agree(list(other.representatives), other.base)
+
+
+def test_translation_checks_match_reference_on_index_two_lattices():
+    # Unsaturated lattices: check (4) shears the second lattice.
+    fan = load("tate_two_arc_idx2.json")
+    reps = list(fan.representatives)
+    assert any(sc.lattice != F.span_lattice(sc.cone) for sc in reps)
+    _assert_translation_checks_agree(reps, fan.base)
+    for mutant in _mutants(fan, random.Random(4)):
+        _assert_translation_checks_agree(list(mutant.representatives), fan.base)
+
+
+def test_translation_checks_match_reference_on_skew_base():
+    base = _skew_base()
+    rng = random.Random(6)
+    cones = [_random_admissible_cone(rng, base) for _ in range(6)]
+    assert _assert_translation_checks_agree(cones, base) > 0
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_translation_checks_match_reference_with_torus_rays(g):
+    cones = _torus_cones(g, random.Random(10 + g))
+    assert _assert_translation_checks_agree(cones, _torus_base(g)) > 0
+
+
+@pytest.mark.parametrize("name", [
+    "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+    "tate_two_arc_idx2.json", "grid1", "grid2",
+])
+def test_translation_checks_build_no_translated_cone(name, monkeypatch):
+    fan = gen.torus_grid_fan(int(name[4:])) if name.startswith("grid") else load(name)
+    calls = []
+    for fn in ("translate", "_shear_cone"):
+        original = getattr(S, fn)
+        monkeypatch.setattr(
+            S, fn, lambda *args, _fn=original, _name=fn: calls.append(_name) or _fn(*args)
+        )
+    S.validate_av_fan(fan)
+    S.av_complete(fan)
+    _outcome(S.quotient_complex, fan)
+    assert calls == []
+
+
+def test_torus_grid_1_violations_are_pinned():
+    with open(FIXTURES / "av" / "torus_grid_1_validate.json") as fh:
+        assert S.validate_av_fan(gen.torus_grid_fan(1)) == json.load(fh)
