@@ -8,17 +8,21 @@ left only in `rational_solve`, which `tests/test_kernel.py` and
 `bench/layers.py` still use, and `lp_feasible`, the simplex kept as a
 reference for the tests.
 Matrices are lists of row tuples/lists.
+
+`dot` is the kernel every sign scan reads: `sum(map(mul, a, b))`, which
+stops at the shorter input, as `zip` does.  Callers rely on that
+truncation: `oracle._sweep_piece` takes ⟨row, u⟩ of a row of length n
+with a point u of length n − 1.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
+    """gcd of the entries, nonnegative; 0 for the zero or empty vector."""
+    return gcd(*v)
 
 
 def primitive(v):
@@ -30,11 +34,12 @@ def primitive(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    """⟨a, b⟩ over the first min(len(a), len(b)) entries."""
+    return sum(map(mul, a, b))
 
 
 def is_zero(v):
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def _hnf_in_place(rows, ncols):

@@ -448,19 +448,32 @@ def split_by_hyperplanes(cones, hyperplanes):
     """Refine a list of cones by the hyperplanes {<h, x> = 0}.
 
     A cell with rays strictly on both sides of h becomes its two sides,
-    each of the cell's dimension; every other cell stays whole.
+    each of the cell's dimension; every other cell stays whole.  The sign
+    scan over a cell's rays stops as soon as it has seen both signs.
     """
     cells = list(cones)
     for h in hyperplanes:
         new_cells = []
         for c in cells:
-            vals = [dot(h, r) for r in c.rays]
-            if min(vals, default=0) < 0 < max(vals, default=0):
+            if _crosses(h, c.rays):
                 new_cells += [halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)]
             else:
                 new_cells.append(c)
         cells = new_cells
     return cells
+
+
+def _crosses(h, rays):
+    """Is ⟨h, r⟩ < 0 < ⟨h, r′⟩ for some rays r, r′?"""
+    seen = 0
+    for r in rays:
+        v = dot(h, r)
+        if v:
+            sign = 1 if v > 0 else -1
+            if seen == -sign:
+                return True
+            seen = sign
+    return False
 
 
 def arrangement_chambers(normals, ambient_rank):

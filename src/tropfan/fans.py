@@ -69,8 +69,10 @@ def merge_across_wall(p, q):
     if p.dim == 0 or p.lattice != q.lattice or p.cone.span_basis != q.cone.span_basis:
         return None
     h_p = _only_cutting_normal(p.cone, q.cone)
+    if h_p is None:
+        return None
     h_q = _only_cutting_normal(q.cone, p.cone)
-    if h_p is None or h_q is None:
+    if h_q is None:
         return None
     gens = sorted(set(p.cone.rays) | set(q.cone.rays))
     if any((dot(h_p, r) == 0) != (dot(h_q, r) == 0) for r in gens):
@@ -90,9 +92,19 @@ def merge_across_wall(p, q):
 
 
 def _only_cutting_normal(a, b):
-    """The one facet normal of a negative on some ray of b, else None."""
-    cutting = [h for h in a.facet_normals if any(dot(h, r) < 0 for r in b.rays)]
-    return cutting[0] if len(cutting) == 1 else None
+    """The one facet normal of a negative on some ray of b, else None.
+
+    Most pieces tried in a wall merge do not share a wall, so the scan
+    returns None at the second cutting normal it meets, without testing
+    the rest.
+    """
+    found = None
+    for h in a.facet_normals:
+        if any(dot(h, r) < 0 for r in b.rays):
+            if found is not None:
+                return None
+            found = h
+    return found
 
 
 def stacky_cone(rays, lattice_gens, ambient_rank):

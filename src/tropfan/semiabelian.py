@@ -410,17 +410,11 @@ def candidate_translations(c1, c2, base):
     have zero base part) intersect independently of m; by convention the
     answer is then {0} or {} depending on whether they meet at all.
     """
-    return _candidates(c1, c2, _scan_data(base, c1), _scan_data(base, c2), base)
-
-
-def _scan_data(base, sc):
-    """The `_ray_data` a scan reads, none when g = 0."""
-    return _ray_data(base, sc) if base.m_rank else ()
+    return _OrbitForms(base).candidates(c1, c2)
 
 
 def _candidates(c1, c2, data1, data2, base):
-    """`candidate_translations` from the cones' `_scan_data`, which a
-    scan over many pairs computes once per cone."""
+    """`candidate_translations` from the cones' `_OrbitForms.data`."""
     g = base.m_rank
     if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
         hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
@@ -440,9 +434,10 @@ def _candidates(c1, c2, data1, data2, base):
     return tuple(found)
 
 
-def _orbit_form(sc, base):
+def _orbit_form(sc, base, data):
     """(form, shift): the key (rays, lattice basis) of the least of sc's
-    candidate translates T_shift(sc), ordered by that key.
+    candidate translates T_shift(sc), ordered by that key; `data` is sc's
+    `_OrbitForms.data`.
 
     The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
     rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
@@ -455,15 +450,9 @@ def _orbit_form(sc, base):
     lattice is sheared and put in HNF; no translated cone is built.  Other
     cones, and all cones when g = 0, are their own form with shift 0.
     """
-    zero = tuple([0] * base.m_rank)
-    key = (sc.cone.rays, sc.lattice.basis)
-    if base.m_rank == 0:
-        return key, zero
-    shifts = {
-        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in _ray_data(base, sc) if mu
-    }
+    shifts = {tuple(-(x // mu[1]) for x in mu[0]) for _, mu in data if mu}
     if not shifts:
-        return key, zero
+        return (sc.cone.rays, sc.lattice.basis), tuple([0] * base.m_rank)
     b = base.base_rank
     blocks = {s: shear_block(base, s) for s in shifts}
     rays = {s: tuple(_shear(A, b, r) for r in sc.cone.rays) for s, A in blocks.items()}
@@ -472,21 +461,36 @@ def _orbit_form(sc, base):
     return (rays[s], L.canonicalize(lat, sc.ambient_rank).basis), s
 
 
-def _orbit_forms(base):
-    """`_orbit_form` over one base, computed once per (rays, lattice).
+class _OrbitForms:
+    """Orbit forms and ray data over one base: calling it gives
+    `_orbit_form`, once per (rays, lattice), and `data` gives the
+    `_ray_data` (none when g = 0), once per ray tuple, to the form and to
+    every scan through `candidates`.
 
-    Each public entry point makes its own, so the memo lives only as long
-    as one call.
+    Each public entry point makes its own, so neither table outlives one
+    call.
     """
-    memo = {}
 
-    def form(sc):
+    def __init__(self, base):
+        self.base = base
+        self._forms = {}
+        self._data = {}
+
+    def __call__(self, sc):
         key = (sc.cone.rays, sc.lattice.basis)
-        if key not in memo:
-            memo[key] = _orbit_form(sc, base)
-        return memo[key]
+        if key not in self._forms:
+            self._forms[key] = _orbit_form(sc, self.base, self.data(sc))
+        return self._forms[key]
 
-    return form
+    def data(self, sc):
+        rays = sc.cone.rays
+        if rays not in self._data:
+            self._data[rays] = _ray_data(self.base, sc) if self.base.m_rank else ()
+        return self._data[rays]
+
+    def candidates(self, c1, c2):
+        """`candidate_translations(c1, c2, base)`."""
+        return _candidates(c1, c2, self.data(c1), self.data(c2), self.base)
 
 
 @dataclass(frozen=True)
@@ -534,7 +538,7 @@ def validate_av_fan(fan):
     some check fails are all pairs scanned, so that the list names every
     violating pair.
     """
-    return _av_violations(fan, _orbit_forms(fan.base))
+    return _av_violations(fan, _OrbitForms(fan.base))
 
 
 def local_violations(fan):
@@ -565,8 +569,8 @@ def _av_violations(fan, form):
     if out:
         return out
     head, faces, tops = _orbit_checks(fan, form)
-    if head or faces or _overlap_violations(tops, fan.base):
-        return head + _overlap_violations(fan.representatives, fan.base) + faces
+    if head or faces or _overlap_violations(tops, form):
+        return head + _overlap_violations(fan.representatives, form) + faces
     return []
 
 
@@ -576,7 +580,7 @@ def _av_valid(fan, form):
     if local_violations(fan):
         return False
     head, faces, tops = _orbit_checks(fan, form)
-    return not (head or faces or _overlap_violations(tops, fan.base))
+    return not (head or faces or _overlap_violations(tops, form))
 
 
 def _orbit_checks(fan, form):
@@ -611,8 +615,9 @@ def _orbit_checks(fan, form):
     return head, faces, tops
 
 
-def _overlap_violations(reps, base):
-    """The (1)/(4) messages, then the (5) messages, of every pair of reps.
+def _overlap_violations(reps, form):
+    """The (1)/(4) messages, then the (5) messages, of every pair of reps,
+    over the base of `form` (an `_OrbitForms`).
 
     No translated cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by
     t2's span equations and facet normals pulled back by T_{−m}
@@ -623,8 +628,8 @@ def _overlap_violations(reps, base):
     only t2's lattice is sheared.
     """
     out = []
+    base = form.base
     b, n = base.base_rank, base.ambient_rank
-    data = [_scan_data(base, t) for t in reps]
     cuts = []
     for t in reps:
         eqs = C.span_equations(t.cone)
@@ -640,7 +645,7 @@ def _overlap_violations(reps, base):
             if j < i:
                 continue
             rows, n_eq = cuts[j]
-            for m in _candidates(t1, t2, data[i], data[j], base):
+            for m in form.candidates(t1, t2):
                 if i == j and is_zero(m):
                     continue
                 A = shear_block(base, m)
@@ -675,7 +680,7 @@ def _overlap_violations(reps, base):
 def _orbit_classes(fan, form, strict=False):
     """Representatives grouped one per T_m-orbit (canonical order).
 
-    Cones are keyed by orbit form (`form`, from `_orbit_forms`) and zero
+    Cones are keyed by orbit form (`form`, an `_OrbitForms`) and zero
     cones share one key.  With strict=True, raises NormalizationError when
     two representatives lie in the same orbit.
     """
@@ -713,7 +718,7 @@ class QuotientComplex:
 def quotient_complex(fan):
     """Cone complex of translation-orbit classes with unique face maps."""
     base = fan.base
-    form = _orbit_forms(base)
+    form = _OrbitForms(base)
     cells = _orbit_classes(fan, form, strict=True)
     forms = [form(c) for c in cells]
     face_forms = [
@@ -761,7 +766,7 @@ def av_complete(fan):
     exactly two maximal cells, counted with translation multiplicity.
     """
     base = fan.base
-    orbit_form = _orbit_forms(base)
+    orbit_form = _OrbitForms(base)
     cells = _orbit_classes(fan, orbit_form)
     D = base.base_cone.dim + base.m_rank + base.torus_rank
     if D == 0:
@@ -796,15 +801,15 @@ def av_complete(fan):
     return F._connected(adjacency)
 
 
-def _maximal_classes(cells, base):
-    """The cells in no translate of a cell of higher dimension.  No
-    translate is built: c ⊆ T_m(ρ) iff T_{−m} maps every ray of c into ρ."""
+def _maximal_classes(cells, form):
+    """The cells in no translate of a cell of higher dimension, over the
+    base of `form`.  No translate is built: c ⊆ T_m(ρ) iff T_{−m} maps
+    every ray of c into ρ."""
+    base = form.base
     b = base.base_rank
-    data = [_scan_data(base, c) for c in cells]
 
-    def inside(i, k):
-        c, rho = cells[i], cells[k]
-        for m in _candidates(c, rho, data[i], data[k], base):
+    def inside(c, rho):
+        for m in form.candidates(c, rho):
             A = shear_block(base, tuple(-x for x in m))
             if all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays):
                 return True
@@ -812,11 +817,8 @@ def _maximal_classes(cells, base):
 
     return [
         c
-        for i, c in enumerate(cells)
-        if not any(
-            rho.dim > c.dim and (c.dim == 0 or inside(i, k))
-            for k, rho in enumerate(cells)
-        )
+        for c in cells
+        if not any(rho.dim > c.dim and (c.dim == 0 or inside(c, rho)) for rho in cells)
     ]
 
 
@@ -828,8 +830,8 @@ def av_minimal(fan):
     the coarsening translation-equivariant.
     """
     base = fan.base
-    form = _orbit_forms(base)
-    cells = _maximal_classes(_orbit_classes(fan, form), base)
+    form = _OrbitForms(base)
+    cells = _maximal_classes(_orbit_classes(fan, form), form)
     changed = True
     while changed:
         changed = False
@@ -838,7 +840,7 @@ def av_minimal(fan):
                 merged = None
                 if cells[i].dim != cells[j].dim or cells[i].dim == 0:
                     continue
-                for m in candidate_translations(cells[i], cells[j], base):
+                for m in form.candidates(cells[i], cells[j]):
                     if i == j and is_zero(m):
                         continue
                     merged = F.merge_across_wall(cells[i], translate(cells[j], m, base))
@@ -851,7 +853,7 @@ def av_minimal(fan):
                 ] + [merged]
                 candidate = _rebuild(base, new_cells, form)
                 if _av_valid(candidate, form):
-                    cells = _maximal_classes(_orbit_classes(candidate, form), base)
+                    cells = _maximal_classes(_orbit_classes(candidate, form), form)
                     changed = True
                     break
             if changed:
@@ -882,17 +884,18 @@ def av_bir_equivalent(f1, f2):
     if f1.base != f2.base:
         raise IncompatibleBaseError("fans are defined over different bases")
     base = f1.base
-    form = _orbit_forms(base)
-    m1 = _maximal_classes(_orbit_classes(f1, form), base)
-    m2 = _maximal_classes(_orbit_classes(f2, form), base)
-    return _av_covers(m1, m2, base) and _av_covers(m2, m1, base)
+    form = _OrbitForms(base)
+    m1 = _maximal_classes(_orbit_classes(f1, form), form)
+    m2 = _maximal_classes(_orbit_classes(f2, form), form)
+    return _av_covers(m1, m2, form) and _av_covers(m2, m1, form)
 
 
-def _av_covers(pieces1, pieces2, base):
+def _av_covers(pieces1, pieces2, form):
+    base = form.base
     for t1 in pieces1:
         translates = []
         for rho in pieces2:
-            for m in candidate_translations(t1, rho, base):
+            for m in form.candidates(t1, rho):
                 translates.append(translate(rho, m, base))
         if not C.cone_covered_by(t1.cone, [t.cone for t in translates]):
             return False

@@ -20,6 +20,7 @@ import tropfan
 import tropfan.cones as C
 import tropfan.lattice as L
 from tropfan._linalg import (
+    dot,
     express_in_hnf,
     is_psd,
     lp_feasible,
@@ -36,6 +37,11 @@ def ref_pointed(rays):
     n = len(nonzero[0])
     a_eq = [[r[i] for r in nonzero] for i in range(n)] + [[1] * len(nonzero)]
     return not lp_feasible(a_eq, [0] * n + [1], len(nonzero))
+
+
+def ref_dot(a, b):
+    """The generator form `dot` had before it became sum(map(mul, a, b))."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def ref_rank(mat):
@@ -243,3 +249,23 @@ def test_only_linalg_imports_fractions():
             if "fractions" in names:
                 importers.append(path.name)
     assert sorted(set(importers)) == ["_linalg.py"]
+
+
+def test_dot_matches_generator_form():
+    rng = random.Random(0)
+    big = 10**40
+    cases = [((), ()), ((), (1, 2)), ([3], ())]
+    for _ in range(400):
+        n = rng.randint(0, 6)
+        bound = rng.choice([3, 1000, big])
+        a = [rng.randint(-bound, bound) for _ in range(n)]
+        b = [rng.randint(-bound, bound) for _ in range(n + rng.randint(-2, 2))]
+        cases += [(a, b), (tuple(a), b), (a, tuple(b)), (tuple(a), tuple(b))]
+    for a, b in cases:
+        assert dot(a, b) == ref_dot(a, b)
+        assert type(dot(a, b)) is int
+    # Unequal lengths stop at the shorter input, which `oracle._sweep_piece`
+    # relies on: it pairs a row of length n with a point of length n - 1.
+    assert dot((2, 3, 5), (7, 11)) == dot((7, 11), (2, 3, 5)) == 47
+    assert any(len(a) != len(b) for a, b in cases)
+    assert any(abs(ref_dot(a, b)) > big for a, b in cases)

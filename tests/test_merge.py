@@ -6,12 +6,17 @@ arrangement of `cone_covered_by` must show that the convex hull of the
 union does not overshoot the two cones.
 """
 
+import random
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
+from tropfan._linalg import dot
+
+import _gen
 
 
 def ref_merge(p, q):
@@ -126,3 +131,31 @@ def test_wall_ray_stops_being_extreme():
     merged = F.merge_across_wall(p, q)
     assert merged.cone.rays == ((0, 1), (1, 0))
     assert fields(merged) == fields(ref_merge(p, q))
+
+
+def _cutting_normals(p, q):
+    return sum(any(dot(h, r) < 0 for r in q.cone.rays) for h in p.cone.facet_normals)
+
+
+def test_merge_across_wall_matches_reference_on_fan_pieces():
+    # Ordered pairs of maximal pieces of seeded fans and their stellar
+    # subdivisions.  Most pairs share no wall, and many of those have two
+    # or more normals of p negative on q, where `_only_cutting_normal`
+    # stops early.
+    outcomes = set()
+    early = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        fan = _gen.random_fan(rng)
+        for f in (fan, _gen.random_stellar(rng, fan)):
+            pieces = F.maximal_cones(f)
+            for p in pieces:
+                for q in pieces:
+                    if p is q:
+                        continue
+                    merged = F.merge_across_wall(p, q)
+                    assert fields(merged) == fields(ref_merge(p, q))
+                    outcomes.add(merged is not None)
+                    early += _cutting_normals(p, q) >= 2
+    assert outcomes == {True, False}
+    assert early > 0

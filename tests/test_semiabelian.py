@@ -683,7 +683,7 @@ def test_orbit_form_matches_box_searches(seed):
     for fan in fans:
         valid = _outcome(S.validate_av_fan, fan)
         assert valid == _outcome(ref_validate_av_fan, fan)
-        classes = _outcome(lambda f: S._orbit_classes(f, S._orbit_forms(f.base)), fan)
+        classes = _outcome(lambda f: S._orbit_classes(f, S._OrbitForms(f.base)), fan)
         assert classes == _outcome(ref_orbit_classes, fan)
         assert _outcome(S.av_complete, fan) == _outcome(ref_av_complete, fan)
         quotient = _outcome(S.quotient_complex, fan)
@@ -706,7 +706,7 @@ def _chord(fan, rng):
     representatives, so (3) passes and only the overlap scan rejects it."""
     base = fan.base
     n = fan.ambient_rank
-    form = S._orbit_forms(base)
+    form = S._OrbitForms(base)
     forms = {form(sc)[0] for sc in fan.representatives}
     rays = [sc for sc in fan.representatives if sc.dim == 1]
     while True:
@@ -742,8 +742,8 @@ def test_validate_matches_reference_beyond_tops(seed):
 def ref_av_minimal(fan):
     """The av_minimal loop with each merge decided by ref_validate_av_fan."""
     base = fan.base
-    form = S._orbit_forms(base)
-    cells = S._maximal_classes(S._orbit_classes(fan, form), base)
+    form = S._OrbitForms(base)
+    cells = S._maximal_classes(S._orbit_classes(fan, form), form)
     changed = True
     while changed:
         changed = False
@@ -763,7 +763,7 @@ def ref_av_minimal(fan):
                 new_cells = [c for k, c in enumerate(cells) if k not in (i, j)] + [merged]
                 candidate = S._rebuild(base, new_cells, form)
                 if not ref_validate_av_fan(candidate):
-                    cells = S._maximal_classes(S._orbit_classes(candidate, form), base)
+                    cells = S._maximal_classes(S._orbit_classes(candidate, form), form)
                     changed = True
                     break
             if changed:
@@ -797,19 +797,20 @@ def test_face_orbit_witness_agrees_with_form():
     for fan in _translation_fans(2):
         base = fan.base
         reps = list(fan.representatives)
-        forms = {S._orbit_form(t, base)[0]: t for t in reps}
+        orbit = S._OrbitForms(base)
+        forms = {orbit(t)[0]: t for t in reps}
         for t in reps:
             for f in C.faces(t.cone):
                 if f.dim == 0:
                     continue
                 face_sc = F.induced_stacky_cone(f, t.lattice)
-                form, shift = S._orbit_form(face_sc, base)
+                form, shift = orbit(face_sc)
                 witness = ref_face_orbit_witness(face_sc, reps, base)
                 assert (witness is None) == (form not in forms)
                 if witness is not None:
                     rho, m = witness
                     assert forms[form] == rho
-                    rho_shift = S._orbit_form(rho, base)[1]
+                    rho_shift = orbit(rho)[1]
                     assert m == tuple(a - b for a, b in zip(rho_shift, shift))
 
 
@@ -817,12 +818,13 @@ def test_face_orbit_witness_agrees_with_form():
 def test_orbit_form_is_translation_invariant(name):
     fan = gen.torus_grid_fan(1) if name == "grid" else load(name)
     base = fan.base
+    orbit = S._OrbitForms(base)
     for sc in fan.representatives:
-        form, shift = S._orbit_form(sc, base)
+        form, shift = orbit(sc)
         unfixed = [r for r in sc.cone.rays if not is_zero(S.split_point(base, r)[0])]
         for m in product(range(-2, 3), repeat=base.m_rank):
             moved = S.translate(sc, m, base)
-            moved_form, moved_shift = S._orbit_form(moved, base)
+            moved_form, moved_shift = orbit(moved)
             assert moved_form == form
             if unfixed:
                 assert tuple(a + b for a, b in zip(moved_shift, m)) == shift
@@ -1199,13 +1201,15 @@ def _assert_translation_checks_agree(cones, base):
     """Form key and shift of every cone and face, the overlap messages of
     every pair in order, and the maximal classes, against the references.
     Returns the number of overlap messages."""
+    orbit = S._OrbitForms(base)
     for sc in _cones_and_faces(S.av_fan(base, cones)):
-        key, shift = S._orbit_form(sc, base)
+        key, shift = orbit(sc)
         form, ref_shift = ref_orbit_form(sc, base)
         assert (key, shift) == ((form.cone.rays, form.lattice.basis), ref_shift), sc
-    messages = _outcome(S._overlap_violations, cones, base)
+    messages = _outcome(S._overlap_violations, cones, S._OrbitForms(base))
     assert messages == _outcome(ref_overlap_violations, cones, base)
-    assert S._maximal_classes(cones, base) == ref_maximal_classes(cones, base)
+    maximal = S._maximal_classes(cones, S._OrbitForms(base))
+    assert maximal == ref_maximal_classes(cones, base)
     return len(messages)
 
 
@@ -1281,3 +1285,25 @@ def test_translation_checks_build_no_translated_cone(name, monkeypatch):
 def test_torus_grid_1_violations_are_pinned():
     with open(FIXTURES / "av" / "torus_grid_1_validate.json") as fh:
         assert S.validate_av_fan(gen.torus_grid_fan(1)) == json.load(fh)
+
+
+@pytest.mark.parametrize("name", [
+    "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+    "tate_two_arc_idx2.json", "grid2",
+])
+def test_ray_data_once_per_ray_tuple_per_call(name, monkeypatch):
+    fan = gen.torus_grid_fan(2) if name == "grid2" else load(name)
+    minimal = S.av_minimal(fan)
+    calls = []
+    original = S._ray_data
+    monkeypatch.setattr(
+        S, "_ray_data", lambda base, sc: calls.append(sc.cone.rays) or original(base, sc)
+    )
+    for call in (
+        lambda: S.validate_av_fan(fan),
+        lambda: S.av_minimal(fan),
+        lambda: S.av_bir_equivalent(fan, minimal),
+    ):
+        calls.clear()
+        call()
+        assert calls and len(calls) == len(set(calls))
