@@ -9,16 +9,22 @@ rays of the dual cone, found by cutting a simplicial cone by one
 generator at a time, and the same incidences give the extreme rays and
 pointedness (`extreme_generators`, which a wall merge also applies to
 its pieces' facets).  The facet list is complete and irredundant, so
-ray–facet incidences decide the rest: every cut (`_cut`) is one double-description
-pass over the rays, so a half-space slice cuts by one row and an
-intersection by the other cone's span equations and facet normals, and
-faces and face tests are read from the facet normals vanishing on each
-ray.  A cut, a face or a facet is then built from those incidences
-(`_from_incidences`) with no `from_rays`: its facets are cut out by the
-parent's facet normals and the cut rows whose zero sets on its rays are
-maximal, and `canonical_normals` turns those into the normals
-`from_rays` would give (the translation shear uses it too).  `from_rays`
-stays for generators whose facets are unknown.
+ray–facet incidences decide the rest, with no cone built for them:
+- The faces are the closure of the facets' ray bitmasks under
+  intersection (`face_walk`), each with the span basis of its rays.
+- Every cut is one double-description pass over the rays
+  (`_cut_incidences`), whose zero sets are exact: a half-space slice
+  cuts by one row, an intersection by the other cone's span equations
+  and facet normals (`cut_rows`).  `cut_pass` gives the cut's rays and
+  the functionals tight on all of them, and a set of rays spans a face
+  iff it is the set of rays tight on the normals it shares
+  (`tight_rays`), which decides `common_face`.
+A cut, a face or a facet that is wanted as a Cone is built from those
+incidences (`_from_incidences`) with no `from_rays`: its facets are cut
+out by the parent's facet normals and the cut rows whose zero sets on
+its rays are maximal, and `canonical_normals` turns those into the
+normals `from_rays` would give (the translation shear uses it too).
+`from_rays` stays for generators whose facets are unknown.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
@@ -229,42 +235,86 @@ def dual(cone):
 
 
 def faces(cone):
-    """All faces of the cone, including {0} and the cone itself, found by
-    walking facets of facets.  Each face is built from its parent's facet
-    incidences (`_from_incidences`), with no `from_rays`."""
-    found = {cone.rays: cone}
-    todo = [cone]
-    while todo:
-        f = todo.pop()
-        for rays, zeros in _facet_incidences(f):
-            if rays not in found:
-                found[rays] = _from_incidences(
-                    rays, zeros, f.facet_normals, f.span_basis, cone.ambient_rank
-                )
-                todo.append(found[rays])
-    return sorted(found.values(), key=lambda c: (c.dim, c.rays))
+    """All faces of the cone, including {0} and the cone itself, sorted by
+    (dimension, rays): one per face of `face_walk`, each built from its
+    rays' incidences with the cone's own facet normals (`_face`), with no
+    `from_rays`."""
+    facet_masks, walk = _face_walk(cone)
+    return [_face(cone, facet_masks, *face) for face in walk]
 
 
 def facets(cone):
     """Codimension-one faces: one per facet normal, cut out by the rays on
     which it vanishes and built from the cone's facet incidences."""
-    fs = [
-        _from_incidences(
-            rays, zeros, cone.facet_normals, cone.span_basis, cone.ambient_rank
-        )
-        for rays, zeros in _facet_incidences(cone)
-    ]
+    n = cone.ambient_rank
+    facet_masks = _facet_masks(cone)
+    fs = []
+    for mask in facet_masks:
+        rays = _rays_in(cone, mask)
+        fs.append(_face(cone, facet_masks, rays, ray_span(rays, n), mask))
     return sorted(fs, key=lambda f: f.rays)
 
 
-def _facet_incidences(cone):
-    """(rays, zeros) for each facet normal in turn: the rays on which it
-    vanishes, and for each of them the indexes of the normals vanishing
-    on it."""
-    zeros = _zero_sets(cone.rays, cone.facet_normals)
-    for i in range(len(cone.facet_normals)):
-        on = [k for k, z in enumerate(zeros) if i in z]
-        yield tuple(cone.rays[k] for k in on), [zeros[k] for k in on]
+def face_walk(cone):
+    """(rays, span basis) for each face of the cone, sorted by (dimension,
+    rays) as `faces` sorts them, with no cone built.
+
+    A pointed cone's faces are the intersections of its facets (Ziegler,
+    Lectures on Polytopes, §2.2), and each face is the cone over the rays
+    it holds.  So the faces are the closure of the facets' ray bitmasks
+    (bit k for rays[k], `_facet_masks`) under intersection, with the
+    whole mask for the cone itself; the empty mask is {0}.  A face's span
+    basis is the cone's for the cone itself, else that of its rays
+    (`ray_span`).
+    """
+    return [(rays, span_basis) for rays, span_basis, _ in _face_walk(cone)[1]]
+
+
+def _face_walk(cone):
+    """(`_facet_masks(cone)`, [(rays, span basis, ray mask)] of each face,
+    as `face_walk` orders them)."""
+    facet_masks = _facet_masks(cone)
+    full = (1 << len(cone.rays)) - 1
+    found = {full}
+    todo = [full]
+    while todo:
+        f = todo.pop()
+        for m in facet_masks:
+            if f & m not in found:
+                found.add(f & m)
+                todo.append(f & m)
+    walk = []
+    for mask in found:
+        rays = _rays_in(cone, mask)
+        if mask == full:
+            walk.append((rays, cone.span_basis, mask))
+        else:
+            walk.append((rays, ray_span(rays, cone.ambient_rank), mask))
+    walk.sort(key=lambda face: (len(face[1]), face[0]))
+    return facet_masks, walk
+
+
+def _face(cone, facet_masks, rays, span_basis, mask):
+    """The face of the cone with these rays, span basis and ray mask,
+    built from the facet masks restricted to it (`_from_incidences`)."""
+    if rays == cone.rays:
+        return cone
+    if not rays:
+        return zero_cone(cone.ambient_rank)
+    masks = [m & mask for m in facet_masks]
+    return _from_incidences(
+        rays, masks, mask, cone.facet_normals, span_basis, cone.ambient_rank
+    )
+
+
+def _rays_in(cone, mask):
+    """The rays of the cone whose bits are set in `mask`, in order."""
+    return tuple(r for k, r in enumerate(cone.rays) if mask >> k & 1)
+
+
+def _facet_masks(cone):
+    """For each facet normal, the bitmask of the rays it vanishes on."""
+    return _masks(_zero_sets(cone.rays, cone.facet_normals), len(cone.facet_normals))
 
 
 def _zero_sets(rays, functionals):
@@ -275,33 +325,40 @@ def _zero_sets(rays, functionals):
     ]
 
 
-def _from_incidences(rays, zeros, functionals, span_basis, ambient_rank):
-    """The cone with extreme rays `rays`, from integer functionals that
-    are nonnegative on it and, within the saturated span `span_basis`,
-    cut it out; zeros[k] is the set of indexes of the functionals
-    vanishing on rays[k].
+def _masks(zeros, count):
+    """For each of `count` functionals, the bitmask of the rays it vanishes
+    on (bit k for rays[k]), from the rays' zero sets."""
+    masks = [0] * count
+    for k, z in enumerate(zeros):
+        for i in z:
+            masks[i] |= 1 << k
+    return masks
+
+
+def ray_span(rays, ambient_rank):
+    """The HNF basis of Z^n ∩ Span(rays), for primitive rays; one ray is
+    its own saturated basis, up to sign."""
+    if not rays:
+        return ()
+    span = lat.canonicalize(rays, ambient_rank)
+    return (span if len(rays) == 1 else lat.saturate(span)).basis
+
+
+def _from_incidences(rays, masks, full, functionals, span_basis, ambient_rank):
+    """The cone with extreme rays `rays` and saturated span basis
+    `span_basis`, from integer functionals that are nonnegative on it and
+    cut it out within that span; masks[i] is the bitmask of the rays on
+    which functionals[i] vanishes, and `full` that of all the rays.
 
     Its faces are cut out by the functionals, so its facets are those of
     the functionals whose ray sets are maximal among the proper ones
     (Ziegler, Lectures on Polytopes, §2.2); a functional vanishing on
-    every ray is an implicit equality.  With none, the cone has the whole
-    span; else its span is recomputed from the rays.
+    every ray is an implicit equality.
     """
-    if not rays:
-        return zero_cone(ambient_rank)
-    masks = [0] * len(functionals)
-    for k, z in enumerate(zeros):
-        for i in z:
-            masks[i] |= 1 << k
-    full = (1 << len(rays)) - 1
-    if full in masks:
-        # A primitive vector spans a saturated lattice.
-        span = lat.canonicalize(rays, ambient_rank)
-        span_basis = (span if len(rays) == 1 else lat.saturate(span)).basis
     first = {}
-    for i, m in enumerate(masks):
+    for h, m in zip(functionals, masks):
         if m != full:
-            first.setdefault(m, functionals[i])
+            first.setdefault(m, h)
     maximal = []
     for m in sorted(first, key=int.bit_count, reverse=True):
         if not any(m & a == m for a in maximal):
@@ -340,8 +397,15 @@ def intersect_cones(c1, c2):
     then by c2's facet normals, in one `_cut`."""
     if c1.ambient_rank != c2.ambient_rank:
         raise DimensionError("ambient ranks differ")
-    eqs = span_equations(c2)
-    return _cut(c1, eqs + list(c2.facet_normals), len(eqs))
+    return _cut(c1, *cut_rows(c2))
+
+
+def cut_rows(cone):
+    """(rows, n_eq): the cone's span equations, then its facet normals.
+    A cut by these rows, the first n_eq as equations, cuts another cone
+    down to its intersection with this one."""
+    eqs = span_equations(cone)
+    return eqs + list(cone.facet_normals), len(eqs)
 
 
 def is_face_of(f, cone):
@@ -352,21 +416,38 @@ def is_face_of(f, cone):
     """
     if f.ambient_rank != cone.ambient_rank:
         raise DimensionError("ambient ranks differ")
-    return _is_face(f.rays, cone)
-
-
-def _is_face(rays, cone):
-    """`is_face_of` for a cone given by its sorted extreme rays alone."""
-    if not all(member(cone, r) for r in rays):
+    if not all(member(cone, r) for r in f.rays):
         return False
-    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in rays)]
-    return rays == tuple(r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing))
+    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in f.rays)]
+    return f.rays == tuple(
+        r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)
+    )
 
 
 def common_face(c1, c2):
-    """True iff c1 ∩ c2 is a face of both cones."""
-    inter = intersect_cones(c1, c2)
-    return is_face_of(inter, c1) and is_face_of(inter, c2)
+    """True iff c1 ∩ c2 is a face of both cones, decided from the rays and
+    zero sets of one `cut_pass` of c1 by c2's `cut_rows`, with no cone
+    built: the intersection is a face of c1, and of c2, iff its rays are
+    the rays of that cone tight on its normals that the zero sets share
+    (`tight_rays`)."""
+    if c1.ambient_rank != c2.ambient_rank:
+        raise DimensionError("ambient ranks differ")
+    zeros1 = _zero_sets(c1.rays, c1.facet_normals)
+    rays, own, other = cut_pass(c1, *cut_rows(c2), zeros1)
+    return rays == tight_rays(c1, zeros1, own) and rays == tight_rays(
+        c2, _zero_sets(c2.rays, c2.facet_normals), other
+    )
+
+
+def tight_rays(cone, zeros, labels):
+    """The rays of `cone` on which every facet normal indexed by `labels`
+    vanishes, zeros[k] being the set of normals vanishing on rays[k].
+
+    When `labels` are the normals vanishing on every ray of a set of rays
+    of the cone, these are the rays of the smallest face holding them, so
+    the set spans a face iff it is exactly these rays.
+    """
+    return [r for r, z in zip(cone.rays, zeros) if labels <= z]
 
 
 def contains_cone(big, small):
@@ -380,22 +461,50 @@ def halfspace_slice(cone, h, sign):
 
 def _cut(cone, rows, n_eq=0):
     """cone ∩ {x : <f, x> >= 0 for each row f}, the first n_eq rows taken
-    as equations <f, x> = 0: one `_dd_cut` pass over the cone's rays and
-    their facet incidences, which are exact because a Cone is pointed and
-    its facet normals are its complete facet list.  Returns the cone
-    itself when no row cuts it, else the cone built from the rays left
-    and their zero sets over the facet normals and the rows
-    (`_from_incidences`), with no `from_rays`."""
-    normals = cone.facet_normals
-    labelled = list(enumerate(rows, len(normals)))
-    kept, zeros = _dd_cut(
-        list(cone.rays), _zero_sets(cone.rays, normals), labelled, n_eq
-    )
+    as equations <f, x> = 0: the rays and zero sets of one `_dd_cut`
+    pass (`_cut_incidences`), then the cone built from them
+    (`_from_incidences`) over the facet normals and the rows, with no
+    `from_rays`.  Returns the cone itself when no row cuts it.  A
+    functional vanishing on every ray left is an implicit equality; with
+    none, the cut has the cone's span, else the span of its rays."""
+    n = cone.ambient_rank
+    kept, zeros = _cut_incidences(cone, rows, n_eq)
     if kept == list(cone.rays):
         return cone
-    return _from_incidences(
-        kept, zeros, list(normals) + list(rows), cone.span_basis, cone.ambient_rank
-    )
+    if not kept:
+        return zero_cone(n)
+    functionals = list(cone.facet_normals) + list(rows)
+    masks = _masks(zeros, len(functionals))
+    full = (1 << len(kept)) - 1
+    span_basis = ray_span(kept, n) if full in masks else cone.span_basis
+    return _from_incidences(kept, masks, full, functionals, span_basis, n)
+
+
+def _cut_incidences(cone, rows, n_eq=0, zeros=None):
+    """The `_dd_cut` pass of `_cut`: the extreme rays of the cut cone and
+    their zero sets, in which label i < len(cone.facet_normals) is facet
+    normal i and label len(cone.facet_normals) + j is rows[j].  The zero
+    sets are exact because a Cone is pointed and its facet normals are
+    its complete facet list.  `zeros`, when given, holds the cone's own
+    rays' zero sets over its facet normals (`_zero_sets`)."""
+    if zeros is None:
+        zeros = _zero_sets(cone.rays, cone.facet_normals)
+    labelled = list(enumerate(rows, len(cone.facet_normals)))
+    return _dd_cut(list(cone.rays), zeros, labelled, n_eq)
+
+
+def cut_pass(cone, rows, n_eq=0, zeros=None):
+    """(rays, own, other) for the cut of `_cut`, with no cone built: its
+    sorted extreme rays; the indexes i of the cone's facet normals, and
+    the indexes j of the inequality rows rows[n_eq + j], that vanish on
+    all of them (all indexes when the cut is {0})."""
+    kept, cut_zeros = _cut_incidences(cone, rows, n_eq, zeros)
+    shared = frozenset(range(len(cone.facet_normals) + len(rows)))
+    for z in cut_zeros:
+        shared &= z
+    offset = len(cone.facet_normals) + n_eq
+    own = frozenset(x for x in shared if x < len(cone.facet_normals))
+    return sorted(kept), own, frozenset(x - offset for x in shared if x >= offset)
 
 
 def _dd_cut(rays, zeros, rows, n_eq=0):

@@ -120,29 +120,36 @@ def induced_stacky_cone(cone, parent_lattice):
 
 
 def _restrict(lattice, cone):
-    """lattice ∩ Span(cone), with two fast paths besides the full-dimensional
-    cone, where it is the lattice itself.
+    """lattice ∩ Span(cone) (`_restrict_to_span` of the cone's span basis)."""
+    return _restrict_to_span(lattice, cone.span_basis)
 
-    - The lattice has the cone's rank and lies in its span: it is its own
+
+def _restrict_to_span(lattice, span_basis):
+    """lattice ∩ Span, for the saturated HNF basis of a span's lattice,
+    with two fast paths besides the full span, where it is the lattice
+    itself.
+
+    - The lattice has the span's rank and lies in it: it is its own
       restriction (the span basis is saturated, so a vector lies in the
       span iff it has integer coordinates in that basis).
-    - The lattice holds every vector of the cone's saturated span basis:
-      then Zⁿ ∩ Span ⊆ L ∩ Span ⊆ Zⁿ ∩ Span, so the restriction is
-      `span_lattice(cone)`.  This is the case of a saturated parent
-      lattice, such as the full lattice, on each of its cone's faces.
+    - The lattice holds every vector of the saturated span basis: then
+      Zⁿ ∩ Span ⊆ L ∩ Span ⊆ Zⁿ ∩ Span, so the restriction is the span
+      lattice.  This is the case of a saturated parent lattice, such as
+      the full lattice, on each of its cone's faces.
     """
-    n = cone.ambient_rank
-    if cone.dim == n:
+    n, d = lattice.ambient_rank, len(span_basis)
+    if d == n:
         return lattice
-    if lattice.rank == cone.dim and all(
-        express_in_hnf(cone.span_basis, n, b) is not None for b in lattice.basis
+    if lattice.rank == d and all(
+        express_in_hnf(span_basis, n, b) is not None for b in lattice.basis
     ):
         return lattice
-    if lattice.rank >= cone.dim and all(
-        express_in_hnf(lattice.basis, n, s) is not None for s in cone.span_basis
+    span = L.Sublattice(n, tuple(span_basis))
+    if lattice.rank >= d and all(
+        express_in_hnf(lattice.basis, n, s) is not None for s in span_basis
     ):
-        return span_lattice(cone)
-    return L.intersect(lattice, span_lattice(cone))
+        return span
+    return L.intersect(lattice, span)
 
 
 def span_lattice(cone):
@@ -228,15 +235,15 @@ def validate(fan):
         out.append("zero cone missing")
     # Face closure with induced lattices.
     for sc in fan.cones:
-        for f in C.faces(sc.cone):
-            other = by_rays.get(f.rays)
+        for rays, span_basis in C.face_walk(sc.cone):
+            other = by_rays.get(rays)
             if other is None:
                 out.append(
-                    f"face with rays {f.rays} of cone {sc.cone.rays} missing from fan"
+                    f"face with rays {rays} of cone {sc.cone.rays} missing from fan"
                 )
-            elif other.lattice != _restrict(sc.lattice, f):
+            elif other.lattice != _restrict_to_span(sc.lattice, span_basis):
                 out.append(
-                    f"lattice incompatibility on face with rays {f.rays} "
+                    f"lattice incompatibility on face with rays {rays} "
                     f"of cone {sc.cone.rays}"
                 )
     # Pairwise intersections are common faces.

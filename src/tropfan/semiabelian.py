@@ -23,13 +23,20 @@ answers only which translates meet: pulled back by T_m, each functional
 of one cone is affine in m at each ray of the other, and the m to test
 come from the ranges of integer ray slopes (adj(G_n)·n′ / det G_n,
 fraction-free).  The validity, completeness and quotient checks build no
-translated cone either: an overlap c1 ∩ T_m(c2) is c1 cut by c2's
-functionals pulled back by T_{−m}, and face and containment tests move
-rays back by T_{−m}.  On a 2-core machine this took `validate_av_fan`
-on the g = 2 grid fan, k = 3, from 121 to 45 ms, and the benchmark's
-translation workload (seed 1) from 9.4 to 6.4 ref.  `translate` stays
-for the wall merges of `av_minimal` and the covers of
-`av_bir_equivalent`, which need whole cones.
+cone for their decisions (`validate_av_fan` builds only the embedded
+base cone of check (7)):
+- An orbit form reads only rays and a lattice, so the forms of faces
+  come from `cones.face_walk` (each face's rays and span basis) with the
+  lattice restricted to that span.
+- An overlap c1 ∩ T_m(c2) is read from one `cones.cut_pass` of c1 by
+  c2's functionals pulled back by T_{−m}: its rays, and the functionals
+  tight on all of them, decide whether it is a face of each cone; only
+  an unsaturated lattice needs the span of its rays.
+- Containment tests move rays back by T_{−m}.
+`translate` stays for the wall merges of `av_minimal` and the covers of
+`av_bir_equivalent`, which need whole cones; the covers compare overlay
+lattices only with translates where one of the two lattices is not its
+cone's span lattice.
 """
 
 import math
@@ -270,11 +277,11 @@ def _ray_slope(base, ray, G):
     return (v, d) if d > 0 else (tuple(-x for x in v), -d)
 
 
-def _ray_data(base, sc):
-    """(G_n, slope) for each ray (n, n′, n″) of sc; the slope is None when
-    n = 0, which requires n′ = 0."""
+def _ray_data(base, rays):
+    """(G_n, slope) for each ray (n, n′, n″); the slope is None when n = 0,
+    which requires n′ = 0."""
     out = []
-    for ray in sc.cone.rays:
+    for ray in rays:
         n, nprime, _ = split_point(base, ray)
         G = gram(base, n)
         if not is_zero(n):
@@ -417,7 +424,7 @@ def _candidates(c1, c2, data1, data2, base):
     """`candidate_translations` from the cones' `_OrbitForms.data`."""
     g = base.m_rank
     if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
-        hit = C.intersect_cones(c1.cone, c2.cone).dim > 0
+        hit = C.cut_pass(c1.cone, *C.cut_rows(c2.cone))[0]
         return (tuple([0] * g),) if hit else ()
     b = base.base_rank
     eqs = C.span_equations(c2.cone)
@@ -434,9 +441,10 @@ def _candidates(c1, c2, data1, data2, base):
     return tuple(found)
 
 
-def _orbit_form(sc, base, data):
-    """(form, shift): the key (rays, lattice basis) of the least of sc's
-    candidate translates T_shift(sc), ordered by that key; `data` is sc's
+def _orbit_form(rays, lattice, base, data):
+    """(form, shift): the key (rays, lattice basis) of the least of the
+    candidate translates T_shift(sc) of the cone sc with these rays and
+    this lattice, ordered by that key; `data` is the rays'
     `_OrbitForms.data`.
 
     The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
@@ -452,20 +460,20 @@ def _orbit_form(sc, base, data):
     """
     shifts = {tuple(-(x // mu[1]) for x in mu[0]) for _, mu in data if mu}
     if not shifts:
-        return (sc.cone.rays, sc.lattice.basis), tuple([0] * base.m_rank)
+        return (rays, lattice.basis), tuple([0] * base.m_rank)
     b = base.base_rank
     blocks = {s: shear_block(base, s) for s in shifts}
-    rays = {s: tuple(_shear(A, b, r) for r in sc.cone.rays) for s, A in blocks.items()}
-    s = min(shifts, key=rays.__getitem__)
-    lat = [_shear(blocks[s], b, v) for v in sc.lattice.basis]
-    return (rays[s], L.canonicalize(lat, sc.ambient_rank).basis), s
+    sheared = {s: tuple(_shear(A, b, r) for r in rays) for s, A in blocks.items()}
+    s = min(shifts, key=sheared.__getitem__)
+    lat = [_shear(blocks[s], b, v) for v in lattice.basis]
+    return (sheared[s], L.canonicalize(lat, lattice.ambient_rank).basis), s
 
 
 class _OrbitForms:
-    """Orbit forms and ray data over one base: calling it gives
-    `_orbit_form`, once per (rays, lattice), and `data` gives the
-    `_ray_data` (none when g = 0), once per ray tuple, to the form and to
-    every scan through `candidates`.
+    """Orbit forms and ray data over one base: calling it on a StackyCone,
+    or `of` on rays and a lattice, gives `_orbit_form`, once per (rays,
+    lattice), and `data` gives the `_ray_data` (none when g = 0), once per
+    ray tuple, to the form and to every scan through `candidates`.
 
     Each public entry point makes its own, so neither table outlives one
     call.
@@ -477,20 +485,26 @@ class _OrbitForms:
         self._data = {}
 
     def __call__(self, sc):
-        key = (sc.cone.rays, sc.lattice.basis)
+        return self.of(sc.cone.rays, sc.lattice)
+
+    def of(self, rays, lattice):
+        """The orbit form of the cone with these rays and this lattice,
+        which only its rays and lattice decide, so a face of a cone needs
+        no Cone of its own."""
+        key = (rays, lattice.basis)
         if key not in self._forms:
-            self._forms[key] = _orbit_form(sc, self.base, self.data(sc))
+            self._forms[key] = _orbit_form(rays, lattice, self.base, self.data(rays))
         return self._forms[key]
 
-    def data(self, sc):
-        rays = sc.cone.rays
+    def data(self, rays):
         if rays not in self._data:
-            self._data[rays] = _ray_data(self.base, sc) if self.base.m_rank else ()
+            self._data[rays] = _ray_data(self.base, rays) if self.base.m_rank else ()
         return self._data[rays]
 
     def candidates(self, c1, c2):
         """`candidate_translations(c1, c2, base)`."""
-        return _candidates(c1, c2, self.data(c1), self.data(c2), self.base)
+        data1, data2 = self.data(c1.cone.rays), self.data(c2.cone.rays)
+        return _candidates(c1, c2, data1, data2, self.base)
 
 
 @dataclass(frozen=True)
@@ -601,14 +615,14 @@ def _orbit_checks(fan, form):
     face_forms = set()
     faces = []
     for t in reps:
-        for f in C.faces(t.cone):
-            if f.rays == () or f.rays == t.cone.rays:
+        for rays, span_basis in C.face_walk(t.cone):
+            if rays == () or rays == t.cone.rays:
                 continue
-            face_form = form(F.induced_stacky_cone(f, t.lattice))[0]
+            face_form = form.of(rays, F._restrict_to_span(t.lattice, span_basis))[0]
             face_forms.add(face_form)
             if face_form not in forms:
                 faces.append(
-                    f"(3): face {f.rays} of {t.cone.rays} is not a translate "
+                    f"(3): face {rays} of {t.cone.rays} is not a translate "
                     f"of any representative"
                 )
     tops = [t for t in reps if t.dim > 0 and form(t)[0] not in face_forms]
@@ -619,21 +633,23 @@ def _overlap_violations(reps, form):
     """The (1)/(4) messages, then the (5) messages, of every pair of reps,
     over the base of `form` (an `_OrbitForms`).
 
-    No translated cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by
-    t2's span equations and facet normals pulled back by T_{−m}
-    (`_pull_back`), and `_cut` canonicalizes whatever rows cut it out, so
-    it is the cone `intersect_cones` would give.  It is a face of T_m(t2)
-    iff T_{−m} of its rays span a face of t2.  T_m keeps saturation, so
-    (4) holds when both lattices are their cones' span lattices; else
-    only t2's lattice is sheared.
+    No overlap cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by t2's
+    span equations and facet normals pulled back by T_{−m} (`_pull_back`),
+    and one `cones.cut_pass` gives its extreme rays and the functionals
+    tight on all of them, from zero sets that are exact (Fukuda–Prodon
+    1996).  The overlap is a face of t1 iff its rays are the rays of t1
+    tight on the t1 normals among those, and a face of T_m(t2) iff T_{−m}
+    of its rays are the rays of t2 tight on the pulled-back t2 normals
+    among them (`cones.tight_rays`).  Check (5) reads the rays.  T_m keeps
+    saturation, so (4) holds when both lattices are their cones' span
+    lattices; else only t2's lattice is sheared, and the two lattices are
+    restricted to the span of the overlap's rays.
     """
     out = []
     base = form.base
     b, n = base.base_rank, base.ambient_rank
-    cuts = []
-    for t in reps:
-        eqs = C.span_equations(t.cone)
-        cuts.append((eqs + list(t.cone.facet_normals), len(eqs)))
+    cuts = [C.cut_rows(t.cone) for t in reps]
+    zeros = [C._zero_sets(t.cone.rays, t.cone.facet_normals) for t in reps]
     saturated = [t.lattice == F.span_lattice(t.cone) for t in reps]
     # (1),(2),(4): all translated pairwise intersections are common faces
     # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
@@ -649,9 +665,10 @@ def _overlap_violations(reps, form):
                 if i == j and is_zero(m):
                     continue
                 A = shear_block(base, m)
-                inter = C._cut(t1.cone, [_pull_back(A, b, f) for f in rows], n_eq)
+                pulled_rows = [_pull_back(A, b, f) for f in rows]
+                rays, own, other = C.cut_pass(t1.cone, pulled_rows, n_eq, zeros[i])
                 if i == j:
-                    for x in inter.rays:
+                    for x in rays:
                         if any(dot(row, x[:b]) for row in A):
                             unfixed.append(
                                 f"(5): {x} in the overlap of {t1.cone.rays} with "
@@ -659,8 +676,11 @@ def _overlap_violations(reps, form):
                                 f"{_shear(A, b, x)}"
                             )
                 back = shear_block(base, tuple(-k for k in m))
-                pulled = tuple(_shear(back, b, x) for x in inter.rays)
-                if not (C.is_face_of(inter, t1.cone) and C._is_face(pulled, t2.cone)):
+                pulled = [_shear(back, b, x) for x in rays]
+                if not (
+                    rays == C.tight_rays(t1.cone, zeros[i], own)
+                    and pulled == C.tight_rays(t2.cone, zeros[j], other)
+                ):
                     out.append(
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
                         f"meet along a common face"
@@ -668,8 +688,11 @@ def _overlap_violations(reps, form):
                     continue
                 if saturated[i] and saturated[j]:
                     continue
+                span_basis = C.ray_span(rays, n)
                 moved = L.canonicalize([_shear(A, b, v) for v in t2.lattice.basis], n)
-                if F._restrict(t1.lattice, inter) != F._restrict(moved, inter):
+                if F._restrict_to_span(t1.lattice, span_basis) != F._restrict_to_span(
+                    moved, span_basis
+                ):
                     out.append(
                         f"(4): lattices disagree on the overlap of "
                         f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
@@ -722,7 +745,10 @@ def quotient_complex(fan):
     cells = _orbit_classes(fan, form, strict=True)
     forms = [form(c) for c in cells]
     face_forms = [
-        [form(F.induced_stacky_cone(f, b.lattice)) for f in C.faces(b.cone)]
+        [
+            form.of(rays, F._restrict_to_span(b.lattice, span_basis))
+            for rays, span_basis in C.face_walk(b.cone)
+        ]
         for b in cells
     ]
     face_maps = []
@@ -775,29 +801,40 @@ def av_complete(fan):
     if not tops:
         return False
 
-    def form(cone):
-        # Cones are compared without lattices: each carries its span lattice.
-        return orbit_form(F.StackyCone(cone, F.span_lattice(cone)))[0]
+    n = base.ambient_rank
 
-    # The tops owning each face orbit, once per face of a top.
+    def form(rays, span_basis):
+        # Cones are compared without lattices: each carries its span lattice.
+        return orbit_form.of(rays, L.Sublattice(n, span_basis))[0]
+
+    # The tops owning each face orbit, once per face of a top, and the
+    # ridges: the faces of dimension D − 1, with their forms.
     owners = {}
+    ridges = []
     for ti, top in enumerate(tops):
-        for f in C.faces(top.cone):
-            owners.setdefault(form(f), []).append(ti)
+        for rays, span_basis in C.face_walk(top.cone):
+            key = form(rays, span_basis)
+            owners.setdefault(key, []).append(ti)
+            if len(span_basis) == D - 1:
+                ridges.append((ti, rays, key))
     # Every lower cell must appear as a face of some translated top.
-    if any(form(c.cone) not in owners for c in cells if c.dim not in (0, D)):
+    if any(
+        form(c.cone.rays, c.cone.span_basis) not in owners
+        for c in cells
+        if c.dim not in (0, D)
+    ):
         return False
-    # Ridge pairing with translation multiplicity.
+    # Ridge pairing with translation multiplicity; a ridge's interior
+    # point is the sum of its rays.
     adjacency = {i: set() for i in range(len(tops))}
-    for ti, top in enumerate(tops):
-        for ridge in C.facets(top.cone):
-            p = C.interior_point(ridge)
-            if not _relint_base(base, split_point(base, p)[0]):
-                continue
-            paired = owners[form(ridge)]
-            if len(paired) != 2:
-                return False
-            adjacency[ti].update(paired)
+    for ti, rays, key in ridges:
+        p = [sum(x) for x in zip(*rays)] or [0] * n
+        if not _relint_base(base, split_point(base, p)[0]):
+            continue
+        paired = owners[key]
+        if len(paired) != 2:
+            return False
+        adjacency[ti].update(paired)
     return F._connected(adjacency)
 
 
@@ -891,15 +928,28 @@ def av_bir_equivalent(f1, f2):
 
 
 def _av_covers(pieces1, pieces2, form):
+    """Does each piece of pieces1 lie in the union of the translates of
+    pieces2 that meet it, with the same lattices on their overlaps?
+
+    The overlay skips a translate T_m(ρ) when t1's and ρ's lattices are
+    both their cones' span lattices: T_m keeps saturation, and the span
+    lattice restricted to a cell is the cell's span lattice, so both
+    sides restrict to the same lattice there.
+    """
     base = form.base
+    saturated = [rho.lattice == F.span_lattice(rho.cone) for rho in pieces2]
     for t1 in pieces1:
-        translates = []
-        for rho in pieces2:
+        t1_saturated = t1.lattice == F.span_lattice(t1.cone)
+        translates, overlaid = [], []
+        for rho, rho_saturated in zip(pieces2, saturated):
             for m in form.candidates(t1, rho):
-                translates.append(translate(rho, m, base))
+                moved = translate(rho, m, base)
+                translates.append(moved)
+                if not (t1_saturated and rho_saturated):
+                    overlaid.append(moved)
         if not C.cone_covered_by(t1.cone, [t.cone for t in translates]):
             return False
-        if MIN._overlay_mismatch([t1], translates) is not None:
+        if MIN._overlay_mismatch([t1], overlaid) is not None:
             return False
     return True
 

@@ -198,6 +198,19 @@ def ref_facets(cone):
     return sorted(fs, key=lambda f: f.rays)
 
 
+def ref_faces_by_facets(cone):
+    """Facets of facets (`ref_facets`), walked down to {0}: the faces where
+    the normal subsets of `ref_faces` are too many, as on C(14, 4)."""
+    found = {cone.rays: cone, (): C.zero_cone(cone.ambient_rank)}
+    todo = [cone]
+    while todo:
+        for f in ref_facets(todo.pop()):
+            if f.rays not in found:
+                found[f.rays] = f
+                todo.append(f)
+    return sorted(found.values(), key=lambda c: (c.dim, c.rays))
+
+
 def ref_is_face_of(f, cone):
     if not all(C.member(cone, r) for r in f.rays):
         return False
@@ -767,6 +780,12 @@ class TestAgainstReference:
             ref_is_face_of(inter, c1) and ref_is_face_of(inter, c2)
         )
 
+    def test_face_walk_of_cyclic_polytope_cone(self):
+        cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
+        assert C.face_walk(cone) == [
+            (f.rays, f.span_basis) for f in ref_faces_by_facets(cone)
+        ]
+
     def test_faces_of_cyclic_polytope_cone(self):
         # The cone over the cyclic 4-polytope C(14, 4): 14 rays, 77 facets.
         # Neighborly, so its f-vector is 1, 14, C(14, 2), 154, 77, 1.
@@ -816,3 +835,35 @@ def test_cuts_and_faces_make_no_from_rays_call(monkeypatch):
         changed += sum(c != cone for c in cuts)
     assert calls == []
     assert changed > len(cones)
+
+
+def test_face_walk_matches_reference_faces():
+    # Rays and span basis of every face, in order, at rank 1 to 5 and at
+    # every span rank up to the ambient rank; rank-5 cones keep to 6 rays,
+    # so that `ref_faces` walks at most 2^9 subsets of normals.
+    rng = random.Random(19)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for _ in range(6):
+                cone = _random_cone(rng, n, max_rays=6 if n == 5 else 7, span_rank=k)
+                assert C.face_walk(cone) == [
+                    (f.rays, f.span_basis) for f in ref_faces(cone)
+                ]
+    zero = C.zero_cone(3)
+    assert C.face_walk(zero) == [((), ())]
+
+
+def test_common_face_matches_reference_on_seeded_pairs():
+    # Both orders of each pair; the pairs include ones that meet outside a
+    # common face, ones that meet in a common face and ones that meet only
+    # at the origin.
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(300):
+        c1, c2 = _random_pair(rng)
+        inter = ref_intersect_cones(c1, c2)
+        ref = ref_is_face_of(inter, c1) and ref_is_face_of(inter, c2)
+        assert C.common_face(c1, c2) == ref
+        assert C.common_face(c2, c1) == ref
+        seen.add((ref, inter.dim > 0))
+    assert {(True, True), (True, False), (False, True)} <= seen

@@ -10,6 +10,7 @@ import pytest
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
+import tropfan.minimal as MIN
 import tropfan.oracle as oracle
 import tropfan.semiabelian as S
 import tropfan.serialize as SER
@@ -1129,7 +1130,7 @@ def ref_orbit_form(sc, base):
     if base.m_rank == 0:
         return sc, zero
     shifts = {
-        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in S._ray_data(base, sc) if mu
+        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in S._ray_data(base, sc.cone.rays) if mu
     }
     if not shifts:
         return sc, zero
@@ -1269,17 +1270,31 @@ def test_translation_checks_match_reference_with_torus_rays(g):
     "tate_two_arc_idx2.json", "grid1", "grid2",
 ])
 def test_translation_checks_build_no_translated_cone(name, monkeypatch):
+    # The three checks build no translate and no cone at all
+    # (`_from_incidences` makes every face and cut), even on index-2
+    # lattices.  On a fan whose lattices are all span lattices,
+    # `av_bir_equivalent` of the fan and its `av_minimal` intersects no
+    # cones for the overlay.
     fan = gen.torus_grid_fan(int(name[4:])) if name.startswith("grid") else load(name)
+    saturated = all(sc.lattice == F.span_lattice(sc.cone) for sc in fan.representatives)
+    minimal = S.av_minimal(fan) if saturated else None
     calls = []
-    for fn in ("translate", "_shear_cone"):
-        original = getattr(S, fn)
+    for module, fn in (
+        (S, "translate"), (S, "_shear_cone"), (C, "_from_incidences"), (C, "intersect_cones"),
+    ):
+        original = getattr(module, fn)
         monkeypatch.setattr(
-            S, fn, lambda *args, _fn=original, _name=fn: calls.append(_name) or _fn(*args)
+            module,
+            fn,
+            lambda *args, _fn=original, _name=fn: calls.append(_name) or _fn(*args),
         )
     S.validate_av_fan(fan)
     S.av_complete(fan)
     _outcome(S.quotient_complex, fan)
     assert calls == []
+    if saturated:
+        S.av_bir_equivalent(fan, minimal)
+        assert "intersect_cones" not in calls
 
 
 def test_torus_grid_1_violations_are_pinned():
@@ -1297,7 +1312,7 @@ def test_ray_data_once_per_ray_tuple_per_call(name, monkeypatch):
     calls = []
     original = S._ray_data
     monkeypatch.setattr(
-        S, "_ray_data", lambda base, sc: calls.append(sc.cone.rays) or original(base, sc)
+        S, "_ray_data", lambda base, rays: calls.append(rays) or original(base, rays)
     )
     for call in (
         lambda: S.validate_av_fan(fan),
@@ -1307,3 +1322,63 @@ def test_ray_data_once_per_ray_tuple_per_call(name, monkeypatch):
         calls.clear()
         call()
         assert calls and len(calls) == len(set(calls))
+
+
+# --- av_bir_equivalent against the overlay of every translate -----------------
+#
+# ref_av_covers is the cover test that compares the overlay lattices on
+# every translate; `_av_covers` skips the translates where both lattices
+# are span lattices.
+
+
+def ref_av_covers(pieces1, pieces2, form):
+    base = form.base
+    for t1 in pieces1:
+        translates = []
+        for rho in pieces2:
+            for m in form.candidates(t1, rho):
+                translates.append(S.translate(rho, m, base))
+        if not C.cone_covered_by(t1.cone, [t.cone for t in translates]):
+            return False
+        if MIN._overlay_mismatch([t1], translates) is not None:
+            return False
+    return True
+
+
+def ref_av_bir_equivalent(f1, f2):
+    form = S._OrbitForms(f1.base)
+    m1 = S._maximal_classes(S._orbit_classes(f1, form), form)
+    m2 = S._maximal_classes(S._orbit_classes(f2, form), form)
+    return ref_av_covers(m1, m2, form) and ref_av_covers(m2, m1, form)
+
+
+def test_av_bir_equivalent_matches_reference():
+    pairs = []
+    for seed in range(4):
+        for fan in _translation_fans(seed):
+            if not S.validate_av_fan(fan):
+                pairs.append((fan, S.av_minimal(fan)))
+    tate = [
+        load(name)
+        for name in (
+            "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+            "tate_two_arc_idx2.json",
+        )
+    ]
+    pairs += [(a, b) for a in tate for b in tate if a is not b]
+    grids = [gen.torus_grid_fan(2), gen.torus_grid_fan(3)]
+    pairs += [(grids[0], grids[1])] + [(g, S.av_minimal(g)) for g in grids]
+    verdicts = set()
+    for a, b in pairs:
+        for f1, f2 in ((a, b), (b, a)):
+            verdict = S.av_bir_equivalent(f1, f2)
+            assert verdict == ref_av_bir_equivalent(f1, f2)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # The Tate two-arc fan and its index-2 root have the same cones, so
+    # their False comes from the lattices alone.
+    two, idx2 = tate[1], tate[3]
+    assert [sc.cone for sc in two.representatives] == [
+        sc.cone for sc in idx2.representatives
+    ]
+    assert not S.av_bir_equivalent(two, idx2)
