@@ -2,29 +2,42 @@
 
 A Cone keeps three descriptions in sync: primitive extreme rays, a
 saturated basis of the lattice of its linear span (in HNF), and facet
-normals as ambient integer functionals.  Membership is a sign test plus,
-for a lower-dimensional cone, an integer HNF span test.  Facets come
-from double description (`_dd_cut`): the facet normals are the extreme
-rays of the dual cone, found by cutting a simplicial cone by one
-generator at a time, and the same incidences give the extreme rays and
-pointedness (`extreme_generators`, which a wall merge also applies to
-its pieces' facets).  The facet list is complete and irredundant, so
-ray–facet incidences decide the rest, with no cone built for them:
-- The faces are the closure of the facets' ray bitmasks under
-  intersection (`face_walk`), each with the span basis of its rays.
+normals as ambient integer functionals.  It also carries its ray–facet
+incidences and span equations, each worked out once, on first use:
+- `zero_masks[k]`: the facet normals vanishing on rays[k];
+- `facet_masks[i]`: the rays on which facet_normals[i] vanishes, the
+  transpose of `zero_masks`;
+- `span_equations`: a basis of the integer functionals vanishing on the
+  span.
+Every zero set in this module is an int bitmask in which bit i stands for
+functional (or label, or ray) i.
+
+Membership is a sign test plus, for a lower-dimensional cone, an integer
+HNF span test.  Facets come from double description (`_dd_cut`): the
+facet normals are the extreme rays of the dual cone, found by cutting a
+simplicial cone by one generator at a time; the lifted normals then give
+the extreme rays and pointedness (`extreme_generators`, which a wall
+merge also applies to its pieces' facets).  The facet list is complete
+and irredundant, so ray–facet incidences decide the rest, with no cone
+built for them:
+- The faces are the closure of the facet masks under intersection
+  (`face_walk`), each with the span basis of its rays.
 - Every cut is one double-description pass over the rays
-  (`_cut_incidences`), whose zero sets are exact: a half-space slice
+  (`_cut_incidences`), whose zero masks are exact: a half-space slice
   cuts by one row, an intersection by the other cone's span equations
   and facet normals (`cut_rows`).  `cut_pass` gives the cut's rays and
   the functionals tight on all of them, and a set of rays spans a face
   iff it is the set of rays tight on the normals it shares
-  (`tight_rays`), which decides `common_face`.
+  (`tight_rays`), which decides `common_face`.  A cut of the λ-orthant
+  decides whether nonnegative combinations meet a set of rows
+  (`orthant_cut_is_nonzero`).
 A cut, a face or a facet that is wanted as a Cone is built from those
-incidences (`_from_incidences`) with no `from_rays`: its facets are cut
-out by the parent's facet normals and the cut rows whose zero sets on
-its rays are maximal, and `canonical_normals` turns those into the
-normals `from_rays` would give (the translation shear uses it too).
-`from_rays` stays for generators whose facets are unknown.
+incidences (`_from_incidences`; `face_cone` for an entry of the face
+walk) with no `from_rays`: its facets are cut out by the parent's facet
+normals and the cut rows whose zero masks on its rays are maximal, and
+`canonical_normals` turns those into the normals `from_rays` would give
+(the translation shear uses it too).  `from_rays` stays for generators
+whose facets are unknown.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
@@ -35,6 +48,7 @@ those by the remaining normals.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import lattice as lat
@@ -74,6 +88,24 @@ class Cone:
     def dim(self):
         return len(self.span_basis)
 
+    @cached_property
+    def zero_masks(self):
+        """For each ray, the bitmask of the facet normals vanishing on it."""
+        return tuple(_zero_mask(r, self.facet_normals) for r in self.rays)
+
+    @cached_property
+    def facet_masks(self):
+        """For each facet normal, the bitmask of the rays it vanishes on."""
+        return _transpose(self.zero_masks, len(self.facet_normals))
+
+    @cached_property
+    def span_equations(self):
+        """A basis of the integer functionals vanishing on the span: none
+        for a full-dimensional cone, the unit vectors for the zero cone."""
+        if self.dim == self.ambient_rank:
+            return ()
+        return tuple(integer_kernel(self.span_basis, self.ambient_rank))
+
     def __eq__(self, other):
         return (
             isinstance(other, Cone)
@@ -86,6 +118,19 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(rays={list(self.rays)})"
+
+
+def _zero_mask(x, functionals):
+    """The bitmask of the functionals vanishing on x."""
+    return sum(1 << i for i, h in enumerate(functionals) if dot(h, x) == 0)
+
+
+def _transpose(zeros, count):
+    """For each of `count` functionals, the bitmask of the rays it vanishes
+    on (bit k for rays[k]), from the rays' zero masks."""
+    return tuple(
+        sum(1 << k for k, z in enumerate(zeros) if z >> i & 1) for i in range(count)
+    )
 
 
 def from_rays(rays, ambient_rank):
@@ -107,25 +152,23 @@ def from_rays(rays, ambient_rank):
     # {y : <c, y> >= 0 for every coordinate row c}, which is pointed
     # because the rows span R^d.  Double description starts from the
     # simplicial cone of d independent rows and cuts by the others, each
-    # row labelled by its generator, so each normal's zero set holds the
-    # generators it vanishes on.
+    # row labelled by its generator.
     basis, start = _simplicial_start(coords, d)
-    normals_d, zeros = _dd_cut(
+    on_basis = sum(1 << j for j in basis)
+    normals_d, _ = _dd_cut(
         start,
-        [frozenset(basis) - {i} for i in basis],
+        [on_basis & ~(1 << i) for i in basis],
         [(j, c) for j, c in enumerate(coords) if j not in basis],
     )
-    tight = [
-        frozenset(k for k, z in enumerate(zeros) if j in z) for j in range(len(prims))
-    ]
-    extreme = extreme_generators(prims, tight, len(normals_d))
-    if extreme is None:
-        raise PointednessError(f"cone generated by {rays} contains a line")
     # Lift normals to ambient integer functionals (the span basis is
-    # saturated, so an integer lift always exists).
+    # saturated, so an integer lift always exists); a lift takes the same
+    # value at a generator as the normal at its coordinates.
     lifted = [
         primitive(y) for y in _lift_functionals(span.basis, normals_d, ambient_rank)
     ]
+    extreme = extreme_generators(prims, lifted)
+    if extreme is None:
+        raise PointednessError(f"cone generated by {rays} contains a line")
     return Cone(
         ambient_rank,
         tuple(sorted(extreme)),
@@ -134,23 +177,23 @@ def from_rays(rays, ambient_rank):
     )
 
 
-def extreme_generators(gens, tight, n_facets):
+def extreme_generators(gens, normals):
     """The generators that are extreme rays of the cone they generate, in
     order, or None when that cone contains a line.
 
-    tight[j] is the set of facets tight at gens[j], out of the cone's
-    complete list of n_facets facets.  A generator tight on every facet
-    lies in the lineality space, and one exists iff the cone contains a
-    line, since the minimal face is generated by the generators in it.
-    A generator is extreme iff no other generator is tight on every facet
-    it is tight on.
+    `normals` is that cone's complete list of facet normals.  A generator
+    tight on every normal lies in the lineality space, and one exists iff
+    the cone contains a line, since the minimal face is generated by the
+    generators in it.  A generator is extreme iff no other generator is
+    tight on every normal it is tight on.
     """
-    if any(len(t) == n_facets for t in tight):
+    tight = [_zero_mask(g, normals) for g in gens]
+    if (1 << len(normals)) - 1 in tight:
         return None
     return [
         g
         for j, g in enumerate(gens)
-        if not any(i != j and tight[j] <= t for i, t in enumerate(tight))
+        if not any(i != j and tight[j] & t == tight[j] for i, t in enumerate(tight))
     ]
 
 
@@ -236,50 +279,39 @@ def dual(cone):
 
 def faces(cone):
     """All faces of the cone, including {0} and the cone itself, sorted by
-    (dimension, rays): one per face of `face_walk`, each built from its
-    rays' incidences with the cone's own facet normals (`_face`), with no
-    `from_rays`."""
-    facet_masks, walk = _face_walk(cone)
-    return [_face(cone, facet_masks, *face) for face in walk]
+    (dimension, rays): one per entry of `face_walk`, built by
+    `face_cone`, with no `from_rays`."""
+    return [face_cone(cone, face) for face in face_walk(cone)]
 
 
 def facets(cone):
     """Codimension-one faces: one per facet normal, cut out by the rays on
-    which it vanishes and built from the cone's facet incidences."""
+    which it vanishes and built by `face_cone`."""
     n = cone.ambient_rank
-    facet_masks = _facet_masks(cone)
     fs = []
-    for mask in facet_masks:
+    for mask in cone.facet_masks:
         rays = _rays_in(cone, mask)
-        fs.append(_face(cone, facet_masks, rays, ray_span(rays, n), mask))
+        fs.append(face_cone(cone, (rays, ray_span(rays, n), mask)))
     return sorted(fs, key=lambda f: f.rays)
 
 
 def face_walk(cone):
-    """(rays, span basis) for each face of the cone, sorted by (dimension,
-    rays) as `faces` sorts them, with no cone built.
+    """(rays, span basis, ray mask) for each face of the cone, sorted by
+    (dimension, rays) as `faces` sorts them, with no cone built.
 
     A pointed cone's faces are the intersections of its facets (Ziegler,
     Lectures on Polytopes, §2.2), and each face is the cone over the rays
-    it holds.  So the faces are the closure of the facets' ray bitmasks
-    (bit k for rays[k], `_facet_masks`) under intersection, with the
-    whole mask for the cone itself; the empty mask is {0}.  A face's span
-    basis is the cone's for the cone itself, else that of its rays
-    (`ray_span`).
+    it holds.  So the faces are the closure of the cone's `facet_masks`
+    (bit k for rays[k]) under intersection, with the whole mask for the
+    cone itself; the empty mask is {0}.  A face's span basis is the
+    cone's for the cone itself, else that of its rays (`ray_span`).
     """
-    return [(rays, span_basis) for rays, span_basis, _ in _face_walk(cone)[1]]
-
-
-def _face_walk(cone):
-    """(`_facet_masks(cone)`, [(rays, span basis, ray mask)] of each face,
-    as `face_walk` orders them)."""
-    facet_masks = _facet_masks(cone)
     full = (1 << len(cone.rays)) - 1
     found = {full}
     todo = [full]
     while todo:
         f = todo.pop()
-        for m in facet_masks:
+        for m in cone.facet_masks:
             if f & m not in found:
                 found.add(f & m)
                 todo.append(f & m)
@@ -291,17 +323,19 @@ def _face_walk(cone):
         else:
             walk.append((rays, ray_span(rays, cone.ambient_rank), mask))
     walk.sort(key=lambda face: (len(face[1]), face[0]))
-    return facet_masks, walk
+    return walk
 
 
-def _face(cone, facet_masks, rays, span_basis, mask):
-    """The face of the cone with these rays, span basis and ray mask,
-    built from the facet masks restricted to it (`_from_incidences`)."""
+def face_cone(cone, face):
+    """The face of the cone given by one `face_walk` entry (rays, span
+    basis, ray mask), built from the facet masks restricted to it
+    (`_from_incidences`)."""
+    rays, span_basis, mask = face
     if rays == cone.rays:
         return cone
     if not rays:
         return zero_cone(cone.ambient_rank)
-    masks = [m & mask for m in facet_masks]
+    masks = [m & mask for m in cone.facet_masks]
     return _from_incidences(
         rays, masks, mask, cone.facet_normals, span_basis, cone.ambient_rank
     )
@@ -310,29 +344,6 @@ def _face(cone, facet_masks, rays, span_basis, mask):
 def _rays_in(cone, mask):
     """The rays of the cone whose bits are set in `mask`, in order."""
     return tuple(r for k, r in enumerate(cone.rays) if mask >> k & 1)
-
-
-def _facet_masks(cone):
-    """For each facet normal, the bitmask of the rays it vanishes on."""
-    return _masks(_zero_sets(cone.rays, cone.facet_normals), len(cone.facet_normals))
-
-
-def _zero_sets(rays, functionals):
-    """For each ray, the set of indexes of the functionals vanishing on it."""
-    return [
-        frozenset(i for i, g in enumerate(functionals) if dot(g, r) == 0)
-        for r in rays
-    ]
-
-
-def _masks(zeros, count):
-    """For each of `count` functionals, the bitmask of the rays it vanishes
-    on (bit k for rays[k]), from the rays' zero sets."""
-    masks = [0] * count
-    for k, z in enumerate(zeros):
-        for i in z:
-            masks[i] |= 1 << k
-    return masks
 
 
 def ray_span(rays, ambient_rank):
@@ -384,14 +395,6 @@ def canonical_normals(span_basis, functionals, ambient_rank):
     return tuple(sorted(primitive(y) for y in lifted))
 
 
-def span_equations(cone):
-    """A basis of the integer functionals vanishing on the cone's span:
-    none for a full-dimensional cone, the unit vectors for the zero cone."""
-    if cone.dim == cone.ambient_rank:
-        return []
-    return integer_kernel(cone.span_basis, cone.ambient_rank)
-
-
 def intersect_cones(c1, c2):
     """Intersection cone: c1 cut by c2's span equations, as equations, and
     then by c2's facet normals, in one `_cut`."""
@@ -404,50 +407,30 @@ def cut_rows(cone):
     """(rows, n_eq): the cone's span equations, then its facet normals.
     A cut by these rows, the first n_eq as equations, cuts another cone
     down to its intersection with this one."""
-    eqs = span_equations(cone)
-    return eqs + list(cone.facet_normals), len(eqs)
-
-
-def is_face_of(f, cone):
-    """True iff f equals cone ∩ ker(h) for a supporting functional h.
-
-    The smallest face of cone containing f is cut out by the facet
-    normals vanishing on f; f is a face iff it has that face's rays.
-    """
-    if f.ambient_rank != cone.ambient_rank:
-        raise DimensionError("ambient ranks differ")
-    if not all(member(cone, r) for r in f.rays):
-        return False
-    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in f.rays)]
-    return f.rays == tuple(
-        r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)
-    )
+    return cone.span_equations + cone.facet_normals, len(cone.span_equations)
 
 
 def common_face(c1, c2):
-    """True iff c1 ∩ c2 is a face of both cones, decided from the rays and
-    zero sets of one `cut_pass` of c1 by c2's `cut_rows`, with no cone
-    built: the intersection is a face of c1, and of c2, iff its rays are
-    the rays of that cone tight on its normals that the zero sets share
+    """True iff c1 ∩ c2 is a face of both cones, decided from one
+    `cut_pass` of c1 by c2's `cut_rows`, with no cone built: the
+    intersection is a face of c1, and of c2, iff its rays are the rays of
+    that cone tight on its normals that vanish on the whole intersection
     (`tight_rays`)."""
     if c1.ambient_rank != c2.ambient_rank:
         raise DimensionError("ambient ranks differ")
-    zeros1 = _zero_sets(c1.rays, c1.facet_normals)
-    rays, own, other = cut_pass(c1, *cut_rows(c2), zeros1)
-    return rays == tight_rays(c1, zeros1, own) and rays == tight_rays(
-        c2, _zero_sets(c2.rays, c2.facet_normals), other
-    )
+    rays, own, other = cut_pass(c1, *cut_rows(c2))
+    return rays == tight_rays(c1, own) and rays == tight_rays(c2, other)
 
 
-def tight_rays(cone, zeros, labels):
-    """The rays of `cone` on which every facet normal indexed by `labels`
-    vanishes, zeros[k] being the set of normals vanishing on rays[k].
+def tight_rays(cone, normals):
+    """The rays of `cone` on which every facet normal in the bitmask
+    `normals` vanishes.
 
-    When `labels` are the normals vanishing on every ray of a set of rays
-    of the cone, these are the rays of the smallest face holding them, so
-    the set spans a face iff it is exactly these rays.
+    When `normals` holds the normals vanishing on every ray of a set of
+    rays of the cone, these are the rays of the smallest face holding
+    them, so the set spans a face iff it is exactly these rays.
     """
-    return [r for r, z in zip(cone.rays, zeros) if labels <= z]
+    return [r for r, z in zip(cone.rays, cone.zero_masks) if z & normals == normals]
 
 
 def contains_cone(big, small):
@@ -461,7 +444,7 @@ def halfspace_slice(cone, h, sign):
 
 def _cut(cone, rows, n_eq=0):
     """cone ∩ {x : <f, x> >= 0 for each row f}, the first n_eq rows taken
-    as equations <f, x> = 0: the rays and zero sets of one `_dd_cut`
+    as equations <f, x> = 0: the rays and zero masks of one `_dd_cut`
     pass (`_cut_incidences`), then the cone built from them
     (`_from_incidences`) over the facet normals and the rows, with no
     `from_rays`.  Returns the cone itself when no row cuts it.  A
@@ -473,38 +456,62 @@ def _cut(cone, rows, n_eq=0):
         return cone
     if not kept:
         return zero_cone(n)
-    functionals = list(cone.facet_normals) + list(rows)
-    masks = _masks(zeros, len(functionals))
+    functionals = cone.facet_normals + tuple(rows)
+    masks = _transpose(zeros, len(functionals))
     full = (1 << len(kept)) - 1
     span_basis = ray_span(kept, n) if full in masks else cone.span_basis
     return _from_incidences(kept, masks, full, functionals, span_basis, n)
 
 
-def _cut_incidences(cone, rows, n_eq=0, zeros=None):
+def _cut_incidences(cone, rows, n_eq=0):
     """The `_dd_cut` pass of `_cut`: the extreme rays of the cut cone and
-    their zero sets, in which label i < len(cone.facet_normals) is facet
-    normal i and label len(cone.facet_normals) + j is rows[j].  The zero
-    sets are exact because a Cone is pointed and its facet normals are
-    its complete facet list.  `zeros`, when given, holds the cone's own
-    rays' zero sets over its facet normals (`_zero_sets`)."""
-    if zeros is None:
-        zeros = _zero_sets(cone.rays, cone.facet_normals)
+    their zero masks, in which bit i < len(cone.facet_normals) is facet
+    normal i and bit len(cone.facet_normals) + j is rows[j].  The zero
+    masks are exact because a Cone is pointed and its facet normals are
+    its complete facet list."""
     labelled = list(enumerate(rows, len(cone.facet_normals)))
-    return _dd_cut(list(cone.rays), zeros, labelled, n_eq)
+    return _dd_cut(list(cone.rays), list(cone.zero_masks), labelled, n_eq)
 
 
-def cut_pass(cone, rows, n_eq=0, zeros=None):
+def cut_pass(cone, rows, n_eq=0):
     """(rays, own, other) for the cut of `_cut`, with no cone built: its
-    sorted extreme rays; the indexes i of the cone's facet normals, and
-    the indexes j of the inequality rows rows[n_eq + j], that vanish on
-    all of them (all indexes when the cut is {0})."""
-    kept, cut_zeros = _cut_incidences(cone, rows, n_eq, zeros)
-    shared = frozenset(range(len(cone.facet_normals) + len(rows)))
-    for z in cut_zeros:
+    sorted extreme rays; the bitmask of the cone's facet normals, and that
+    of the inequality rows (bit j for rows[n_eq + j]), that vanish on all
+    of them (all bits when the cut is {0})."""
+    kept, zeros = _cut_incidences(cone, rows, n_eq)
+    n_facets = len(cone.facet_normals)
+    shared = (1 << (n_facets + len(rows))) - 1
+    for z in zeros:
         shared &= z
-    offset = len(cone.facet_normals) + n_eq
-    own = frozenset(x for x in shared if x < len(cone.facet_normals))
-    return sorted(kept), own, frozenset(x - offset for x in shared if x >= offset)
+    own = shared & ((1 << n_facets) - 1)
+    return sorted(kept), own, shared >> (n_facets + n_eq)
+
+
+def orthant_cut_is_nonzero(columns, n_eq):
+    """Is there λ ≥ 0, λ ≠ 0, with Σ λ_r columns[r][i] = 0 for i < n_eq
+    and ≥ 0 for the other i?  That is: is the λ-orthant, cut by the rows
+    of the table, more than {0}?
+
+    First the quick tests: a row negative on every column, or an equation
+    row of one strict sign, rejects; a column zero on the equations and
+    ≥ 0 on the rest accepts.  Otherwise the orthant, whose unit rays have
+    the zero masks of its facets 0..R−1, is cut by the rows, labelled R,
+    R+1, …, with `_dd_cut`.
+    """
+    rows = list(zip(*columns))
+    for i, row in enumerate(rows):
+        if max(row) < 0 or (i < n_eq and min(row) > 0):
+            return False
+    if any(
+        all(v == 0 for v in col[:n_eq]) and all(v >= 0 for v in col[n_eq:])
+        for col in columns
+    ):
+        return True
+    R = len(columns)
+    units = [tuple(int(k == r) for k in range(R)) for r in range(R)]
+    zeros = [((1 << R) - 1) & ~(1 << r) for r in range(R)]
+    rays, _ = _dd_cut(units, zeros, list(enumerate(rows, R)), n_eq)
+    return bool(rays)
 
 
 def _dd_cut(rays, zeros, rows, n_eq=0):
@@ -512,17 +519,19 @@ def _dd_cut(rays, zeros, rows, n_eq=0):
     pointed cone with extreme rays `rays`, cut in turn by each row
     (label, f) as <f, x> >= 0, or as <f, x> = 0 for the first n_eq rows.
 
-    zeros[k] is the set of labels of the inequalities tight at rays[k].
-    Returns the extreme rays of the cut cone and their zero sets.
+    zeros[k] is the bitmask of the labels of the inequalities tight at
+    rays[k].  Returns the extreme rays of the cut cone and their zero
+    masks.
     """
     for i, (label, row) in enumerate(rows):
         if not rays:
             break
+        bit = 1 << label
         vals = [dot(row, r) for r in rays]
         pairs = _dd_pairs(vals, zeros, rays)
         keep = [k for k, v in enumerate(vals) if v == 0 or (v > 0 and i >= n_eq)]
-        zeros = [zeros[k] | {label} if vals[k] == 0 else zeros[k] for k in keep] + [
-            zeros[p] & zeros[q] | {label} for p, q, _ in pairs
+        zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + [
+            zeros[p] & zeros[q] | bit for p, q, _ in pairs
         ]
         rays = [rays[k] for k in keep] + [v for _, _, v in pairs]
     return rays, zeros
@@ -534,7 +543,7 @@ def _dd_pairs(vals, zeros, vectors):
     vals[q]·vectors[p], on which the cut vanishes.
 
     The generators are the extreme rays of a pointed cone and zeros[r] is
-    the set of its defining inequalities tight at r.  A pair spans a
+    the bitmask of its defining inequalities tight at r.  A pair spans a
     2-face iff no third generator is tight wherever both are.
     """
     out = []
@@ -545,7 +554,9 @@ def _dd_pairs(vals, zeros, vectors):
             if vq >= 0:
                 continue
             common = zeros[p] & zeros[q]
-            if any(common <= z for t, z in enumerate(zeros) if t != p and t != q):
+            if any(
+                common & z == common for t, z in enumerate(zeros) if t != p and t != q
+            ):
                 continue
             rp, rq = vectors[p], vectors[q]
             v = primitive(tuple(vp * b - vq * a for a, b in zip(rp, rq)))

@@ -81,10 +81,7 @@ def merge_across_wall(p, q):
         {h for h in p.cone.facet_normals if h != h_p}
         | {h for h in q.cone.facet_normals if h != h_q}
     )
-    tight = [
-        frozenset(k for k, h in enumerate(normals) if dot(h, r) == 0) for r in gens
-    ]
-    rays = C.extreme_generators(gens, tight, len(normals))
+    rays = C.extreme_generators(gens, normals)
     if rays is None:
         return None
     union = C.Cone(p.ambient_rank, tuple(rays), p.cone.span_basis, tuple(normals))
@@ -235,7 +232,7 @@ def validate(fan):
         out.append("zero cone missing")
     # Face closure with induced lattices.
     for sc in fan.cones:
-        for rays, span_basis in C.face_walk(sc.cone):
+        for rays, span_basis, _ in C.face_walk(sc.cone):
             other = by_rays.get(rays)
             if other is None:
                 out.append(

@@ -133,12 +133,3 @@ def saturate(lattice):
         return full_lattice(n)
     sat = integer_kernel([list(p) for p in perp], n)
     return canonicalize([list(v) for v in sat], n)
-
-
-def restrict_to_span(lattice, span_vectors):
-    """L intersected with the rational span of `span_vectors`.
-
-    Implemented as intersect(L, saturate(<span_vectors>)).
-    """
-    span = saturate(canonicalize(span_vectors, lattice.ambient_rank))
-    return intersect(lattice, span)

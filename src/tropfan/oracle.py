@@ -62,7 +62,7 @@ def _sweep_piece(p, radius, points):
     n = p.ambient_rank
     cone = p.cone
     rows = []  # x ∈ cone ⇔ <row, x> >= 0 for every row
-    for e in C.span_equations(cone):
+    for e in cone.span_equations:
         rows += [e, [-x for x in e]]
     rows += cone.facet_normals
     check_lattice = p.lattice.basis != cone.span_basis

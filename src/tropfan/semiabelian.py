@@ -378,33 +378,6 @@ def _translation_box(data1, data2):
     return [range(x // den - margin, -(-y // den) + margin + 1) for x, y in zip(lo, hi)]
 
 
-def _meets(columns, n_eq):
-    """Is there λ ≥ 0, λ ≠ 0, with Σ λ_r columns[r][i] = 0 for i < n_eq
-    and ≥ 0 for the other i?
-
-    columns[r] holds the values of the pulled-back functionals at ray r
-    of c1; c1 is pointed, so λ ≠ 0 iff Σ λ_r r ≠ 0.  First the quick
-    tests: a row negative on every ray, or an equation row of one strict
-    sign, rejects; a ray zero on the equations and ≥ 0 on the rest
-    accepts.  Otherwise the orthant of λ, with facets labelled 0..R−1,
-    is cut by the rows, labelled R, R+1, …, with `cones._dd_cut`.
-    """
-    rows = list(zip(*columns))
-    for i, row in enumerate(rows):
-        if max(row) < 0 or (i < n_eq and min(row) > 0):
-            return False
-    if any(
-        all(v == 0 for v in col[:n_eq]) and all(v >= 0 for v in col[n_eq:])
-        for col in columns
-    ):
-        return True
-    R = len(columns)
-    units = [tuple(int(k == r) for k in range(R)) for r in range(R)]
-    zeros = [frozenset(range(R)) - {r} for r in range(R)]
-    rays, _ = C._dd_cut(units, zeros, list(enumerate(rows, R)), n_eq)
-    return bool(rays)
-
-
 def candidate_translations(c1, c2, base):
     """All m ∈ M with c1 ∩ T_m(c2) ≠ {0}, as a sorted tuple.
 
@@ -412,10 +385,12 @@ def candidate_translations(c1, c2, base):
     or a facet normal) pulled back by T_m takes the value
     ⟨f, T_{−m} r⟩ = ⟨f, r⟩ − m·(G_n f_N) at a ray r = (n, n′, n″) of c1,
     where f_N is f's N-part.  These affine forms are tabulated once per
-    call; each m of `_translation_box` is then decided by `_meets` on
-    their values.  Cones fixed pointwise by every translation (all rays
-    have zero base part) intersect independently of m; by convention the
-    answer is then {0} or {} depending on whether they meet at all.
+    call; each m of `_translation_box` is then decided by
+    `cones.orthant_cut_is_nonzero` on their values: c1 is pointed, so a
+    nonzero λ ≥ 0 gives a nonzero point Σ λ_r r of c1.  Cones fixed
+    pointwise by every translation (all rays have zero base part)
+    intersect independently of m; by convention the answer is then {0}
+    or {} depending on whether they meet at all.
     """
     return _OrbitForms(base).candidates(c1, c2)
 
@@ -427,8 +402,7 @@ def _candidates(c1, c2, data1, data2, base):
         hit = C.cut_pass(c1.cone, *C.cut_rows(c2.cone))[0]
         return (tuple([0] * g),) if hit else ()
     b = base.base_rank
-    eqs = C.span_equations(c2.cone)
-    functionals = eqs + list(c2.cone.facet_normals)
+    functionals, n_eq = C.cut_rows(c2.cone)
     forms = [
         [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
         for r, (G, _) in zip(c1.cone.rays, data1)
@@ -436,7 +410,7 @@ def _candidates(c1, c2, data1, data2, base):
     found = []
     for m in product(*_translation_box(data1, data2)):
         columns = [[c - dot(m, w) for c, w in col] for col in forms]
-        if _meets(columns, len(eqs)):
+        if C.orthant_cut_is_nonzero(columns, n_eq):
             found.append(m)
     return tuple(found)
 
@@ -615,7 +589,7 @@ def _orbit_checks(fan, form):
     face_forms = set()
     faces = []
     for t in reps:
-        for rays, span_basis in C.face_walk(t.cone):
+        for rays, span_basis, _ in C.face_walk(t.cone):
             if rays == () or rays == t.cone.rays:
                 continue
             face_form = form.of(rays, F._restrict_to_span(t.lattice, span_basis))[0]
@@ -636,7 +610,7 @@ def _overlap_violations(reps, form):
     No overlap cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by t2's
     span equations and facet normals pulled back by T_{−m} (`_pull_back`),
     and one `cones.cut_pass` gives its extreme rays and the functionals
-    tight on all of them, from zero sets that are exact (Fukuda–Prodon
+    tight on all of them, from zero masks that are exact (Fukuda–Prodon
     1996).  The overlap is a face of t1 iff its rays are the rays of t1
     tight on the t1 normals among those, and a face of T_m(t2) iff T_{−m}
     of its rays are the rays of t2 tight on the pulled-back t2 normals
@@ -648,8 +622,6 @@ def _overlap_violations(reps, form):
     out = []
     base = form.base
     b, n = base.base_rank, base.ambient_rank
-    cuts = [C.cut_rows(t.cone) for t in reps]
-    zeros = [C._zero_sets(t.cone.rays, t.cone.facet_normals) for t in reps]
     saturated = [t.lattice == F.span_lattice(t.cone) for t in reps]
     # (1),(2),(4): all translated pairwise intersections are common faces
     # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
@@ -660,13 +632,13 @@ def _overlap_violations(reps, form):
         for j, t2 in enumerate(reps):
             if j < i:
                 continue
-            rows, n_eq = cuts[j]
+            rows, n_eq = C.cut_rows(t2.cone)
             for m in form.candidates(t1, t2):
                 if i == j and is_zero(m):
                     continue
                 A = shear_block(base, m)
                 pulled_rows = [_pull_back(A, b, f) for f in rows]
-                rays, own, other = C.cut_pass(t1.cone, pulled_rows, n_eq, zeros[i])
+                rays, own, other = C.cut_pass(t1.cone, pulled_rows, n_eq)
                 if i == j:
                     for x in rays:
                         if any(dot(row, x[:b]) for row in A):
@@ -678,8 +650,8 @@ def _overlap_violations(reps, form):
                 back = shear_block(base, tuple(-k for k in m))
                 pulled = [_shear(back, b, x) for x in rays]
                 if not (
-                    rays == C.tight_rays(t1.cone, zeros[i], own)
-                    and pulled == C.tight_rays(t2.cone, zeros[j], other)
+                    rays == C.tight_rays(t1.cone, own)
+                    and pulled == C.tight_rays(t2.cone, other)
                 ):
                     out.append(
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
@@ -747,7 +719,7 @@ def quotient_complex(fan):
     face_forms = [
         [
             form.of(rays, F._restrict_to_span(b.lattice, span_basis))
-            for rays, span_basis in C.face_walk(b.cone)
+            for rays, span_basis, _ in C.face_walk(b.cone)
         ]
         for b in cells
     ]
@@ -812,7 +784,7 @@ def av_complete(fan):
     owners = {}
     ridges = []
     for ti, top in enumerate(tops):
-        for rays, span_basis in C.face_walk(top.cone):
+        for rays, span_basis, _ in C.face_walk(top.cone):
             key = form(rays, span_basis)
             owners.setdefault(key, []).append(ti)
             if len(span_basis) == D - 1:
@@ -899,7 +871,9 @@ def av_minimal(fan):
 
 
 def _rebuild(base, cells, form):
-    """Fan from maximal cells: add face orbits and the zero cone."""
+    """Fan from maximal cells: add face orbits and the zero cone.  Each
+    face of `cones.face_walk` is keyed by its rays and restricted lattice;
+    only a face whose key is new is built as a Cone."""
     reps = list(cells)
     seen_zero = any(c.dim == 0 for c in reps)
     if not seen_zero:
@@ -909,10 +883,14 @@ def _rebuild(base, cells, form):
     classes = _orbit_classes(fan, form)
     orbits = {form(c)[0]: c for c in classes}
     for c in classes:
-        for f in C.faces(c.cone):
-            if f.rays != () and f.rays != c.cone.rays:
-                face_sc = F.induced_stacky_cone(f, c.lattice)
-                orbits.setdefault(form(face_sc)[0], face_sc)
+        for face in C.face_walk(c.cone):
+            rays, span_basis, _ = face
+            if rays == () or rays == c.cone.rays:
+                continue
+            lattice = F._restrict_to_span(c.lattice, span_basis)
+            key = form.of(rays, lattice)[0]
+            if key not in orbits:
+                orbits[key] = F.StackyCone(C.face_cone(c.cone, face), lattice)
     return av_fan(base, list(orbits.values()))
 
 

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from itertools import combinations
 
@@ -6,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tropfan.cones as C
+import tropfan.fans as F
 import tropfan.lattice as L
+import tropfan.semiabelian as S
 from tropfan._linalg import (
     dot,
     express_in_hnf,
@@ -14,6 +18,8 @@ from tropfan._linalg import (
     primitive,
     rational_rank,
 )
+
+from _ref import ref_is_face_of
 
 
 # Reference implementations: the subset-enumerating cone operations that
@@ -211,20 +217,6 @@ def ref_faces_by_facets(cone):
     return sorted(found.values(), key=lambda c: (c.dim, c.rays))
 
 
-def ref_is_face_of(f, cone):
-    if not all(C.member(cone, r) for r in f.rays):
-        return False
-    if f == cone:
-        return True
-    vanishing = [h for h in cone.facet_normals if all(dot(h, r) == 0 for r in f.rays)]
-    face_rays = [r for r in cone.rays if all(dot(h, r) == 0 for h in vanishing)]
-    if f.dim == 0:
-        return cone.dim == 0 or not face_rays
-    if not vanishing:
-        return False
-    return C.from_rays(face_rays, cone.ambient_rank) == f
-
-
 def ref_split_by_hyperplanes(cones, hyperplanes):
     """Both sides of every cell by every hyperplane; a side of lower
     dimension than its cell is dropped, and so is a repeated side."""
@@ -268,6 +260,12 @@ def ref_uncovered_point(target, pieces):
 
 def _full(cone):
     return (cone.ambient_rank, cone.rays, cone.span_basis, cone.facet_normals)
+
+
+def _in_face_walk(f, cone):
+    """Is f a face of cone, read from `face_walk`: does f have the rays of
+    one of its faces?"""
+    return any(f.rays == face[0] for face in C.face_walk(cone))
 
 
 def quadrant():
@@ -380,10 +378,13 @@ class TestFaces:
 
     def test_is_face_of(self):
         q = quadrant()
-        assert C.is_face_of(C.ray_cone((1, 0), 2), q)
-        assert C.is_face_of(C.zero_cone(2), q)
-        assert C.is_face_of(q, q)
-        assert not C.is_face_of(C.ray_cone((1, 1), 2), q)
+        for f, face in [
+            (C.ray_cone((1, 0), 2), True),
+            (C.zero_cone(2), True),
+            (q, True),
+            (C.ray_cone((1, 1), 2), False),
+        ]:
+            assert ref_is_face_of(f, q) == _in_face_walk(f, q) == face
 
     def test_common_face(self):
         left = C.from_rays([(0, 1), (-1, 0)], 2)
@@ -715,7 +716,7 @@ class TestAgainstReference:
         for _ in range(100):
             n = rng.randint(1, 5)
             cone = _random_cone(rng, n)
-            rows = [(0,) * n] + [tuple(e) for e in C.span_equations(cone)]
+            rows = [(0,) * n] + list(cone.span_equations)
             for h in rows:
                 for sign in (1, -1):
                     assert _full(C.halfspace_slice(cone, h, sign)) == _full(cone)
@@ -774,15 +775,15 @@ class TestAgainstReference:
         c1, c2 = _random_pair(rng)
         inter = ref_intersect_cones(c1, c2)
         for f in ref_faces(c1) + [c2, inter]:
-            assert C.is_face_of(f, c1) == ref_is_face_of(f, c1)
-            assert C.is_face_of(f, c2) == ref_is_face_of(f, c2)
+            assert _in_face_walk(f, c1) == ref_is_face_of(f, c1)
+            assert _in_face_walk(f, c2) == ref_is_face_of(f, c2)
         assert C.common_face(c1, c2) == (
             ref_is_face_of(inter, c1) and ref_is_face_of(inter, c2)
         )
 
     def test_face_walk_of_cyclic_polytope_cone(self):
         cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
-        assert C.face_walk(cone) == [
+        assert [face[:2] for face in C.face_walk(cone)] == [
             (f.rays, f.span_basis) for f in ref_faces_by_facets(cone)
         ]
 
@@ -846,11 +847,11 @@ def test_face_walk_matches_reference_faces():
         for k in range(1, n + 1):
             for _ in range(6):
                 cone = _random_cone(rng, n, max_rays=6 if n == 5 else 7, span_rank=k)
-                assert C.face_walk(cone) == [
+                assert [face[:2] for face in C.face_walk(cone)] == [
                     (f.rays, f.span_basis) for f in ref_faces(cone)
                 ]
     zero = C.zero_cone(3)
-    assert C.face_walk(zero) == [((), ())]
+    assert C.face_walk(zero) == [((), (), 0)]
 
 
 def test_common_face_matches_reference_on_seeded_pairs():
@@ -867,3 +868,93 @@ def test_common_face_matches_reference_on_seeded_pairs():
         assert C.common_face(c2, c1) == ref
         seen.add((ref, inter.dim > 0))
     assert {(True, True), (True, False), (False, True)} <= seen
+
+
+def _recomputed(cone):
+    """(zero masks, facet masks, span equations) of a cone, by dot products
+    and one integer kernel."""
+    zero = tuple(
+        sum(1 << i for i, h in enumerate(cone.facet_normals) if dot(h, r) == 0)
+        for r in cone.rays
+    )
+    facet = tuple(
+        sum(1 << k for k, r in enumerate(cone.rays) if dot(h, r) == 0)
+        for h in cone.facet_normals
+    )
+    return zero, facet, integer_kernel(cone.span_basis, cone.ambient_rank)
+
+
+def test_carried_incidences_and_equations_match_recomputed():
+    # Cones from every constructor: `from_rays` at rank 1 to 5 and every
+    # span rank, and the cone over C(14, 4); their faces and facets, both
+    # sides of a cut and the wall merge of the two, intersections, and, at
+    # rank 5, translates over a base with b = 1, g = 2 and r = 2.
+    rng = random.Random(21)
+    base = S.PolarizedBase(
+        F.StackyCone(C.ray_cone((1,), 1), L.full_lattice(1)),
+        2,
+        (((2,), (1,)), ((1,), (2,))),
+        2,
+    )
+    cones = [
+        _random_cone(rng, n, max_rays=6 if n == 5 else 7, span_rank=k)
+        for n in range(1, 6)
+        for k in range(1, n + 1)
+        for _ in range(4)
+    ]
+    cones.append(C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5))
+    built, merges = [], 0
+    for cone in cones:
+        n = cone.ambient_rank
+        built += [cone, C.intersect_cones(cone, _random_cone(rng, n))]
+        built += C.faces(cone) + C.facets(cone)
+        # A hyperplane through the interior point p: <h, p> w − <w, p> h.
+        h, w, p = _interior_functional(cone), _vector(rng, n), C.interior_point(cone)
+        cut = [dot(h, p) * x - dot(w, p) * y for x, y in zip(w, h)]
+        sides = [C.halfspace_slice(cone, cut, 1), C.halfspace_slice(cone, cut, -1)]
+        built += sides
+        lattice = F.span_lattice(cone)
+        merged = F.merge_across_wall(*(F.StackyCone(c, lattice) for c in sides))
+        if merged is not None:
+            built.append(merged.cone)
+            merges += 1
+        if n == 5:
+            sc = F.StackyCone(cone, lattice)
+            for m in ((1, 0), (-1, 2)):
+                built.append(S.translate(sc, m, base).cone)
+    built.append(C.zero_cone(3))
+    assert merges > sum(c.dim > 1 for c in cones) // 2
+    for cone in built:
+        zero, facet, equations = _recomputed(cone)
+        assert cone.zero_masks == zero
+        assert cone.facet_masks == facet
+        assert list(cone.span_equations) == equations
+
+
+def test_only_cones_reads_private_names_of_cones():
+    # The incidence format is private to `cones`: no other library module
+    # reads a name of it that starts with an underscore.
+    src = pathlib.Path(C.__file__).resolve().parent
+    users, readers = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cones.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cones"):
+                names = [a.name for a in node.names]
+                readers += [f"{path.name}: {a}" for a in names if a.startswith("_")]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                aliases |= {a.asname or a.name for a in node.names if a.name.endswith("cones")}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                users.append(path.name)
+                if node.attr.startswith("_"):
+                    readers.append(f"{path.name}: {node.attr}")
+    assert {"fans.py", "semiabelian.py"} <= set(users)
+    assert readers == []

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropfan.fans as F
 import tropfan.lattice as L
 from tropfan._linalg import integer_kernel
+
+from _ref import ref_restrict_to_span
 
 small_int = st.integers(min_value=-5, max_value=5)
 
@@ -196,14 +199,24 @@ class TestGroupClosure:
 
 
 class TestRestrictToSpan:
+    """`fans._restrict_to_span` on the saturated span of a spanning set,
+    against the reference that intersects with that span."""
+
+    @staticmethod
+    def restrict(lattice, span_vectors):
+        span = L.saturate(L.canonicalize(span_vectors, lattice.ambient_rank))
+        got = F._restrict_to_span(lattice, span.basis)
+        assert got == ref_restrict_to_span(lattice, span_vectors)
+        return got
+
     def test_diagonal(self):
         full = L.full_lattice(2)
-        lat = L.restrict_to_span(full, [[1, 1]])
+        lat = self.restrict(full, [[1, 1]])
         assert lat.basis == ((1, 1),)
 
     def test_index_two_on_line(self):
         even = L.canonicalize([(2, 0), (0, 2)], 2)
-        lat = L.restrict_to_span(even, [[1, 1]])
+        lat = self.restrict(even, [[1, 1]])
         assert lat.basis == ((2, 2),)
 
     def test_box_oracle(self):
@@ -215,7 +228,7 @@ class TestRestrictToSpan:
             d = (rng.randint(-3, 3), rng.randint(-3, 3))
             if d == (0, 0):
                 continue
-            res = L.restrict_to_span(lat, [list(d)])
+            res = self.restrict(lat, [list(d)])
             for k in range(-6, 7):
                 v = (k * d[0], k * d[1])
                 assert L.member(v, res) == L.member(v, lat)

@@ -1,7 +1,7 @@
 """The local wall-merge test against the checks it replaced.
 
 The reference is the old merge decision: the exact intersection must be
-a common facet of both cones (`is_face_of` on each), and the hyperplane
+a common facet of both cones (`ref_is_face_of` on each), and the hyperplane
 arrangement of `cone_covered_by` must show that the convex hull of the
 union does not overshoot the two cones.
 """
@@ -17,6 +17,7 @@ import tropfan.lattice as L
 from tropfan._linalg import dot
 
 import _gen
+from _ref import ref_is_face_of
 
 
 def ref_merge(p, q):
@@ -25,7 +26,7 @@ def ref_merge(p, q):
     wall = C.intersect_cones(p.cone, q.cone)
     if wall.dim != p.dim - 1:
         return None
-    if not (C.is_face_of(wall, p.cone) and C.is_face_of(wall, q.cone)):
+    if not (ref_is_face_of(wall, p.cone) and ref_is_face_of(wall, q.cone)):
         return None
     try:
         union = C.from_rays(list(p.cone.rays) + list(q.cone.rays), p.ambient_rank)

@@ -18,6 +18,7 @@ from conftest import FIXTURES
 from tropfan._linalg import det, is_zero, rational_rank, rational_solve
 
 import _gen
+from _ref import ref_is_face_of
 
 ROOT = FIXTURES.parent
 
@@ -526,7 +527,9 @@ def ref_validate_av_fan(fan):
                 inter = C.intersect_cones(t1.cone, moved.cone)
                 if inter.dim == 0:
                     continue
-                if not (C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)):
+                if not (
+                    ref_is_face_of(inter, t1.cone) and ref_is_face_of(inter, moved.cone)
+                ):
                     out.append(
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
                         f"meet along a common face"
@@ -578,7 +581,7 @@ def ref_quotient_complex(fan):
             witnesses = []
             for m in S.candidate_translations(b, a, base):
                 moved = S.translate(a, m, base)
-                if C.is_face_of(moved.cone, b.cone) and moved.lattice == F._restrict(
+                if ref_is_face_of(moved.cone, b.cone) and moved.lattice == F._restrict(
                     b.lattice, moved.cone
                 ):
                     witnesses.append(m)
@@ -605,7 +608,7 @@ def ref_av_complete(fan):
         if c.dim in (0, D):
             continue
         if not any(
-            C.is_face_of(S.translate(c, m, base).cone, rho.cone)
+            ref_is_face_of(S.translate(c, m, base).cone, rho.cone)
             for rho in tops
             for m in S.candidate_translations(rho, c, base)
         ):
@@ -620,7 +623,7 @@ def ref_av_complete(fan):
             count = 0
             for rj, rho in enumerate(tops):
                 for m in S.candidate_translations(ridge_sc, rho, base):
-                    if C.is_face_of(ridge, S.translate(rho, m, base).cone):
+                    if ref_is_face_of(ridge, S.translate(rho, m, base).cone):
                         count += 1
                         adjacency[ti].add(rj)
             if count != 2:
@@ -1162,7 +1165,7 @@ def ref_overlap_violations(reps, base):
                                 f"{S.translate_vector(base, x, m)}"
                             )
                 if not (
-                    C.is_face_of(inter, t1.cone) and C.is_face_of(inter, moved.cone)
+                    ref_is_face_of(inter, t1.cone) and ref_is_face_of(inter, moved.cone)
                 ):
                     out.append(
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
