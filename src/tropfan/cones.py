@@ -3,12 +3,14 @@
 A Cone keeps three descriptions in sync: primitive extreme rays, a
 saturated basis of the lattice of its linear span (in HNF), and facet
 normals as ambient integer functionals.  It also carries its ray–facet
-incidences and span equations, each worked out once, on first use:
+incidences, span equations and face walk, each worked out once, on first
+use, and kept in a slot (`_carried`):
 - `zero_masks[k]`: the facet normals vanishing on rays[k];
 - `facet_masks[i]`: the rays on which facet_normals[i] vanishes, the
   transpose of `zero_masks`;
 - `span_equations`: a basis of the integer functionals vanishing on the
-  span.
+  span;
+- `face_walk`: a tuple of (rays, span basis, ray mask), one per face.
 Every zero set in this module is an int bitmask in which bit i stands for
 functional (or label, or ray) i.
 
@@ -21,7 +23,8 @@ merge also applies to its pieces' facets).  The facet list is complete
 and irredundant, so ray–facet incidences decide the rest, with no cone
 built for them:
 - The faces are the closure of the facet masks under intersection
-  (`face_walk`), each with the span basis of its rays.
+  (`Cone.face_walk`, which `face_walk(cone)` returns), each with the
+  span basis of its rays.
 - Every cut is one double-description pass over the rays
   (`_cut_incidences`), whose zero masks are exact: a half-space slice
   cuts by one row, an intersection by the other cone's span equations
@@ -47,8 +50,7 @@ cut R^n into 2^n simplicial chambers, and `arrangement_chambers` splits
 those by the remaining normals.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import lattice as lat
@@ -77,34 +79,99 @@ class DualNotPointedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+class _carried:
+    """A Cone attribute worked out on first use and kept in the slot of
+    the same name with a leading underscore.
+
+    A `functools.cached_property` would keep it in an instance dict, and
+    CPython reads every attribute of an instance that has a dict more
+    slowly than one that keeps its attributes in slots."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, cone, owner=None):
+        if cone is None:
+            return self
+        value = getattr(cone, self.slot)
+        if value is None:
+            value = self.func(cone)
+            object.__setattr__(cone, self.slot, value)
+        return value
+
+
+def _slot():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Cone:
     ambient_rank: int
     rays: tuple          # sorted primitive integer tuples (extreme rays)
     span_basis: tuple    # HNF basis of Z^n ∩ Span(cone)
     facet_normals: tuple # ambient integer functionals; x ∈ cone ⇔ x ∈ span, all ⟨h,x⟩ ≥ 0
+    _zero_masks: tuple = _slot()
+    _facet_masks: tuple = _slot()
+    _span_equations: tuple = _slot()
+    _face_walk: tuple = _slot()
 
     @property
     def dim(self):
         return len(self.span_basis)
 
-    @cached_property
+    @_carried
     def zero_masks(self):
         """For each ray, the bitmask of the facet normals vanishing on it."""
         return tuple(_zero_mask(r, self.facet_normals) for r in self.rays)
 
-    @cached_property
+    @_carried
     def facet_masks(self):
         """For each facet normal, the bitmask of the rays it vanishes on."""
         return _transpose(self.zero_masks, len(self.facet_normals))
 
-    @cached_property
+    @_carried
     def span_equations(self):
         """A basis of the integer functionals vanishing on the span: none
         for a full-dimensional cone, the unit vectors for the zero cone."""
         if self.dim == self.ambient_rank:
             return ()
         return tuple(integer_kernel(self.span_basis, self.ambient_rank))
+
+    @_carried
+    def face_walk(self):
+        """(rays, span basis, ray mask) for each face, sorted by
+        (dimension, rays) as `faces` sorts them, with no cone built.
+
+        A pointed cone's faces are the intersections of its facets
+        (Ziegler, Lectures on Polytopes, §2.2), and each face is the cone
+        over the rays it holds.  So the faces are the closure of the
+        `facet_masks` (bit k for rays[k]) under intersection, with the
+        whole mask for the cone itself; the empty mask is {0}.  A face's
+        span basis is the cone's for the cone itself, else that of its
+        rays (`ray_span`).
+        """
+        full = (1 << len(self.rays)) - 1
+        found = {full}
+        todo = [full]
+        while todo:
+            f = todo.pop()
+            for m in self.facet_masks:
+                if f & m not in found:
+                    found.add(f & m)
+                    todo.append(f & m)
+        walk = []
+        for mask in found:
+            rays = _rays_in(self, mask)
+            if mask == full:
+                walk.append((rays, self.span_basis, mask))
+            else:
+                walk.append((rays, ray_span(rays, self.ambient_rank), mask))
+        walk.sort(key=lambda face: (len(face[1]), face[0]))
+        return tuple(walk)
 
     def __eq__(self, other):
         return (
@@ -147,7 +214,10 @@ def from_rays(rays, ambient_rank):
         return Cone(ambient_rank, (), (), ())
     span = lat.saturate(lat.canonicalize(prims, ambient_rank))
     d = span.rank
-    coords = [express_in_hnf(span.basis, ambient_rank, p) for p in prims]
+    # A full span has the identity basis: the coordinates are the
+    # generators and the lift below is the identity.
+    full = d == ambient_rank
+    coords = prims if full else [express_in_hnf(span.basis, ambient_rank, p) for p in prims]
     # Facet normals in span coordinates: the extreme rays of the dual cone
     # {y : <c, y> >= 0 for every coordinate row c}, which is pointed
     # because the rows span R^d.  Double description starts from the
@@ -163,9 +233,9 @@ def from_rays(rays, ambient_rank):
     # Lift normals to ambient integer functionals (the span basis is
     # saturated, so an integer lift always exists); a lift takes the same
     # value at a generator as the normal at its coordinates.
-    lifted = [
-        primitive(y) for y in _lift_functionals(span.basis, normals_d, ambient_rank)
-    ]
+    if not full:
+        normals_d = _lift_functionals(span.basis, normals_d, ambient_rank)
+    lifted = [primitive(y) for y in normals_d]
     extreme = extreme_generators(prims, lifted)
     if extreme is None:
         raise PointednessError(f"cone generated by {rays} contains a line")
@@ -296,34 +366,8 @@ def facets(cone):
 
 
 def face_walk(cone):
-    """(rays, span basis, ray mask) for each face of the cone, sorted by
-    (dimension, rays) as `faces` sorts them, with no cone built.
-
-    A pointed cone's faces are the intersections of its facets (Ziegler,
-    Lectures on Polytopes, §2.2), and each face is the cone over the rays
-    it holds.  So the faces are the closure of the cone's `facet_masks`
-    (bit k for rays[k]) under intersection, with the whole mask for the
-    cone itself; the empty mask is {0}.  A face's span basis is the
-    cone's for the cone itself, else that of its rays (`ray_span`).
-    """
-    full = (1 << len(cone.rays)) - 1
-    found = {full}
-    todo = [full]
-    while todo:
-        f = todo.pop()
-        for m in cone.facet_masks:
-            if f & m not in found:
-                found.add(f & m)
-                todo.append(f & m)
-    walk = []
-    for mask in found:
-        rays = _rays_in(cone, mask)
-        if mask == full:
-            walk.append((rays, cone.span_basis, mask))
-        else:
-            walk.append((rays, ray_span(rays, cone.ambient_rank), mask))
-    walk.sort(key=lambda face: (len(face[1]), face[0]))
-    return walk
+    """The cone's carried face walk, `Cone.face_walk`."""
+    return cone.face_walk
 
 
 def face_cone(cone, face):

@@ -199,14 +199,15 @@ def fan_from_maximal(maximal, ambient_rank):
     """
     seen = {}
     for sc in maximal:
-        for f in C.faces(sc.cone):
-            fs = induced_stacky_cone(f, sc.lattice)
-            prev = seen.get(f.rays)
+        for face in C.face_walk(sc.cone):
+            rays, span_basis, _ = face
+            lattice = _restrict_to_span(sc.lattice, span_basis)
+            prev = seen.get(rays)
             if prev is None:
-                seen[f.rays] = fs
-            elif prev.lattice != fs.lattice:
+                seen[rays] = StackyCone(C.face_cone(sc.cone, face), lattice)
+            elif prev.lattice != lattice:
                 raise ValueError(
-                    f"inconsistent induced lattices on shared face with rays {f.rays}"
+                    f"inconsistent induced lattices on shared face with rays {rays}"
                 )
     if not seen:
         seen[()] = StackyCone(C.zero_cone(ambient_rank), L.zero_lattice(ambient_rank))

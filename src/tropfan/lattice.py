@@ -52,9 +52,10 @@ def canonicalize(vectors, ambient_rank):
 
 
 def full_lattice(ambient_rank):
-    return canonicalize(
-        [[1 if i == j else 0 for j in range(ambient_rank)] for i in range(ambient_rank)],
+    """Z^n, whose HNF basis is the identity."""
+    return Sublattice(
         ambient_rank,
+        tuple(tuple(int(i == j) for j in range(ambient_rank)) for i in range(ambient_rank)),
     )
 
 
@@ -119,17 +120,18 @@ def intersect(l1, l2):
 def saturate(lattice):
     """Span_Q(L) intersected with Z^n: the saturation of L.
 
-    A basis in HNF whose pivots are all 1 has a maximal minor equal to 1,
-    so it is saturated and is returned as it is; otherwise the saturation
-    is the kernel of the kernel.
+    A lattice of full rank saturates to Z^n.  A basis in HNF whose pivots
+    are all 1 has a maximal minor equal to 1, so it is saturated and is
+    returned as it is; otherwise the saturation is the kernel of the
+    kernel.
     """
     n = lattice.ambient_rank
     if not lattice.basis:
         return zero_lattice(n)
+    if lattice.rank == n:
+        return full_lattice(n)
     if all(next(x for x in row if x) == 1 for row in lattice.basis):
         return lattice
     perp = integer_kernel([list(b) for b in lattice.basis], n)
-    if not perp:
-        return full_lattice(n)
     sat = integer_kernel([list(p) for p in perp], n)
     return canonicalize([list(v) for v in sat], n)

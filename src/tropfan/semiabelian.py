@@ -37,10 +37,14 @@ base cone of check (7)):
 `av_bir_equivalent`, which need whole cones; the covers compare overlay
 lattices only with translates where one of the two lattices is not its
 cone's span lattice.
+Each public call keeps one table (`_OrbitForms`) that works out every
+ray's Gram and slope, every ray tuple's slope box, every orbit form,
+every shift's shear block and the embedded base cone once.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import cones as C
@@ -253,9 +257,13 @@ def translate(sc, m, base):
     re-lifted from the span so that they equal those of `from_rays` on
     the mapped rays.
     """
+    return _translate(sc, shear_block(base, m), base.base_rank)
+
+
+def _translate(sc, A, b):
+    """`translate` by the shear block A = A_m."""
     if not sc.cone.rays:
         return sc
-    A, b = shear_block(base, m), base.base_rank
     lat = L.canonicalize([_shear(A, b, v) for v in sc.lattice.basis], sc.ambient_rank)
     return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
 
@@ -277,20 +285,16 @@ def _ray_slope(base, ray, G):
     return (v, d) if d > 0 else (tuple(-x for x in v), -d)
 
 
-def _ray_data(base, rays):
-    """(G_n, slope) for each ray (n, n′, n″); the slope is None when n = 0,
+def _ray_data(base, ray):
+    """(G_n, slope) of a ray (n, n′, n″); the slope is None when n = 0,
     which requires n′ = 0."""
-    out = []
-    for ray in rays:
-        n, nprime, _ = split_point(base, ray)
-        G = gram(base, n)
-        if not is_zero(n):
-            out.append((G, _ray_slope(base, ray, G)))
-        elif is_zero(nprime):
-            out.append((G, None))
-        else:
-            raise ValueError(f"ray {ray} has zero base part but nonzero N part")
-    return out
+    n, nprime, _ = split_point(base, ray)
+    G = gram(base, n)
+    if not is_zero(n):
+        return G, _ray_slope(base, ray, G)
+    if is_zero(nprime):
+        return G, None
+    raise ValueError(f"ray {ray} has zero base part but nonzero N part")
 
 
 def _over_common_denominator(slopes):
@@ -348,9 +352,34 @@ def _slope_radius(grams, rows, D):
     return t
 
 
-def _translation_box(data1, data2):
+class _Slopes:
+    """The slopes of a ray tuple as `_orbit_form` and `_translation_box`
+    read them, from each ray's `_ray_data`: every ray's Gram matrix
+    (`grams`); the slopes of the rays with nonzero base part as integer
+    `rows` over one denominator `D` > 0, with their column minima `lo` and
+    maxima `hi`; whether those rays' Grams are positive multiples of one
+    matrix (`proportional`, false when there are none); and whether every
+    ray has a nonzero base part (`all_moving`).  `radius`, the
+    `_slope_radius` of the rows, is worked out on first use."""
+
+    def __init__(self, data):
+        self.grams = [G for G, _ in data]
+        moving = [(G, mu) for G, mu in data if mu]
+        self.moving_grams = [G for G, _ in moving]
+        self.rows, self.D = _over_common_denominator([mu for _, mu in moving])
+        self.lo = [min(col) for col in zip(*self.rows)]
+        self.hi = [max(col) for col in zip(*self.rows)]
+        self.proportional = bool(moving) and _proportional(self.moving_grams)
+        self.all_moving = len(moving) == len(data)
+
+    @cached_property
+    def radius(self):
+        return _slope_radius(self.moving_grams, self.rows, self.D)
+
+
+def _translation_box(s1, s2):
     """Ranges per coordinate of M that hold every m with c1 ∩ T_m(c2) ≠ {0},
-    from the `_ray_data` of c1 and c2; both have a ray with nonzero base part.
+    from the `_Slopes` of c1 and c2; both have a ray with nonzero base part.
 
     T_m adds m to slopes, so such an m is μ(x) − μ(y) for points x ∈ c1
     and y = T_{−m}x ∈ c2.  When every ray of both cones has nonzero base
@@ -361,20 +390,16 @@ def _translation_box(data1, data2):
     of 1, widened by `_slope_radius` when some cone's Grams are not
     proportional.
     """
-    grams1 = [G for G, mu in data1 if mu]
-    grams2 = [G for G, mu in data2 if mu]
-    rows1, D1 = _over_common_denominator([mu for _, mu in data1 if mu])
-    rows2, D2 = _over_common_denominator([mu for _, mu in data2 if mu])
+    D1, D2 = s1.D, s2.D
     den = D1 * D2
-    lo = [min(a) * D2 - max(b) * D1 for a, b in zip(zip(*rows1), zip(*rows2))]
-    hi = [max(a) * D2 - min(b) * D1 for a, b in zip(zip(*rows1), zip(*rows2))]
-    if _proportional(grams1) and _proportional(grams2):
-        if len(grams1) == len(data1) and len(grams2) == len(data2):
+    lo = [a * D2 - b * D1 for a, b in zip(s1.lo, s2.hi)]
+    hi = [a * D2 - b * D1 for a, b in zip(s1.hi, s2.lo)]
+    if s1.proportional and s2.proportional:
+        if s1.all_moving and s2.all_moving:
             return [range(-(-x // den), y // den + 1) for x, y in zip(lo, hi)]
         margin = 1
     else:
-        t = _slope_radius(grams1, rows1, D1) + _slope_radius(grams2, rows2, D2)
-        margin = max(1, t)
+        margin = max(1, s1.radius + s2.radius)
     return [range(x // den - margin, -(-y // den) + margin + 1) for x, y in zip(lo, hi)]
 
 
@@ -395,31 +420,31 @@ def candidate_translations(c1, c2, base):
     return _OrbitForms(base).candidates(c1, c2)
 
 
-def _candidates(c1, c2, data1, data2, base):
-    """`candidate_translations` from the cones' `_OrbitForms.data`."""
+def _candidates(c1, c2, s1, s2, base):
+    """`candidate_translations` from the cones' `_Slopes`."""
     g = base.m_rank
-    if not any(mu for _, mu in data1) or not any(mu for _, mu in data2):
+    if not s1.rows or not s2.rows:
         hit = C.cut_pass(c1.cone, *C.cut_rows(c2.cone))[0]
         return (tuple([0] * g),) if hit else ()
     b = base.base_rank
     functionals, n_eq = C.cut_rows(c2.cone)
     forms = [
         [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
-        for r, (G, _) in zip(c1.cone.rays, data1)
+        for r, G in zip(c1.cone.rays, s1.grams)
     ]
     found = []
-    for m in product(*_translation_box(data1, data2)):
+    for m in product(*_translation_box(s1, s2)):
         columns = [[c - dot(m, w) for c, w in col] for col in forms]
         if C.orthant_cut_is_nonzero(columns, n_eq):
             found.append(m)
     return tuple(found)
 
 
-def _orbit_form(rays, lattice, base, data):
+def _orbit_form(rays, lattice, table):
     """(form, shift): the key (rays, lattice basis) of the least of the
     candidate translates T_shift(sc) of the cone sc with these rays and
-    this lattice, ordered by that key; `data` is the rays'
-    `_OrbitForms.data`.
+    this lattice, ordered by that key, read from the rays' slopes and the
+    shear blocks of `table` (an `_OrbitForms`).
 
     The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
     rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
@@ -432,31 +457,39 @@ def _orbit_form(rays, lattice, base, data):
     lattice is sheared and put in HNF; no translated cone is built.  Other
     cones, and all cones when g = 0, are their own form with shift 0.
     """
-    shifts = {tuple(-(x // mu[1]) for x in mu[0]) for _, mu in data if mu}
+    slopes = table.slopes(rays)
+    shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
     if not shifts:
-        return (rays, lattice.basis), tuple([0] * base.m_rank)
-    b = base.base_rank
-    blocks = {s: shear_block(base, s) for s in shifts}
-    sheared = {s: tuple(_shear(A, b, r) for r in rays) for s, A in blocks.items()}
+        return (rays, lattice.basis), tuple([0] * table.base.m_rank)
+    b = table.base.base_rank
+    sheared = {s: tuple(_shear(table.block(s), b, r) for r in rays) for s in shifts}
     s = min(shifts, key=sheared.__getitem__)
-    lat = [_shear(blocks[s], b, v) for v in lattice.basis]
+    lat = [_shear(table.block(s), b, v) for v in lattice.basis]
     return (sheared[s], L.canonicalize(lat, lattice.ambient_rank).basis), s
 
 
 class _OrbitForms:
-    """Orbit forms and ray data over one base: calling it on a StackyCone,
-    or `of` on rays and a lattice, gives `_orbit_form`, once per (rays,
-    lattice), and `data` gives the `_ray_data` (none when g = 0), once per
-    ray tuple, to the form and to every scan through `candidates`.
+    """What the translation decisions read over one base, each entry
+    worked out once:
+    - per ray, its `_ray_data` (G_n and slope);
+    - per ray tuple, its `_Slopes` (`slopes`; no slopes when g = 0),
+      which the orbit form and every scan through `candidates` read;
+    - per (rays, lattice), the orbit form (`_orbit_form`): calling the
+      table on a StackyCone, or `of` on rays and a lattice;
+    - per m, the shear block A_m (`block`), which the orbit forms, the
+      overlap and containment scans and the translates (`translate`) of
+      the merges and covers read;
+    - the embedded base cone of check (7) (`base_cone`).
 
-    Each public entry point makes its own, so neither table outlives one
-    call.
+    Each public entry point makes its own, so no table outlives one call.
     """
 
     def __init__(self, base):
         self.base = base
         self._forms = {}
-        self._data = {}
+        self._rays = {}
+        self._slopes = {}
+        self._blocks = {}
 
     def __call__(self, sc):
         return self.of(sc.cone.rays, sc.lattice)
@@ -467,18 +500,39 @@ class _OrbitForms:
         no Cone of its own."""
         key = (rays, lattice.basis)
         if key not in self._forms:
-            self._forms[key] = _orbit_form(rays, lattice, self.base, self.data(rays))
+            self._forms[key] = _orbit_form(rays, lattice, self)
         return self._forms[key]
 
-    def data(self, rays):
-        if rays not in self._data:
-            self._data[rays] = _ray_data(self.base, rays) if self.base.m_rank else ()
-        return self._data[rays]
+    def slopes(self, rays):
+        if rays not in self._slopes:
+            data = [self._ray(r) for r in rays] if self.base.m_rank else []
+            self._slopes[rays] = _Slopes(data)
+        return self._slopes[rays]
+
+    def _ray(self, ray):
+        if ray not in self._rays:
+            self._rays[ray] = _ray_data(self.base, ray)
+        return self._rays[ray]
+
+    def block(self, m):
+        """The shear block A_m (`shear_block`)."""
+        if m not in self._blocks:
+            self._blocks[m] = shear_block(self.base, m)
+        return self._blocks[m]
+
+    def translate(self, sc, m):
+        """`translate(sc, m, base)`."""
+        return _translate(sc, self.block(m), self.base.base_rank)
+
+    @cached_property
+    def base_cone(self):
+        """`embedded_base_cone(base)`."""
+        return embedded_base_cone(self.base)
 
     def candidates(self, c1, c2):
         """`candidate_translations(c1, c2, base)`."""
-        data1, data2 = self.data(c1.cone.rays), self.data(c2.cone.rays)
-        return _candidates(c1, c2, data1, data2, self.base)
+        s1, s2 = self.slopes(c1.cone.rays), self.slopes(c2.cone.rays)
+        return _candidates(c1, c2, s1, s2, self.base)
 
 
 @dataclass(frozen=True)
@@ -564,7 +618,11 @@ def _av_violations(fan, form):
 
 def _av_valid(fan, form):
     """Is the fan valid?  `_av_violations(fan, form) == []`, without
-    scanning every pair when it is not."""
+    scanning every pair when it is not.  Check (7) comes first: it is one
+    comparison with the table's base cone, and most merges `av_minimal`
+    tries fail it."""
+    if form.base_cone not in fan.representatives:
+        return False
     if local_violations(fan):
         return False
     head, faces, tops = _orbit_checks(fan, form)
@@ -579,8 +637,7 @@ def _orbit_checks(fan, form):
     reps = fan.representatives
     head = []
     # (7) the embedded base cone is present.
-    bc = embedded_base_cone(fan.base)
-    if not any(sc == bc for sc in reps):
+    if form.base_cone not in reps:
         head.append("(7): base cone σ0×{0}×{0} is not among the representatives")
     if not any(sc.cone.rays == () for sc in reps):
         head.append("(3): zero cone missing from representatives")
@@ -636,7 +693,7 @@ def _overlap_violations(reps, form):
             for m in form.candidates(t1, t2):
                 if i == j and is_zero(m):
                     continue
-                A = shear_block(base, m)
+                A = form.block(m)
                 pulled_rows = [_pull_back(A, b, f) for f in rows]
                 rays, own, other = C.cut_pass(t1.cone, pulled_rows, n_eq)
                 if i == j:
@@ -647,7 +704,7 @@ def _overlap_violations(reps, form):
                                 f"its T_{m}-translate is not fixed: T_{m}{x} = "
                                 f"{_shear(A, b, x)}"
                             )
-                back = shear_block(base, tuple(-k for k in m))
+                back = form.block(tuple(-k for k in m))
                 pulled = [_shear(back, b, x) for x in rays]
                 if not (
                     rays == C.tight_rays(t1.cone, own)
@@ -814,12 +871,11 @@ def _maximal_classes(cells, form):
     """The cells in no translate of a cell of higher dimension, over the
     base of `form`.  No translate is built: c ⊆ T_m(ρ) iff T_{−m} maps
     every ray of c into ρ."""
-    base = form.base
-    b = base.base_rank
+    b = form.base.base_rank
 
     def inside(c, rho):
         for m in form.candidates(c, rho):
-            A = shear_block(base, tuple(-x for x in m))
+            A = form.block(tuple(-x for x in m))
             if all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays):
                 return True
         return False
@@ -852,7 +908,7 @@ def av_minimal(fan):
                 for m in form.candidates(cells[i], cells[j]):
                     if i == j and is_zero(m):
                         continue
-                    merged = F.merge_across_wall(cells[i], translate(cells[j], m, base))
+                    merged = F.merge_across_wall(cells[i], form.translate(cells[j], m))
                     if merged is not None:
                         break
                 if merged is None:
@@ -914,14 +970,13 @@ def _av_covers(pieces1, pieces2, form):
     lattice restricted to a cell is the cell's span lattice, so both
     sides restrict to the same lattice there.
     """
-    base = form.base
     saturated = [rho.lattice == F.span_lattice(rho.cone) for rho in pieces2]
     for t1 in pieces1:
         t1_saturated = t1.lattice == F.span_lattice(t1.cone)
         translates, overlaid = [], []
         for rho, rho_saturated in zip(pieces2, saturated):
             for m in form.candidates(t1, rho):
-                moved = translate(rho, m, base)
+                moved = form.translate(rho, m)
                 translates.append(moved)
                 if not (t1_saturated and rho_saturated):
                     overlaid.append(moved)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -73,6 +74,64 @@ class TestSerialize:
         }
         with pytest.raises(SER.ParseError, match="integer"):
             SER.loads(json.dumps(doc))
+
+
+def _fan_doc(n, cones):
+    return json.dumps({
+        "schema_version": "1",
+        "kind": "stacky_fan",
+        "payload": {"ambient_rank": str(n), "cones": [
+            {"rays": [[str(x) for x in r] for r in rays],
+             "lattice": [[str(x) for x in v] for v in lat]}
+            for rays, lat in cones
+        ]},
+    })
+
+
+class TestStackyFanDecoder:
+    # A listed cone whose nonzero primitive rays are those of a face of a
+    # longer listed cone is read from that cone's face walk; every decoded
+    # cone is the one `from_rays` gives, and of several faults the first
+    # cone's, in document order, is raised.
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cones_equal_from_rays(self, seed, monkeypatch):
+        fan = _gen.random_fan(random.Random(seed))
+        n = fan.ambient_rank
+        # Faces listed first, each with a doubled ray and a zero vector.
+        listed = [
+            ([tuple(2 * x for x in r) for r in sc.cone.rays[:1]] + list(sc.cone.rays)
+             + [(0,) * n], sc.lattice.basis)
+            for sc in fan.cones
+        ]
+        calls = []
+        original = C.from_rays
+        monkeypatch.setattr(C, "from_rays", lambda *a: calls.append(a) or original(*a))
+        decoded = SER.loads(_fan_doc(n, listed))[1]
+        assert len(calls) == len(F.maximal_cones(fan)) < len(listed)
+        monkeypatch.undo()
+        for sc, (rays, lat) in zip(decoded.cones, listed):
+            ref = C.from_rays(rays, n)
+            assert (sc.cone.rays, sc.cone.span_basis, sc.cone.facet_normals) == (
+                ref.rays, ref.span_basis, ref.facet_normals)
+            assert sc.lattice == L.canonicalize(lat, n)
+
+    def test_first_fault_in_document_order(self):
+        square = [(1, 0), (0, 1)]
+        line = [(1, 0), (-1, 0)]
+        short = [(1, 0, 0)]
+        cases = [
+            # A line listed before a cone whose integer fails to decode.
+            ([(line, square), ([("x", "0")], square)], "contains a line"),
+            # A ray of the wrong length listed before a longer cone that
+            # contains a line, which is built first.
+            ([(short, square), (line + [(0, 1)], square)], "does not have length"),
+            ([(square, square), (line + [(0, 1)], square)], "contains a line"),
+            ([(square, [(1, 0, 0)]), ([(1, 1)], square)], "does not have length"),
+        ]
+        for cones, message in cases:
+            with pytest.raises(SER.ParseError, match=message):
+                SER.loads(_fan_doc(2, cones))
 
 
 class TestValidateCommand:

@@ -851,7 +851,7 @@ def test_face_walk_matches_reference_faces():
                     (f.rays, f.span_basis) for f in ref_faces(cone)
                 ]
     zero = C.zero_cone(3)
-    assert C.face_walk(zero) == [((), (), 0)]
+    assert list(C.face_walk(zero)) == [((), (), 0)]
 
 
 def test_common_face_matches_reference_on_seeded_pairs():
@@ -888,7 +888,9 @@ def test_carried_incidences_and_equations_match_recomputed():
     # Cones from every constructor: `from_rays` at rank 1 to 5 and every
     # span rank, and the cone over C(14, 4); their faces and facets, both
     # sides of a cut and the wall merge of the two, intersections, and, at
-    # rank 5, translates over a base with b = 1, g = 2 and r = 2.
+    # rank 5, translates over a base with b = 1, g = 2 and r = 2.  The
+    # face walk is carried too: a second `face_walk` call returns the same
+    # tuple, equal to the walk of a fresh copy of the cone.
     rng = random.Random(21)
     base = S.PolarizedBase(
         F.StackyCone(C.ray_cone((1,), 1), L.full_lattice(1)),
@@ -929,6 +931,10 @@ def test_carried_incidences_and_equations_match_recomputed():
         assert cone.zero_masks == zero
         assert cone.facet_masks == facet
         assert list(cone.span_equations) == equations
+        walk = C.face_walk(cone)
+        assert C.face_walk(cone) is walk
+        fresh = C.Cone(cone.ambient_rank, cone.rays, cone.span_basis, cone.facet_normals)
+        assert walk == fresh.face_walk
 
 
 def test_only_cones_reads_private_names_of_cones():

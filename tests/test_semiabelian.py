@@ -1,6 +1,8 @@
+import ast
 import importlib.util
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,7 +20,7 @@ from conftest import FIXTURES
 from tropfan._linalg import det, is_zero, rational_rank, rational_solve
 
 import _gen
-from _ref import ref_is_face_of
+from _ref import ref_is_face_of, ref_translation_box
 
 ROOT = FIXTURES.parent
 
@@ -1132,9 +1134,8 @@ def ref_orbit_form(sc, base):
     zero = tuple([0] * base.m_rank)
     if base.m_rank == 0:
         return sc, zero
-    shifts = {
-        tuple(-(x // mu[1]) for x in mu[0]) for _, mu in S._ray_data(base, sc.cone.rays) if mu
-    }
+    slopes = [S._ray_data(base, r)[1] for r in sc.cone.rays]
+    shifts = {tuple(-(x // mu[1]) for x in mu[0]) for mu in slopes if mu}
     if not shifts:
         return sc, zero
     return min(
@@ -1310,12 +1311,14 @@ def test_torus_grid_1_violations_are_pinned():
     "tate_two_arc_idx2.json", "grid2",
 ])
 def test_ray_data_once_per_ray_tuple_per_call(name, monkeypatch):
+    # `_ray_data` runs once per ray per call, which is stricter than once
+    # per ray tuple: a face shares the data of its parent's rays.
     fan = gen.torus_grid_fan(2) if name == "grid2" else load(name)
     minimal = S.av_minimal(fan)
     calls = []
     original = S._ray_data
     monkeypatch.setattr(
-        S, "_ray_data", lambda base, rays: calls.append(rays) or original(base, rays)
+        S, "_ray_data", lambda base, ray: calls.append(ray) or original(base, ray)
     )
     for call in (
         lambda: S.validate_av_fan(fan),
@@ -1385,3 +1388,81 @@ def test_av_bir_equivalent_matches_reference():
         sc.cone for sc in idx2.representatives
     ]
     assert not S.av_bir_equivalent(two, idx2)
+
+
+# --- The per-call table -------------------------------------------------------
+
+
+def test_translation_box_matches_reference_on_seeded_ray_data():
+    # The box from `_Slopes` against the parent's box from the rays'
+    # (G_n, slope) lists: on the skew base (non-proportional Grams, so the
+    # radius widens the margin), over torus rays with zero base part
+    # (margin 1) and on the Tate and grid fans (exact ranges).
+    rng = random.Random(23)
+    skew = _skew_base()
+    cases = [(skew, [_random_admissible_cone(rng, skew) for _ in range(12)])]
+    cases += [(_torus_base(g), _torus_cones(g, random.Random(30 + g))) for g in (1, 2)]
+    for fan in (load("tate_three_arc.json"), load("tate_two_arc_idx2.json"),
+                gen.torus_grid_fan(2)):
+        cases.append((fan.base, list(fan.representatives)))
+    boxes = 0
+    for base, cones in cases:
+        data = [[S._ray_data(base, r) for r in sc.cone.rays] for sc in cones]
+        for d1, d2 in product(data, repeat=2):
+            if any(mu for _, mu in d1) and any(mu for _, mu in d2):
+                box = S._translation_box(S._Slopes(d1), S._Slopes(d2))
+                assert box == ref_translation_box(d1, d2)
+                boxes += 1
+    assert boxes > 300
+
+
+def test_av_valid_agrees_with_violations(monkeypatch):
+    # `_av_valid` tests (7) before the local checks and the (3) faces; its
+    # verdict is still that of the full violation list, on every merge
+    # `av_minimal` tries on the Tate and grid fans, and on Tate fans that
+    # fail (7) and a local check at once.
+    tried = []
+    original = S._av_valid
+    monkeypatch.setattr(
+        S, "_av_valid", lambda f, form: tried.append((f, form)) or original(f, form)
+    )
+    tate = [load(name) for name in (
+        "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+        "tate_two_arc_idx2.json",
+    )]
+    for fan in tate + [gen.torus_grid_fan(1), gen.torus_grid_fan(2)]:
+        S.av_minimal(fan)
+    assert len(tried) > 10
+    for fan in tate:
+        base, n = fan.base, fan.ambient_rank
+        form = S._OrbitForms(base)
+        reps = [sc for sc in fan.representatives if sc != form.base_cone]
+        ray = next(sc for sc in reps if sc.dim == 1)
+        broken = S.av_fan(
+            base, [F.StackyCone(ray.cone, L.zero_lattice(n))] + [sc for sc in reps if sc != ray]
+        )
+        assert S.local_violations(broken)
+        tried.append((broken, form))
+    verdicts = set()
+    for fan, form in tried:
+        verdict = original(fan, form)
+        assert verdict == (not S._av_violations(fan, form))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
+    # Inside `semiabelian`, the per-ray data, the shear blocks and the
+    # embedded base cone are read through `_OrbitForms`, which works each
+    # out once per call; only the public wrappers that take no table call
+    # them directly.
+    tree = ast.parse(pathlib.Path(S.__file__).read_text())
+    guarded = {"_ray_data", "embedded_base_cone", "shear_block"}
+    allowed = {"_OrbitForms", "candidate_translations", "translate", "translate_vector", "q_hom"}
+    readers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in guarded:
+                readers.add((getattr(top, "name", None), node.id))
+    assert {name for owner, name in readers if owner == "_OrbitForms"} == guarded
+    assert {owner for owner, _ in readers} <= allowed
