@@ -109,9 +109,14 @@ def express_in_hnf(H, ncols, v):
 
     H must be in row HNF (nonzero rows only).
     """
+    return express_at_pivots(H, pivot_columns(H, ncols), v)
+
+
+def express_at_pivots(H, pivots, v):
+    """`express_in_hnf` given the pivot columns of H, for an HNF that
+    keeps them (`lattice.Sublattice.pivots`)."""
     v = list(v)
     coeffs = []
-    pivots = pivot_columns(H, ncols)
     for row, p in zip(H, pivots):
         if v[p] % row[p] != 0:
             # Might still fail later; the triangular structure makes this exact.

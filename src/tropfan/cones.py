@@ -663,16 +663,32 @@ def uncovered_point(target, pieces):
     """An integer interior point of target outside every piece, or None.
 
     Exact: the target is split by every facet hyperplane of every piece of
-    at least its dimension (a hyperplane that cuts no cell, such as one
-    already used, leaves the cells whole); each cell, of the target's
-    dimension, is represented by an interior point which must land in
-    some piece.
+    at least its dimension, in order, as `split_by_hyperplanes` splits it
+    (a hyperplane that cuts no cell, such as one already used, leaves the
+    cells whole); each leaf cell, of the target's dimension, is
+    represented by an interior point which must land in some piece.
+
+    The split is walked depth first on an explicit stack, the `+` side of
+    a hyperplane before the `−` side, so the leaves come in the order of
+    the fully split list.  A cell that one piece holds is split no
+    further: every leaf under it lies in that piece.  So the first
+    uncovered leaf, and its point, are those of the full split.
     """
-    hyperplanes = [h for p in pieces if p.dim >= target.dim for h in p.facet_normals]
-    for cell in split_by_hyperplanes([target], hyperplanes):
-        pt = interior_point(cell)
-        if not any(member(p, pt) for p in pieces):
-            return pt
+    holders = [p for p in pieces if p.dim >= target.dim]
+    hyperplanes = [h for p in holders for h in p.facet_normals]
+    stack = [(target, 0)]
+    while stack:
+        cell, i = stack.pop()
+        while i < len(hyperplanes) and not _crosses(hyperplanes[i], cell.rays):
+            i += 1
+        if i == len(hyperplanes):
+            pt = interior_point(cell)
+            if not any(member(p, pt) for p in pieces):
+                return pt
+        elif not any(contains_cone(p, cell) for p in holders):
+            h = hyperplanes[i]
+            stack.append((halfspace_slice(cell, h, -1), i + 1))
+            stack.append((halfspace_slice(cell, h, 1), i + 1))
     return None
 
 
@@ -684,7 +700,9 @@ def cone_covered_by(target, pieces):
 def union_difference(cones1, cones2):
     """An interior point of a cone of one list outside the other list's
     union, or None when the two unions are equal.  The first list's cones
-    are scanned first, in order, then the second list's."""
+    are scanned first, in order, then the second list's, each by
+    `uncovered_point`: a depth-first split that stops at cells one piece
+    of the other list holds."""
     for targets, pieces in ((cones1, cones2), (cones2, cones1)):
         for target in targets:
             pt = uncovered_point(target, pieces)

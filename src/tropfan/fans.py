@@ -142,9 +142,7 @@ def _restrict_to_span(lattice, span_basis):
     ):
         return lattice
     span = L.Sublattice(n, tuple(span_basis))
-    if lattice.rank >= d and all(
-        express_in_hnf(lattice.basis, n, s) is not None for s in span_basis
-    ):
+    if lattice.rank >= d and L.contains(lattice, span):
         return span
     return L.intersect(lattice, span)
 

@@ -4,12 +4,15 @@ A Sublattice is the subgroup of Z^n generated by its basis rows.  The
 basis is kept in row-style HNF (positive pivots, reduced entries above
 pivots), so equality of subgroups is equality of tuples.  Rank-deficient
 sublattices are ordinary values; the zero lattice has an empty basis.
+Each lattice keeps the pivot columns of its basis, worked out on first
+use, for every solve for coordinates in that basis.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _linalg
-from ._linalg import hnf, express_in_hnf, integer_kernel
+from ._linalg import express_at_pivots, hnf, integer_kernel, pivot_columns
 
 
 class DimensionError(ValueError):
@@ -38,6 +41,12 @@ class Sublattice:
     @property
     def rank(self):
         return len(self.basis)
+
+    @cached_property
+    def pivots(self):
+        """The pivot column of each basis row, worked out on first use;
+        equality and hashing stay on (ambient_rank, basis)."""
+        return tuple(pivot_columns(self.basis, self.ambient_rank))
 
     def __repr__(self):
         return f"Sublattice(rank {self.rank} in Z^{self.ambient_rank})"
@@ -69,7 +78,7 @@ def member(v, lattice):
         raise DimensionError(f"vector {v} vs ambient rank {lattice.ambient_rank}")
     if all(x == 0 for x in v):
         return True
-    return express_in_hnf(list(lattice.basis), lattice.ambient_rank, v) is not None
+    return express_at_pivots(lattice.basis, lattice.pivots, v) is not None
 
 
 def contains(sup, sub):
@@ -90,7 +99,7 @@ def index_in(sub, sup):
         return INFINITE
     # Express sub's basis in coordinates with respect to sup's basis; the
     # index is |det| of that square matrix, the product of its HNF pivots.
-    coords = [express_in_hnf(list(sup.basis), sup.ambient_rank, b) for b in sub.basis]
+    coords = [express_at_pivots(sup.basis, sup.pivots, b) for b in sub.basis]
     index = 1
     for i, row in enumerate(hnf(coords, sup.rank)):
         index *= row[i]

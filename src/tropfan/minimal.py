@@ -13,7 +13,8 @@ pieces left depend on the input, not only on S, so
 MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.  Equal S-sets means equal supports
 (`cones.union_difference`, whose point also gives the support witness)
-and equal lattices on the overlay.  A coloring becomes pieces only in
+and equal lattices on the overlay, where only pairs of pieces with
+different lattices can differ.  A coloring becomes pieces only in
 `_color_pieces`, so the decoder, `from_coloring` and `validate_coloring`
 (which checks each piece's lattice rank) all see the same pieces.
 """
@@ -105,10 +106,14 @@ def minimal_fan(fan):
 def _overlay_mismatch(pieces1, pieces2):
     """First overlay cell where the restricted lattices differ, or None.
 
-    Returns (cell, lattice_from_1, lattice_from_2).
+    Returns (cell, lattice_from_1, lattice_from_2).  A pair of pieces with
+    equal lattices is skipped, with no cell built: one lattice restricts
+    to one lattice on any cell, so such a pair never differs.
     """
     for p1 in pieces1:
         for p2 in pieces2:
+            if p1.lattice == p2.lattice:
+                continue
             cell = C.intersect_cones(p1.cone, p2.cone)
             if cell.dim == 0:
                 continue

@@ -22,13 +22,13 @@ def _stacky_pieces(obj):
     return list(obj.cones)
 
 
-def _adds_points(sc, pieces):
+def _adds_points(sc, rays, keyed):
     """False when another piece contains sc's cone and lattice, so that
-    sc adds no point: its rays are a proper subset of the other's rays and
-    its lattice lies in the other's lattice."""
-    rays = set(sc.cone.rays)
+    sc adds no point: its rays (the set `rays`) are a proper subset of the
+    other's rays and its lattice lies in the other's lattice.  `keyed`
+    holds each piece with the set of its rays."""
     return not any(
-        rays < set(p.cone.rays) and L.contains(p.lattice, sc.lattice) for p in pieces
+        rays < other and L.contains(p.lattice, sc.lattice) for p, other in keyed
     )
 
 
@@ -51,8 +51,9 @@ def s_enumerate(obj, radius):
         return []  # the box is empty
     pieces = _stacky_pieces(obj)
     points = {tuple([0] * n)}
-    for p in pieces:
-        if p.dim > 0 and _adds_points(p, pieces):
+    keyed = [(p, set(p.cone.rays)) for p in pieces]
+    for p, rays in keyed:
+        if p.dim > 0 and _adds_points(p, rays, keyed):
             _sweep_piece(p, radius, points)
     return sorted(points)
 

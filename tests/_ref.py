@@ -2,6 +2,7 @@
 constructions that library decisions are compared against."""
 
 import tropfan.cones as C
+import tropfan.fans as F
 import tropfan.lattice as L
 import tropfan.semiabelian as S
 from tropfan._linalg import dot
@@ -50,3 +51,60 @@ def ref_translation_box(data1, data2):
         t = S._slope_radius(grams1, rows1, D1) + S._slope_radius(grams2, rows2, D2)
         margin = max(1, t)
     return [range(x // den - margin, -(-y // den) + margin + 1) for x, y in zip(lo, hi)]
+
+
+def ref_split_by_hyperplanes(cones, hyperplanes):
+    """Both sides of every cell by every hyperplane; a side of lower
+    dimension than its cell is dropped, and so is a repeated side."""
+    cells = list(cones)
+    for h in hyperplanes:
+        new_cells = []
+        for c in cells:
+            for s in (C.halfspace_slice(c, h, 1), C.halfspace_slice(c, h, -1)):
+                if s.dim == c.dim and s not in new_cells:
+                    new_cells.append(s)
+        cells = new_cells
+    return cells
+
+
+def ref_splitting_hyperplanes(target, pieces):
+    """Facet hyperplanes of the pieces of at least the target's dimension
+    that cut the target, each once up to sign."""
+    hyperplanes = []
+    for p in pieces:
+        if p.dim < target.dim:
+            continue
+        for h in p.facet_normals:
+            if h in hyperplanes or tuple(-x for x in h) in hyperplanes:
+                continue
+            signs = [dot(h, r) for r in target.rays]
+            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
+                hyperplanes.append(h)
+    return hyperplanes
+
+
+def ref_uncovered_point(target, pieces):
+    """The target split by the hyperplanes that cut it; the interior point
+    of the first cell that no piece contains."""
+    hyperplanes = ref_splitting_hyperplanes(target, pieces)
+    for cell in ref_split_by_hyperplanes([target], hyperplanes):
+        pt = C.interior_point(cell)
+        if not any(C.member(p, pt) for p in pieces):
+            return pt
+    return None
+
+
+def ref_overlay_mismatch(pieces1, pieces2):
+    """`minimal._overlay_mismatch` over every pair of pieces, equal
+    lattices included: the first overlay cell where the restricted
+    lattices differ, as (cell, lattice_from_1, lattice_from_2), or None."""
+    for p1 in pieces1:
+        for p2 in pieces2:
+            cell = C.intersect_cones(p1.cone, p2.cone)
+            if cell.dim == 0:
+                continue
+            r1 = F._restrict(p1.lattice, cell)
+            r2 = F._restrict(p2.lattice, cell)
+            if r1 != r2:
+                return cell, r1, r2
+    return None

@@ -19,7 +19,11 @@ from tropfan._linalg import (
     rational_rank,
 )
 
-from _ref import ref_is_face_of
+from _ref import (
+    ref_is_face_of,
+    ref_split_by_hyperplanes,
+    ref_uncovered_point,
+)
 
 
 # Reference implementations: the subset-enumerating cone operations that
@@ -215,47 +219,6 @@ def ref_faces_by_facets(cone):
                 found[f.rays] = f
                 todo.append(f)
     return sorted(found.values(), key=lambda c: (c.dim, c.rays))
-
-
-def ref_split_by_hyperplanes(cones, hyperplanes):
-    """Both sides of every cell by every hyperplane; a side of lower
-    dimension than its cell is dropped, and so is a repeated side."""
-    cells = list(cones)
-    for h in hyperplanes:
-        new_cells = []
-        for c in cells:
-            for s in (C.halfspace_slice(c, h, 1), C.halfspace_slice(c, h, -1)):
-                if s.dim == c.dim and s not in new_cells:
-                    new_cells.append(s)
-        cells = new_cells
-    return cells
-
-
-def ref_splitting_hyperplanes(target, pieces):
-    """Facet hyperplanes of the pieces of at least the target's dimension
-    that cut the target, each once up to sign."""
-    hyperplanes = []
-    for p in pieces:
-        if p.dim < target.dim:
-            continue
-        for h in p.facet_normals:
-            if h in hyperplanes or tuple(-x for x in h) in hyperplanes:
-                continue
-            signs = [dot(h, r) for r in target.rays]
-            if any(s > 0 for s in signs) and any(s < 0 for s in signs):
-                hyperplanes.append(h)
-    return hyperplanes
-
-
-def ref_uncovered_point(target, pieces):
-    """The target split by the hyperplanes that cut it; the interior point
-    of the first cell that no piece contains."""
-    hyperplanes = ref_splitting_hyperplanes(target, pieces)
-    for cell in ref_split_by_hyperplanes([target], hyperplanes):
-        pt = C.interior_point(cell)
-        if not any(C.member(p, pt) for p in pieces):
-            return pt
-    return None
 
 
 def _full(cone):
@@ -566,11 +529,36 @@ def _random_halfspace(rng):
     return cone, tuple(h), rng.choice([1, -1])
 
 
+HOLDS = ("equal", "stellar", "overlap")
+
+
+def _holders(rng, cell, kind):
+    """Pieces whose union is `cell`: the cell itself ("equal"), a stellar
+    subdivision of it at a positive combination of its rays ("stellar"),
+    or two overlapping pieces ("overlap"): one side of a cut, and the
+    cone over the other side and a point inside the first."""
+    n = cell.ambient_rank
+    if kind == "equal":
+        return [cell]
+    if kind == "stellar":
+        v = [0] * n
+        for r in cell.rays:
+            w = rng.randint(1, 3)
+            v = [a + w * x for a, x in zip(v, r)]
+        return [C.from_rays(list(f.rays) + [v], n) for f in C.facets(cell)]
+    h = _vector(rng, n)
+    side = C.halfspace_slice(cell, h, 1)
+    other = C.halfspace_slice(cell, h, -1)
+    return [side, C.from_rays(list(other.rays) + [C.interior_point(side)], n)]
+
+
 def _random_cover(rng):
     """(target, pieces) at rank 1 to 4: random pieces, some of lower
     dimension than the target, plus the two sides of the target cut by a
     random hyperplane (opposite normals, and pieces that may cover it),
-    a piece repeated (repeated normals) and a piece negated."""
+    a piece repeated (repeated normals) and a piece negated.  Often
+    `_holders` of the target, or of one side of a cut of it, are mixed
+    in, so that some cells are held whole by one piece."""
     n = _rank(rng)
     target = _random_cone(rng, n)
     pieces = [_random_cone(rng, n) for _ in range(rng.randint(1, 3))]
@@ -582,6 +570,12 @@ def _random_cover(rng):
     if rng.random() < 0.5:
         p = rng.choice(pieces)
         pieces.append(C.from_rays([[-x for x in r] for r in p.rays], n))
+    if rng.random() < 0.75:
+        held = target
+        if rng.random() < 0.5:
+            held = C.halfspace_slice(target, _vector(rng, n), 1)
+        if held.dim > 0:
+            pieces += _holders(rng, held, rng.choice(HOLDS))
     rng.shuffle(pieces)
     return target, pieces
 
@@ -741,6 +735,15 @@ class TestAgainstReference:
         target, pieces = _random_cover(rng)
         assert C.uncovered_point(target, pieces) == ref_uncovered_point(target, pieces)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_seeds, st.sampled_from(HOLDS))
+    def test_uncovered_point_of_held_target(self, rng, kind):
+        target, pieces = _random_cover(rng)
+        pieces += _holders(rng, target, kind)
+        rng.shuffle(pieces)
+        assert ref_uncovered_point(target, pieces) is None
+        assert C.uncovered_point(target, pieces) is None
+
     @settings(max_examples=150, deadline=None)
     @given(_seeds)
     def test_faces(self, rng):
@@ -836,6 +839,24 @@ def test_cuts_and_faces_make_no_from_rays_call(monkeypatch):
         changed += sum(c != cone for c in cuts)
     assert calls == []
     assert changed > len(cones)
+
+
+def test_target_held_by_a_piece_is_not_split(monkeypatch):
+    """A target equal to one of its pieces is held whole, so no cell is
+    cut, however many pieces' hyperplanes cross it."""
+    rng = random.Random(7)
+    covers = [_random_cover(rng) for _ in range(40)]
+    crossed = sum(
+        any(C._crosses(h, target.rays) for p in pieces for h in p.facet_normals)
+        for target, pieces in covers
+    )
+    calls = []
+    real = C.halfspace_slice
+    monkeypatch.setattr(C, "halfspace_slice", lambda *a: calls.append(a) or real(*a))
+    for target, pieces in covers:
+        assert C.uncovered_point(target, pieces + [target]) is None
+    assert calls == []
+    assert crossed > len(covers) // 2
 
 
 def test_face_walk_matches_reference_faces():

@@ -12,6 +12,7 @@ import tropfan.serialize as SER
 from conftest import FIXTURES
 
 import _gen
+from _ref import ref_overlay_mismatch, ref_uncovered_point
 
 
 def load(name):
@@ -165,27 +166,29 @@ class TestWitness:
 
 def ref_same_union(cones1, cones2):
     """The support test before `cones.union_difference`: each list's cones
-    covered by the other list."""
-    return all(C.cone_covered_by(c, cones2) for c in cones1) and all(
-        C.cone_covered_by(c, cones1) for c in cones2
+    covered by the other list, by the fully split `ref_uncovered_point`."""
+    return all(ref_uncovered_point(c, cones2) is None for c in cones1) and all(
+        ref_uncovered_point(c, cones1) is None for c in cones2
     )
 
 
 def ref_s_witness(a, b):
     """`s_witness` before `cones.union_difference`, with one uncovered-point
-    loop per side and the support witness taken from that side's pieces."""
+    loop per side and the support witness taken from that side's pieces,
+    over the references: the fully split `ref_uncovered_point` and the
+    all-pairs `ref_overlay_mismatch`."""
     p1, p2 = MIN._pieces_of(a), MIN._pieces_of(b)
     c1 = [p.cone for p in p1]
     c2 = [p.cone for p in p2]
     for target in c1:
-        pt = C.uncovered_point(target, c2)
+        pt = ref_uncovered_point(target, c2)
         if pt is not None:
             return MIN._support_witness(pt, p1)
     for target in c2:
-        pt = C.uncovered_point(target, c1)
+        pt = ref_uncovered_point(target, c1)
         if pt is not None:
             return MIN._support_witness(pt, p2)
-    mismatch = MIN._overlay_mismatch(p1, p2)
+    mismatch = ref_overlay_mismatch(p1, p2)
     if mismatch is None:
         return None
     cell, r1, r2 = mismatch
@@ -197,6 +200,31 @@ def ref_s_witness(a, b):
     while C.contains_point(cell, w) != C.RELATIVE_INTERIOR:
         w = tuple(x + y for x, y in zip(w, step))
     return w
+
+
+def test_overlay_skips_pairs_with_equal_lattices(monkeypatch):
+    """Pieces that all carry Z^2 are compared with no cell built; pieces
+    with different lattices, of one rank and one first basis row among
+    them, still give the reference's first mismatch."""
+    fan = load("p2.json")
+    sub = F.stellar_subdivision(fan, (1, 1))
+    delta, trivial = load("delta_fig.json"), load("trivial.json")
+    quadrant = C.from_rays([(1, 0), (0, 1)], 2)
+    halved = F.StackyCone(quadrant, L.canonicalize([(1, 0), (0, 2)], 2))
+    whole = F.StackyCone(quadrant, L.full_lattice(2))
+    pairs = [
+        (F.maximal_cones(delta), F.maximal_cones(trivial)),
+        ([halved], [whole]),
+        ([whole], [halved]),
+    ]
+    expected = [ref_overlay_mismatch(p1, p2) for p1, p2 in pairs]
+    assert None not in expected
+    calls = []
+    real = C.intersect_cones
+    monkeypatch.setattr(C, "intersect_cones", lambda *a: calls.append(a) or real(*a))
+    assert MIN._overlay_mismatch(F.maximal_cones(fan), F.maximal_cones(sub)) is None
+    assert calls == []
+    assert [MIN._overlay_mismatch(p1, p2) for p1, p2 in pairs] == expected
 
 
 def _support_pairs(seed):
@@ -240,6 +268,18 @@ class TestAgainstReference:
             ma, mb = MIN.minimal_fan(a), MIN.minimal_fan(b)
             assert MIN.s_witness(ma, mb) == ref_s_witness(ma, mb)
         assert sides == {"equal", "first", "second"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlay_mismatch(self, seed):
+        """The first mismatch over the pairs with different lattices is
+        the first over all pairs, on supports equal or not."""
+        found = 0
+        for a, b in _support_pairs(seed):
+            p1, p2 = F.maximal_cones(a), F.maximal_cones(b)
+            expected = ref_overlay_mismatch(p1, p2)
+            assert MIN._overlay_mismatch(p1, p2) == expected
+            found += expected is not None
+        assert found > 0
 
 
 class TestSetMembership:
