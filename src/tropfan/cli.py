@@ -149,25 +149,7 @@ def cmd_quotient(args):
         qc = S.quotient_complex(fan)
     except S.NormalizationError as exc:
         raise CliError(FAIL, str(exc))
-    import json
-
-    cells = [
-        {
-            "rays": [[str(x) for x in r] for r in c.cone.rays],
-            "lattice": [[str(x) for x in b] for b in c.lattice.basis],
-        }
-        for c in qc.cells
-    ]
-    face_maps = [
-        {"source": str(i), "target": str(j), "m": [str(x) for x in m]}
-        for i, j, m in qc.face_maps
-    ]
-    doc = {
-        "schema_version": SER.SCHEMA_VERSION,
-        "kind": "quotient_complex",
-        "payload": {"cells": cells, "face_maps": face_maps},
-    }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(SER.dumps(qc), args.out)
     return OK
 
 
@@ -228,8 +210,13 @@ def cmd_oracle(args):
             key=lambda sc: (-sc.dim, sc.cone.rays),
         )
         if args.cells:
-            i, j = args.cells
-            c1, c2 = fan.representatives[i], fan.representatives[j]
+            reps = fan.representatives
+            for k in args.cells:
+                if not 0 <= k < len(reps):
+                    raise CliError(
+                        INCOMPATIBLE, f"cell index {k} is outside 0..{len(reps) - 1}"
+                    )
+            c1, c2 = (reps[k] for k in args.cells)
         else:
             if len(tops) < 2:
                 raise CliError(INCOMPATIBLE, "need at least two positive cells")
@@ -239,6 +226,13 @@ def cmd_oracle(args):
             print(" ".join(str(x) for x in m))
         return OK
     raise CliError(UNSUPPORTED, f"unknown oracle subcommand {args.oracle_cmd}")
+
+
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def build_parser():
@@ -303,7 +297,7 @@ def build_parser():
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("cover-sample")
     q.add_argument("file")
-    q.add_argument("--count", type=int, default=100)
+    q.add_argument("--count", type=nonnegative_int, default=100)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("translations-bruteforce")

@@ -23,8 +23,8 @@ merge also applies to its pieces' facets).  The facet list is complete
 and irredundant, so ray–facet incidences decide the rest, with no cone
 built for them:
 - The faces are the closure of the facet masks under intersection
-  (`Cone.face_walk`, which `face_walk(cone)` returns), each with the
-  span basis of its rays.
+  (`Cone.face_walk`), each with the span basis of its rays; a facet's
+  rays are those tight on its normal (`tight_rays`).
 - Every cut is one double-description pass over the rays
   (`_cut_incidences`), whose zero masks are exact: a half-space slice
   cuts by one row, an intersection by the other cone's span equations
@@ -34,7 +34,7 @@ built for them:
   (`tight_rays`), which decides `common_face`.  A cut of the λ-orthant
   decides whether nonnegative combinations meet a set of rows
   (`orthant_cut_is_nonzero`).
-A cut, a face or a facet that is wanted as a Cone is built from those
+A cut or a face that is wanted as a Cone is built from those
 incidences (`_from_incidences`; `face_cone` for an entry of the face
 walk) with no `from_rays`: its facets are cut out by the parent's facet
 normals and the cut rows whose zero masks on its rays are maximal, and
@@ -72,10 +72,6 @@ RELATIVE_INTERIOR = "relative_interior"
 
 
 class PointednessError(ValueError):
-    pass
-
-
-class DualNotPointedError(ValueError):
     pass
 
 
@@ -338,36 +334,11 @@ def interior_point(cone):
     return tuple(p)
 
 
-def dual(cone):
-    """Dual cone of a full-dimensional cone (pointed since cone is full)."""
-    if cone.dim != cone.ambient_rank:
-        raise DualNotPointedError("dual of a non-full-dimensional cone is not pointed")
-    if cone.ambient_rank == 0:
-        return cone
-    return from_rays([list(h) for h in cone.facet_normals], cone.ambient_rank)
-
-
 def faces(cone):
     """All faces of the cone, including {0} and the cone itself, sorted by
     (dimension, rays): one per entry of `face_walk`, built by
     `face_cone`, with no `from_rays`."""
-    return [face_cone(cone, face) for face in face_walk(cone)]
-
-
-def facets(cone):
-    """Codimension-one faces: one per facet normal, cut out by the rays on
-    which it vanishes and built by `face_cone`."""
-    n = cone.ambient_rank
-    fs = []
-    for mask in cone.facet_masks:
-        rays = _rays_in(cone, mask)
-        fs.append(face_cone(cone, (rays, ray_span(rays, n), mask)))
-    return sorted(fs, key=lambda f: f.rays)
-
-
-def face_walk(cone):
-    """The cone's carried face walk, `Cone.face_walk`."""
-    return cone.face_walk
+    return [face_cone(cone, face) for face in cone.face_walk]
 
 
 def face_cone(cone, face):

@@ -197,7 +197,7 @@ def fan_from_maximal(maximal, ambient_rank):
     """
     seen = {}
     for sc in maximal:
-        for face in C.face_walk(sc.cone):
+        for face in sc.cone.face_walk:
             rays, span_basis, _ = face
             lattice = _restrict_to_span(sc.lattice, span_basis)
             prev = seen.get(rays)
@@ -231,7 +231,7 @@ def validate(fan):
         out.append("zero cone missing")
     # Face closure with induced lattices.
     for sc in fan.cones:
-        for rays, span_basis, _ in C.face_walk(sc.cone):
+        for rays, span_basis, _ in sc.cone.face_walk:
             other = by_rays.get(rays)
             if other is None:
                 out.append(
@@ -293,12 +293,13 @@ def is_complete(fan):
     tops = [sc.cone for sc in maxs if sc.dim == n]
     if len(tops) != len(maxs) or not tops:
         return False
-    # Each ridge (codim-1 face of a top cone) must bound exactly two tops,
-    # and the tops must be connected through ridges.
+    # Each ridge (codim-1 face of a top cone, the rays tight on one facet
+    # normal) must bound exactly two tops, and the tops must be connected
+    # through ridges.
     by_ridge = {}
     for i, c in enumerate(tops):
-        for f in C.facets(c):
-            by_ridge.setdefault(f.rays, []).append(i)
+        for k in range(len(c.facet_normals)):
+            by_ridge.setdefault(tuple(C.tight_rays(c, 1 << k)), []).append(i)
     if any(len(members) != 2 for members in by_ridge.values()):
         return False
     adj = {i: set() for i in range(len(tops))}
@@ -405,10 +406,15 @@ def stellar_subdivision(fan, v):
         if not C.member(sc.cone, v):
             new_maximal.append(sc)
             continue
-        for f in C.facets(sc.cone):
-            if C.member(f, v):
-                continue
-            joined = C.from_rays(list(f.rays) + [v], fan.ambient_rank)
+        # v lies in the cone, so it lies in the facet of normal h iff
+        # ⟨h, v⟩ = 0; a facet's rays are those tight on its normal.
+        facets = sorted(
+            C.tight_rays(sc.cone, 1 << k)
+            for k, h in enumerate(sc.cone.facet_normals)
+            if dot(h, v)
+        )
+        for rays in facets:
+            joined = C.from_rays(rays + [v], fan.ambient_rank)
             new_maximal.append(StackyCone(joined, _restrict(sc.lattice, joined)))
     return fan_from_maximal(new_maximal, fan.ambient_rank)
 

@@ -17,8 +17,8 @@ give.
 
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
-normal form (`_orbit_form`), not by a search over translations: a key of
-sheared rays and one sheared lattice basis.  `candidate_translations`
+normal form (`_OrbitForms.of`), not by a search over translations: a key
+of sheared rays and one sheared lattice basis.  `candidate_translations`
 answers only which translates meet: pulled back by T_m, each functional
 of one cone is affine in m at each ray of the other, and the m to test
 come from the ranges of integer ray slopes (adj(G_n)·n′ / det G_n,
@@ -33,13 +33,16 @@ base cone of check (7)):
   tight on all of them, decide whether it is a face of each cone; only
   an unsaturated lattice needs the span of its rays.
 - Containment tests move rays back by T_{−m}.
-`translate` stays for the wall merges of `av_minimal` and the covers of
-`av_bir_equivalent`, which need whole cones; the covers compare overlay
-lattices only with translates where one of the two lattices is not its
-cone's span lattice.
+Translated cones are built only for the wall merges of `av_minimal` and
+the covers of `av_bir_equivalent`, which need whole cones; the covers
+compare overlay lattices only with translates where one of the two
+lattices is not its cone's span lattice.
 Each public call keeps one table (`_OrbitForms`) that works out every
 ray's Gram and slope, every ray tuple's slope box, every orbit form,
-every shift's shear block and the embedded base cone once.
+every shift's shear block and the embedded base cone once.  The table
+owns every translation operation (orbit forms, candidate scans,
+translates); `candidate_translations` and `translate` make a table for
+one call.
 """
 
 import math
@@ -148,10 +151,6 @@ def _shear(A, b, v):
     )
 
 
-def translate_vector(base, v, m):
-    return _shear(shear_block(base, m), base.base_rank, v)
-
-
 def validate_form(base):
     """Violations of symmetry and positivity; empty list when valid."""
     out = []
@@ -257,15 +256,7 @@ def translate(sc, m, base):
     re-lifted from the span so that they equal those of `from_rays` on
     the mapped rays.
     """
-    return _translate(sc, shear_block(base, m), base.base_rank)
-
-
-def _translate(sc, A, b):
-    """`translate` by the shear block A = A_m."""
-    if not sc.cone.rays:
-        return sc
-    lat = L.canonicalize([_shear(A, b, v) for v in sc.lattice.basis], sc.ambient_rank)
-    return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
+    return _OrbitForms(base).translate(sc, m)
 
 
 def _ray_slope(base, ray, G):
@@ -353,7 +344,7 @@ def _slope_radius(grams, rows, D):
 
 
 class _Slopes:
-    """The slopes of a ray tuple as `_orbit_form` and `_translation_box`
+    """The slopes of a ray tuple as `_OrbitForms.of` and `_translation_box`
     read them, from each ray's `_ray_data`: every ray's Gram matrix
     (`grams`); the slopes of the rays with nonzero base part as integer
     `rows` over one denominator `D` > 0, with their column minima `lo` and
@@ -420,62 +411,14 @@ def candidate_translations(c1, c2, base):
     return _OrbitForms(base).candidates(c1, c2)
 
 
-def _candidates(c1, c2, s1, s2, base):
-    """`candidate_translations` from the cones' `_Slopes`."""
-    g = base.m_rank
-    if not s1.rows or not s2.rows:
-        hit = C.cut_pass(c1.cone, *C.cut_rows(c2.cone))[0]
-        return (tuple([0] * g),) if hit else ()
-    b = base.base_rank
-    functionals, n_eq = C.cut_rows(c2.cone)
-    forms = [
-        [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
-        for r, G in zip(c1.cone.rays, s1.grams)
-    ]
-    found = []
-    for m in product(*_translation_box(s1, s2)):
-        columns = [[c - dot(m, w) for c, w in col] for col in forms]
-        if C.orthant_cut_is_nonzero(columns, n_eq):
-            found.append(m)
-    return tuple(found)
-
-
-def _orbit_form(rays, lattice, table):
-    """(form, shift): the key (rays, lattice basis) of the least of the
-    candidate translates T_shift(sc) of the cone sc with these rays and
-    this lattice, ordered by that key, read from the rays' slopes and the
-    shear blocks of `table` (an `_OrbitForms`).
-
-    The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
-    rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
-    d, so T_d(sc) has the same candidates and the same least one.  Hence a
-    and b share an orbit iff their forms are equal, and then
-    T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
-    base part (G_n is nonsingular there).  For the same reason no two
-    shifts give the same sheared rays, so the least translate is found
-    from its `_shear`ed rays alone, which stay sorted, and only its
-    lattice is sheared and put in HNF; no translated cone is built.  Other
-    cones, and all cones when g = 0, are their own form with shift 0.
-    """
-    slopes = table.slopes(rays)
-    shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
-    if not shifts:
-        return (rays, lattice.basis), tuple([0] * table.base.m_rank)
-    b = table.base.base_rank
-    sheared = {s: tuple(_shear(table.block(s), b, r) for r in rays) for s in shifts}
-    s = min(shifts, key=sheared.__getitem__)
-    lat = [_shear(table.block(s), b, v) for v in lattice.basis]
-    return (sheared[s], L.canonicalize(lat, lattice.ambient_rank).basis), s
-
-
 class _OrbitForms:
     """What the translation decisions read over one base, each entry
     worked out once:
     - per ray, its `_ray_data` (G_n and slope);
     - per ray tuple, its `_Slopes` (`slopes`; no slopes when g = 0),
       which the orbit form and every scan through `candidates` read;
-    - per (rays, lattice), the orbit form (`_orbit_form`): calling the
-      table on a StackyCone, or `of` on rays and a lattice;
+    - per (rays, lattice), the orbit form: calling the table on a
+      StackyCone, or `of` on rays and a lattice;
     - per m, the shear block A_m (`block`), which the orbit forms, the
       overlap and containment scans and the translates (`translate`) of
       the merges and covers read;
@@ -495,12 +438,37 @@ class _OrbitForms:
         return self.of(sc.cone.rays, sc.lattice)
 
     def of(self, rays, lattice):
-        """The orbit form of the cone with these rays and this lattice,
-        which only its rays and lattice decide, so a face of a cone needs
-        no Cone of its own."""
+        """(form, shift): the key (rays, lattice basis) of the least of the
+        candidate translates T_shift(sc) of the cone sc with these rays and
+        this lattice, ordered by that key.  Only the rays and the lattice
+        decide it, so a face of a cone needs no Cone of its own.
+
+        The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
+        rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
+        d, so T_d(sc) has the same candidates and the same least one.  Hence a
+        and b share an orbit iff their forms are equal, and then
+        T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
+        base part (G_n is nonsingular there).  For the same reason no two
+        shifts give the same sheared rays, so the least translate is found
+        from its `_shear`ed rays alone, which stay sorted, and only its
+        lattice is sheared and put in HNF; no translated cone is built.  Other
+        cones, and all cones when g = 0, are their own form with shift 0.
+        """
         key = (rays, lattice.basis)
         if key not in self._forms:
-            self._forms[key] = _orbit_form(rays, lattice, self)
+            slopes = self.slopes(rays)
+            shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
+            if shifts:
+                b = self.base.base_rank
+                sheared = {
+                    s: tuple(_shear(self.block(s), b, r) for r in rays) for s in shifts
+                }
+                s = min(shifts, key=sheared.__getitem__)
+                lat = [_shear(self.block(s), b, v) for v in lattice.basis]
+                form = sheared[s], L.canonicalize(lat, lattice.ambient_rank).basis
+                self._forms[key] = form, s
+            else:
+                self._forms[key] = key, tuple([0] * self.base.m_rank)
         return self._forms[key]
 
     def slopes(self, rays):
@@ -521,18 +489,42 @@ class _OrbitForms:
         return self._blocks[m]
 
     def translate(self, sc, m):
-        """`translate(sc, m, base)`."""
-        return _translate(sc, self.block(m), self.base.base_rank)
+        """T_m(sc), as `translate` describes."""
+        if not sc.cone.rays:
+            return sc
+        A, b = self.block(m), self.base.base_rank
+        lat = L.canonicalize([_shear(A, b, v) for v in sc.lattice.basis], sc.ambient_rank)
+        return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
 
     @cached_property
     def base_cone(self):
-        """`embedded_base_cone(base)`."""
-        return embedded_base_cone(self.base)
+        """σ0 × {0} × {0} with its lattice, in the full ambient."""
+        base = self.base
+        pad = base.m_rank + base.torus_rank
+        rays = [tuple(r) + (0,) * pad for r in base.base_cone.cone.rays]
+        lat = [tuple(bv) + (0,) * pad for bv in base.base_cone.lattice.basis]
+        n = base.ambient_rank
+        return F.StackyCone(C.from_rays(rays, n), L.canonicalize(lat, n))
 
     def candidates(self, c1, c2):
-        """`candidate_translations(c1, c2, base)`."""
+        """`candidate_translations(c1, c2, base)`, from the cones' `_Slopes`."""
         s1, s2 = self.slopes(c1.cone.rays), self.slopes(c2.cone.rays)
-        return _candidates(c1, c2, s1, s2, self.base)
+        g = self.base.m_rank
+        if not s1.rows or not s2.rows:
+            hit = C.cut_pass(c1.cone, *C.cut_rows(c2.cone))[0]
+            return (tuple([0] * g),) if hit else ()
+        b = self.base.base_rank
+        functionals, n_eq = C.cut_rows(c2.cone)
+        forms = [
+            [(dot(f, r), [dot(row, f[b : b + g]) for row in G]) for f in functionals]
+            for r, G in zip(c1.cone.rays, s1.grams)
+        ]
+        found = []
+        for m in product(*_translation_box(s1, s2)):
+            columns = [[c - dot(m, w) for c, w in col] for col in forms]
+            if C.orthant_cut_is_nonzero(columns, n_eq):
+                found.append(m)
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -555,15 +547,6 @@ def av_fan(base, representatives):
     return AVStackyFan(base, F._sort_stacky(representatives))
 
 
-def embedded_base_cone(base):
-    """σ0 × {0} × {0} with its lattice, in the full ambient."""
-    pad = base.m_rank + base.torus_rank
-    rays = [tuple(r) + (0,) * pad for r in base.base_cone.cone.rays]
-    lat = [tuple(bv) + (0,) * pad for bv in base.base_cone.lattice.basis]
-    n = base.ambient_rank
-    return F.StackyCone(C.from_rays(rays, n), L.canonicalize(lat, n))
-
-
 def validate_av_fan(fan):
     """Violations of the translation-equivariant fan conditions.
 
@@ -580,7 +563,14 @@ def validate_av_fan(fan):
     some check fails are all pairs scanned, so that the list names every
     violating pair.
     """
-    return _av_violations(fan, _OrbitForms(fan.base))
+    out = local_violations(fan)
+    if out:
+        return out
+    form = _OrbitForms(fan.base)
+    head, faces, tops = _orbit_checks(fan, form)
+    if head or faces or _overlap_violations(tops, form):
+        return head + _overlap_violations(fan.representatives, form) + faces
+    return []
 
 
 def local_violations(fan):
@@ -606,29 +596,6 @@ def local_violations(fan):
     return out
 
 
-def _av_violations(fan, form):
-    out = local_violations(fan)
-    if out:
-        return out
-    head, faces, tops = _orbit_checks(fan, form)
-    if head or faces or _overlap_violations(tops, form):
-        return head + _overlap_violations(fan.representatives, form) + faces
-    return []
-
-
-def _av_valid(fan, form):
-    """Is the fan valid?  `_av_violations(fan, form) == []`, without
-    scanning every pair when it is not.  Check (7) comes first: it is one
-    comparison with the table's base cone, and most merges `av_minimal`
-    tries fail it."""
-    if form.base_cone not in fan.representatives:
-        return False
-    if local_violations(fan):
-        return False
-    head, faces, tops = _orbit_checks(fan, form)
-    return not (head or faces or _overlap_violations(tops, form))
-
-
 def _orbit_checks(fan, form):
     """(head, faces, tops) for a fan with no `local_violations`: the (7)
     and zero-cone messages, the (3) messages, and the tops, which are the
@@ -646,7 +613,7 @@ def _orbit_checks(fan, form):
     face_forms = set()
     faces = []
     for t in reps:
-        for rays, span_basis, _ in C.face_walk(t.cone):
+        for rays, span_basis, _ in t.cone.face_walk:
             if rays == () or rays == t.cone.rays:
                 continue
             face_form = form.of(rays, F._restrict_to_span(t.lattice, span_basis))[0]
@@ -776,7 +743,7 @@ def quotient_complex(fan):
     face_forms = [
         [
             form.of(rays, F._restrict_to_span(b.lattice, span_basis))
-            for rays, span_basis, _ in C.face_walk(b.cone)
+            for rays, span_basis, _ in b.cone.face_walk
         ]
         for b in cells
     ]
@@ -841,7 +808,7 @@ def av_complete(fan):
     owners = {}
     ridges = []
     for ti, top in enumerate(tops):
-        for rays, span_basis, _ in C.face_walk(top.cone):
+        for rays, span_basis, _ in top.cone.face_walk:
             key = form(rays, span_basis)
             owners.setdefault(key, []).append(ti)
             if len(span_basis) == D - 1:
@@ -892,7 +859,14 @@ def av_minimal(fan):
 
     A merge is kept only when the merged fan still validates (in
     particular the pointwise-fixedness condition survives), which keeps
-    the coarsening translation-equivariant.
+    the coarsening translation-equivariant.  The merged fan is the face
+    closure of the cells (`_rebuild`), so it holds the zero cone and
+    passes check (3).  It validates iff it holds the embedded base cone,
+    which most merges lack and which is tested first, has no
+    `local_violations`, and its tops pass the overlap checks, as in
+    `validate_av_fan`.  In a valid fan a class inside a translate of a
+    higher cell is a translate of a face of it, so the tops are the
+    maximal classes, and the loop goes on from them.
     """
     base = fan.base
     form = _OrbitForms(base)
@@ -916,20 +890,26 @@ def av_minimal(fan):
                 new_cells = [
                     c for k, c in enumerate(cells) if k not in (i, j)
                 ] + [merged]
-                candidate = _rebuild(base, new_cells, form)
-                if _av_valid(candidate, form):
-                    cells = _maximal_classes(_orbit_classes(candidate, form), form)
+                candidate, tops = _rebuild(base, new_cells, form)
+                if (
+                    form.base_cone in candidate.representatives
+                    and not local_violations(candidate)
+                    and not _overlap_violations(tops, form)
+                ):
+                    cells = tops
                     changed = True
                     break
             if changed:
                 break
-    return _rebuild(base, cells, form)
+    return _rebuild(base, cells, form)[0]
 
 
 def _rebuild(base, cells, form):
-    """Fan from maximal cells: add face orbits and the zero cone.  Each
-    face of `cones.face_walk` is keyed by its rays and restricted lattice;
-    only a face whose key is new is built as a Cone."""
+    """(fan, tops): the fan from maximal cells, with their face orbits and
+    the zero cone added, and its tops, the classes of positive dimension
+    whose orbit form is that of no proper face of a class.  Each face of a
+    class's face walk is keyed by its rays and restricted lattice; only a
+    face whose key is new is built as a Cone."""
     reps = list(cells)
     seen_zero = any(c.dim == 0 for c in reps)
     if not seen_zero:
@@ -938,16 +918,19 @@ def _rebuild(base, cells, form):
     fan = AVStackyFan(base, F._sort_stacky(reps))
     classes = _orbit_classes(fan, form)
     orbits = {form(c)[0]: c for c in classes}
+    face_forms = set()
     for c in classes:
-        for face in C.face_walk(c.cone):
+        for face in c.cone.face_walk:
             rays, span_basis, _ = face
             if rays == () or rays == c.cone.rays:
                 continue
             lattice = F._restrict_to_span(c.lattice, span_basis)
             key = form.of(rays, lattice)[0]
+            face_forms.add(key)
             if key not in orbits:
                 orbits[key] = F.StackyCone(C.face_cone(c.cone, face), lattice)
-    return av_fan(base, list(orbits.values()))
+    tops = [c for c in classes if c.dim > 0 and form(c)[0] not in face_forms]
+    return av_fan(base, list(orbits.values())), tops
 
 
 def av_bir_equivalent(f1, f2):

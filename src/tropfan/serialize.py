@@ -6,6 +6,8 @@ precision survives round trips.  A document looks like
     {"schema_version": "1", "kind": "stacky_fan", "payload": {...}}
 
 with kind one of stacky_fan, coloring, polarized_base, av_fan, graph.
+A quotient complex is written as kind quotient_complex, which is output
+only: `from_document` does not read it back.
 """
 
 import json
@@ -53,12 +55,6 @@ def _enc_stacky_cone(sc):
     return {"rays": _enc_mat(sc.cone.rays), "lattice": _enc_mat(sc.lattice.basis)}
 
 
-def _dec_stacky_cone(obj, ambient_rank):
-    rays = _dec_mat(obj["rays"])
-    lat = _dec_mat(obj["lattice"])
-    return F.StackyCone(C.from_rays(rays, ambient_rank), L.canonicalize(lat, ambient_rank))
-
-
 def _enc_fan(fan):
     return {
         "ambient_rank": str(fan.ambient_rank),
@@ -97,7 +93,7 @@ def _dec_cones(objs, n):
                 cone = C.face_cone(*faces[keys[i]])
             else:
                 cone = C.from_rays(rays, n)
-                for face in C.face_walk(cone):
+                for face in cone.face_walk:
                     faces.setdefault(face[0], (cone, face))
             built[i] = F.StackyCone(cone, L.canonicalize(lat, n))
         except ValueError as exc:
@@ -148,7 +144,7 @@ def _enc_base(base):
 
 def _dec_base(payload):
     b = _dec_int(payload["base_rank"])
-    base_cone = _dec_stacky_cone(payload["base_cone"], b)
+    base_cone = _dec_cones([payload["base_cone"]], b)[0]
     g = _dec_int(payload["m_rank"])
     q = tuple(
         tuple(_dec_vec(v) for v in row) for row in payload["q_matrix"]
@@ -168,7 +164,7 @@ def _enc_av_fan(fan):
 def _dec_av_fan(payload):
     base = _dec_base(payload["base"])
     n = base.ambient_rank
-    reps = [_dec_stacky_cone(o, n) for o in payload["representatives"]]
+    reps = _dec_cones(payload["representatives"], n)
     return S.av_fan(base, reps)
 
 
@@ -185,7 +181,7 @@ def _enc_graph(graph):
 
 def _dec_graph(payload):
     b = _dec_int(payload["base_rank"])
-    base_cone = _dec_stacky_cone(payload["base_cone"], b)
+    base_cone = _dec_cones([payload["base_cone"]], b)[0]
     edges = [
         (_dec_int(u), _dec_int(v), _dec_vec(length))
         for u, v, length in payload["edges"]
@@ -198,6 +194,16 @@ def _dec_graph(payload):
         if len(length) != b:
             raise ParseError(f"edge ({u}, {v}) has a length of {len(length)} entries, not {b}")
     return num_vertices, edges, base_cone, torus_rank
+
+
+def _enc_quotient(qc):
+    return {
+        "cells": [_enc_stacky_cone(c) for c in qc.cells],
+        "face_maps": [
+            {"source": str(i), "target": str(j), "m": _enc_vec(m)}
+            for i, j, m in qc.face_maps
+        ],
+    }
 
 
 def to_document(obj):
@@ -214,6 +220,12 @@ def to_document(obj):
         return {"schema_version": SCHEMA_VERSION, "kind": "polarized_base", "payload": _enc_base(obj)}
     if isinstance(obj, S.AVStackyFan):
         return {"schema_version": SCHEMA_VERSION, "kind": "av_fan", "payload": _enc_av_fan(obj)}
+    if isinstance(obj, S.QuotientComplex):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "quotient_complex",
+            "payload": _enc_quotient(obj),
+        }
     if isinstance(obj, tuple) and len(obj) == 4:
         return {"schema_version": SCHEMA_VERSION, "kind": "graph", "payload": _enc_graph(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -25,6 +25,15 @@ def ref_is_face_of(f, cone):
     return C.from_rays(face_rays, cone.ambient_rank) == f
 
 
+def ref_facets(cone):
+    """One `from_rays` per facet normal, of the rays on which it vanishes."""
+    fs = [
+        C.from_rays([r for r in cone.rays if dot(h, r) == 0], cone.ambient_rank)
+        for h in cone.facet_normals
+    ]
+    return sorted(fs, key=lambda f: f.rays)
+
+
 def ref_restrict_to_span(lattice, span_vectors):
     """L intersected with the rational span of `span_vectors`:
     intersect(L, saturate(<span_vectors>))."""

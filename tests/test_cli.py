@@ -88,11 +88,19 @@ def _fan_doc(n, cones):
     })
 
 
+def _av_doc(cones):
+    """The Tate two-arc document (b = g = 1) with these representatives."""
+    doc = json.loads((FIXTURES / "tate_two_arc.json").read_text())
+    doc["payload"]["representatives"] = json.loads(_fan_doc(2, cones))["payload"]["cones"]
+    return json.dumps(doc)
+
+
 class TestStackyFanDecoder:
     # A listed cone whose nonzero primitive rays are those of a face of a
     # longer listed cone is read from that cone's face walk; every decoded
     # cone is the one `from_rays` gives, and of several faults the first
-    # cone's, in document order, is raised.
+    # cone's, in document order, is raised.  The cones of a stacky fan and
+    # the representatives of an av_fan are decoded alike.
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cones_equal_from_rays(self, seed, monkeypatch):
@@ -130,8 +138,40 @@ class TestStackyFanDecoder:
             ([(square, [(1, 0, 0)]), ([(1, 1)], square)], "does not have length"),
         ]
         for cones, message in cases:
-            with pytest.raises(SER.ParseError, match=message):
-                SER.loads(_fan_doc(2, cones))
+            for doc in (_fan_doc(2, cones), _av_doc(cones)):
+                with pytest.raises(SER.ParseError, match=message):
+                    SER.loads(doc)
+
+    @pytest.mark.parametrize(
+        "name", ["tate_one_arc", "tate_three_arc", "tate_two_arc", "tate_two_arc_idx2"]
+    )
+    def test_av_fan_reads_listed_faces(self, fx, monkeypatch, name):
+        # The representatives of an av_fan are decoded the same way: one
+        # `from_rays` for the base cone and one per representative that is
+        # no face of a longer one.
+        with open(fx(f"{name}.json")) as fh:
+            text = fh.read()
+        listed = json.loads(text)["payload"]["representatives"]
+        reps = SER.loads(text)[1].representatives
+        faces = {
+            face[0]
+            for sc in reps
+            for face in sc.cone.face_walk
+            if len(face[0]) < len(sc.cone.rays)
+        }
+        calls = []
+        original = C.from_rays
+        monkeypatch.setattr(C, "from_rays", lambda *a: calls.append(a) or original(*a))
+        decoded = SER.loads(text)[1]
+        built = sum(sc.cone.rays not in faces for sc in reps)
+        assert len(calls) == 1 + built < 1 + len(reps)
+        monkeypatch.undo()
+        n = decoded.ambient_rank
+        want = [C.from_rays([[int(x) for x in r] for r in obj["rays"]], n) for obj in listed]
+        got = [sc.cone for sc in decoded.representatives]
+        assert sorted((c.rays, c.span_basis, c.facet_normals) for c in want) == sorted(
+            (c.rays, c.span_basis, c.facet_normals) for c in got
+        )
 
 
 class TestValidateCommand:
@@ -508,6 +548,20 @@ class TestOracleCommands:
         code, out, _ = run(capsys, "oracle", "cover-sample", fx("quadrant.json"),
                            "--count", "50", "--seed", "1")
         assert code == 1
+
+    def test_cover_sample_rejects_negative_count(self, capsys, fx):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "oracle", "cover-sample", fx("trivial.json"), "--count", "-3")
+        assert exc.value.code == 2
+        assert "argument --count: -3 is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells, bad", [(("0", "99"), "99"), (("-1", "0"), "-1")])
+    def test_translations_bruteforce_index_out_of_range(self, capsys, fx, cells, bad):
+        # tate_two_arc.json has five representatives.
+        code, out, err = run(capsys, "oracle", "translations-bruteforce",
+                             fx("tate_two_arc.json"), "--cells", *cells)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"cell index {bad} is outside 0..4"]
 
     def test_translations_bruteforce(self, capsys, fx):
         code, out, _ = run(capsys, "oracle", "translations-bruteforce",

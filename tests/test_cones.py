@@ -20,6 +20,7 @@ from tropfan._linalg import (
 )
 
 from _ref import (
+    ref_facets,
     ref_is_face_of,
     ref_split_by_hyperplanes,
     ref_uncovered_point,
@@ -199,15 +200,6 @@ def ref_faces(cone):
     return sorted(result.values(), key=lambda c: (c.dim, c.rays))
 
 
-def ref_facets(cone):
-    """One `from_rays` per facet normal, of the rays on which it vanishes."""
-    fs = [
-        C.from_rays([r for r in cone.rays if dot(h, r) == 0], cone.ambient_rank)
-        for h in cone.facet_normals
-    ]
-    return sorted(fs, key=lambda f: f.rays)
-
-
 def ref_faces_by_facets(cone):
     """Facets of facets (`ref_facets`), walked down to {0}: the faces where
     the normal subsets of `ref_faces` are too many, as on C(14, 4)."""
@@ -228,7 +220,16 @@ def _full(cone):
 def _in_face_walk(f, cone):
     """Is f a face of cone, read from `face_walk`: does f have the rays of
     one of its faces?"""
-    return any(f.rays == face[0] for face in C.face_walk(cone))
+    return any(f.rays == face[0] for face in cone.face_walk)
+
+
+def _facet_rays(cone):
+    """The ray set of each facet, as `fans.is_complete` and
+    `fans.stellar_subdivision` read them: the rays tight on one facet
+    normal, sorted."""
+    return sorted(
+        tuple(C.tight_rays(cone, 1 << k)) for k in range(len(cone.facet_normals))
+    )
 
 
 def quadrant():
@@ -317,9 +318,9 @@ class TestFaces:
         assert ray_sets == [(), ((0, 1),), ((0, 1), (1, 0)), ((1, 0),)]
 
     def test_octant_facets(self):
-        fs = C.facets(octant())
-        assert len(fs) == 3
-        assert all(f.dim == 2 for f in fs)
+        assert _facet_rays(octant()) == [
+            ((0, 0, 1), (0, 1, 0)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 0), (1, 0, 0))
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -337,7 +338,8 @@ class TestFaces:
             cone = C.from_rays(rays, n)
         except C.PointednessError:
             assume(False)
-        assert C.facets(cone) == [f for f in C.faces(cone) if f.dim == cone.dim - 1]
+        codim_one = [f.rays for f in C.faces(cone) if f.dim == cone.dim - 1]
+        assert _facet_rays(cone) == codim_one
 
     def test_is_face_of(self):
         q = quadrant()
@@ -377,20 +379,6 @@ class TestIntersection:
     def test_contains_cone(self):
         assert C.contains_cone(quadrant(), C.from_rays([(1, 1), (1, 2)], 2))
         assert not C.contains_cone(quadrant(), C.from_rays([(1, 1), (-1, 2)], 2))
-
-
-class TestDual:
-    def test_quadrant_self_dual(self):
-        d = C.dual(quadrant())
-        assert d.rays == ((0, 1), (1, 0))
-
-    def test_dual_of_wide_cone(self):
-        c = C.from_rays([(1, 0), (-1, 2)], 2)
-        d = C.dual(c)
-        # Every dual ray pairs nonnegatively with every primal ray.
-        for h in d.rays:
-            for r in c.rays:
-                assert h[0] * r[0] + h[1] * r[1] >= 0
 
 
 class TestSplitting:
@@ -545,7 +533,7 @@ def _holders(rng, cell, kind):
         for r in cell.rays:
             w = rng.randint(1, 3)
             v = [a + w * x for a, x in zip(v, r)]
-        return [C.from_rays(list(f.rays) + [v], n) for f in C.facets(cell)]
+        return [C.from_rays(list(f.rays) + [v], n) for f in ref_facets(cell)]
     h = _vector(rng, n)
     side = C.halfspace_slice(cell, h, 1)
     other = C.halfspace_slice(cell, h, -1)
@@ -754,19 +742,17 @@ class TestAgainstReference:
     @given(_seeds)
     def test_facets(self, rng):
         cone = _random_cone(rng, rng.randint(1, 5))
-        assert [_full(f) for f in C.facets(cone)] == [
-            _full(f) for f in ref_facets(cone)
-        ]
+        assert _facet_rays(cone) == [f.rays for f in ref_facets(cone)]
 
     @settings(max_examples=150, deadline=None)
     @given(_seeds)
     def test_built_cones_match_from_rays(self, rng):
-        # Every cone that faces, facets and cuts build from incidences
-        # equals `from_rays` of its rays on every field, at rank 1 to 5.
+        # Every cone that faces and cuts build from incidences equals
+        # `from_rays` of its rays on every field, at rank 1 to 5.
         n = rng.randint(1, 5)
         cone = _random_cone(rng, n)
         h = tuple(_vector(rng, n))
-        built = C.faces(cone) + C.facets(cone)
+        built = C.faces(cone)
         built += [C.halfspace_slice(cone, h, 1), C.halfspace_slice(cone, h, -1)]
         built.append(C.intersect_cones(cone, _random_cone(rng, n)))
         for c in built:
@@ -786,7 +772,7 @@ class TestAgainstReference:
 
     def test_face_walk_of_cyclic_polytope_cone(self):
         cone = C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5)
-        assert [face[:2] for face in C.face_walk(cone)] == [
+        assert [face[:2] for face in cone.face_walk] == [
             (f.rays, f.span_basis) for f in ref_faces_by_facets(cone)
         ]
 
@@ -816,9 +802,9 @@ class TestAgainstReference:
 
 
 def test_cuts_and_faces_make_no_from_rays_call(monkeypatch):
-    # Faces, facets, slices, intersections, splits and coverage of rank 2
-    # to 5 cones and of the cone over C(14, 4), built before `from_rays`
-    # is counted.
+    # Faces, slices, intersections, splits and coverage of rank 2 to 5
+    # cones and of the cone over C(14, 4), built before `from_rays` is
+    # counted.
     rng = random.Random(18)
     cones = [_random_cone(rng, n) for n in (2, 3, 4, 5) for _ in range(8)]
     cones.append(C.from_rays([(1, t, t**2, t**3, t**4) for t in range(14)], 5))
@@ -831,7 +817,6 @@ def test_cuts_and_faces_make_no_from_rays_call(monkeypatch):
         n = cone.ambient_rank
         h = tuple(_vector(rng, n))
         C.faces(cone)
-        C.facets(cone)
         cuts = [C.halfspace_slice(cone, h, 1), C.halfspace_slice(cone, h, -1)]
         cuts.append(C.intersect_cones(cone, other))
         cuts += C.split_by_hyperplanes([cone], other.facet_normals)
@@ -868,11 +853,11 @@ def test_face_walk_matches_reference_faces():
         for k in range(1, n + 1):
             for _ in range(6):
                 cone = _random_cone(rng, n, max_rays=6 if n == 5 else 7, span_rank=k)
-                assert [face[:2] for face in C.face_walk(cone)] == [
+                assert [face[:2] for face in cone.face_walk] == [
                     (f.rays, f.span_basis) for f in ref_faces(cone)
                 ]
     zero = C.zero_cone(3)
-    assert list(C.face_walk(zero)) == [((), (), 0)]
+    assert list(zero.face_walk) == [((), (), 0)]
 
 
 def test_common_face_matches_reference_on_seeded_pairs():
@@ -907,11 +892,11 @@ def _recomputed(cone):
 
 def test_carried_incidences_and_equations_match_recomputed():
     # Cones from every constructor: `from_rays` at rank 1 to 5 and every
-    # span rank, and the cone over C(14, 4); their faces and facets, both
-    # sides of a cut and the wall merge of the two, intersections, and, at
-    # rank 5, translates over a base with b = 1, g = 2 and r = 2.  The
-    # face walk is carried too: a second `face_walk` call returns the same
-    # tuple, equal to the walk of a fresh copy of the cone.
+    # span rank, and the cone over C(14, 4); their faces, both sides of a
+    # cut and the wall merge of the two, intersections, and, at rank 5,
+    # translates over a base with b = 1, g = 2 and r = 2.  The face walk
+    # is carried too: a second read of `face_walk` returns the same tuple,
+    # equal to the walk of a fresh copy of the cone.
     rng = random.Random(21)
     base = S.PolarizedBase(
         F.StackyCone(C.ray_cone((1,), 1), L.full_lattice(1)),
@@ -930,7 +915,7 @@ def test_carried_incidences_and_equations_match_recomputed():
     for cone in cones:
         n = cone.ambient_rank
         built += [cone, C.intersect_cones(cone, _random_cone(rng, n))]
-        built += C.faces(cone) + C.facets(cone)
+        built += C.faces(cone)
         # A hyperplane through the interior point p: <h, p> w − <w, p> h.
         h, w, p = _interior_functional(cone), _vector(rng, n), C.interior_point(cone)
         cut = [dot(h, p) * x - dot(w, p) * y for x, y in zip(w, h)]
@@ -952,8 +937,8 @@ def test_carried_incidences_and_equations_match_recomputed():
         assert cone.zero_masks == zero
         assert cone.facet_masks == facet
         assert list(cone.span_equations) == equations
-        walk = C.face_walk(cone)
-        assert C.face_walk(cone) is walk
+        walk = cone.face_walk
+        assert cone.face_walk is walk
         fresh = C.Cone(cone.ambient_rank, cone.rays, cone.span_basis, cone.facet_normals)
         assert walk == fresh.face_walk
 

@@ -17,7 +17,7 @@ import tropfan.lattice as L
 from tropfan._linalg import dot
 
 import _gen
-from _ref import ref_is_face_of
+from _ref import ref_facets, ref_is_face_of
 
 
 def ref_merge(p, q):
@@ -83,7 +83,7 @@ def pairs(draw):
             p, q = C.halfspace_slice(p, h, 1), C.halfspace_slice(p, h, -1)
             assume(p.dim == q.dim == d)
         else:
-            facet = draw(st.sampled_from(C.facets(p)))
+            facet = draw(st.sampled_from(ref_facets(p)))
             q = cone(list(facet.rays) + [vector() for _ in range(draw(st.integers(1, 2)))])
     k = draw(st.sampled_from([1, 1, 2]))
     scaled = L.canonicalize([[k * (i == j) for j in range(n)] for i in range(n)], n)

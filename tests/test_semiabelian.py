@@ -20,7 +20,7 @@ from conftest import FIXTURES
 from tropfan._linalg import det, is_zero, rational_rank, rational_solve
 
 import _gen
-from _ref import ref_is_face_of, ref_translation_box
+from _ref import ref_facets, ref_is_face_of, ref_translation_box
 
 ROOT = FIXTURES.parent
 
@@ -33,6 +33,11 @@ def tate_base():
     return load("tate_two_arc.json").base
 
 
+def translate_vector(base, v, m):
+    """T_m v, by the shear block A_m."""
+    return S._shear(S.shear_block(base, m), base.base_rank, v)
+
+
 class TestForms:
     def test_gram_and_q_hom(self):
         base = tate_base()
@@ -41,8 +46,8 @@ class TestForms:
 
     def test_translate_vector(self):
         base = tate_base()
-        assert S.translate_vector(base, (1, 1), (1,)) == (1, 2)
-        assert S.translate_vector(base, (2, 0), (-1,)) == (2, -2)
+        assert translate_vector(base, (1, 1), (1,)) == (1, 2)
+        assert translate_vector(base, (2, 0), (-1,)) == (2, -2)
 
     def test_validate_form_tate(self):
         assert S.validate_form(tate_base()) == []
@@ -443,9 +448,10 @@ class TestOracles:
 
 # --- Orbit normal form ------------------------------------------------------
 #
-# The ref_* functions below are the box searches that `_orbit_form`
-# replaced: each scans `candidate_translations` for every pair of cones.
-# They are kept here as the reference for the normal-form code.
+# The ref_* functions below are the box searches that the orbit form
+# (`_OrbitForms.of`) replaced: each scans `candidate_translations` for
+# every pair of cones.  They are kept here as the reference for the
+# normal-form code.
 
 _GEN_SPEC = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
 gen = importlib.util.module_from_spec(_GEN_SPEC)
@@ -513,7 +519,7 @@ def ref_validate_av_fan(fan):
                 out.append(f"ray {ray} has zero base part but nonzero N part")
     if out:
         return out
-    bc = S.embedded_base_cone(base)
+    bc = S._OrbitForms(base).base_cone
     if not any(sc == bc for sc in reps):
         out.append("(7): base cone σ0×{0}×{0} is not among the representatives")
     if not any(sc.cone.rays == () for sc in reps):
@@ -554,7 +560,7 @@ def ref_validate_av_fan(fan):
                     out.append(
                         f"(5): {x} in the overlap of {t.cone.rays} with its "
                         f"T_{m}-translate is not fixed: T_{m}{x} = "
-                        f"{S.translate_vector(base, x, m)}"
+                        f"{translate_vector(base, x, m)}"
                     )
     for t in reps:
         for f in C.faces(t.cone):
@@ -617,7 +623,7 @@ def ref_av_complete(fan):
             return False
     adjacency = {i: set() for i in range(len(tops))}
     for ti, top in enumerate(tops):
-        for ridge in C.facets(top.cone):
+        for ridge in ref_facets(top.cone):
             p = C.interior_point(ridge)
             if not S._relint_base(base, S.split_point(base, p)[0]):
                 continue
@@ -767,14 +773,14 @@ def ref_av_minimal(fan):
                 if merged is None:
                     continue
                 new_cells = [c for k, c in enumerate(cells) if k not in (i, j)] + [merged]
-                candidate = S._rebuild(base, new_cells, form)
+                candidate = S._rebuild(base, new_cells, form)[0]
                 if not ref_validate_av_fan(candidate):
                     cells = S._maximal_classes(S._orbit_classes(candidate, form), form)
                     changed = True
                     break
             if changed:
                 break
-    return S._rebuild(base, cells, form)
+    return S._rebuild(base, cells, form)[0]
 
 
 # Seed 2 holds a merge that only the overlap checks refuse.
@@ -956,7 +962,7 @@ def test_non_scalar_polarization():
     for _ in range(20):
         v = tuple(rng.randint(-4, 4) for _ in range(4))
         m = (rng.randint(-3, 3), rng.randint(-3, 3))
-        assert S.translate_vector(base, v, m) == ref_translate_vector(base, v, m)
+        assert translate_vector(base, v, m) == ref_translate_vector(base, v, m)
         G = S.gram(base, v[:2])
         assert S.q_hom(base, m, v[:2]) == tuple(
             sum(m[i] * G[i][j] for i in range(2)) for j in range(2)
@@ -1127,7 +1133,7 @@ def test_ray_slope_matches_rational_solve(g):
 # The ref_* functions below are the code that sheared rays and pulled-back
 # functionals replaced: each builds the translated cone with `translate`.
 # ref_orbit_form returns the least translate itself, whose (rays, lattice
-# basis) is the key `_orbit_form` returns.
+# basis) is the key `_OrbitForms.of` returns.
 
 
 def ref_orbit_form(sc, base):
@@ -1163,7 +1169,7 @@ def ref_overlap_violations(reps, base):
                             unfixed.append(
                                 f"(5): {x} in the overlap of {t1.cone.rays} with "
                                 f"its T_{m}-translate is not fixed: T_{m}{x} = "
-                                f"{S.translate_vector(base, x, m)}"
+                                f"{translate_vector(base, x, m)}"
                             )
                 if not (
                     ref_is_face_of(inter, t1.cone) and ref_is_face_of(inter, moved.cone)
@@ -1416,49 +1422,94 @@ def test_translation_box_matches_reference_on_seeded_ray_data():
     assert boxes > 300
 
 
-def test_av_valid_agrees_with_violations(monkeypatch):
-    # `_av_valid` tests (7) before the local checks and the (3) faces; its
-    # verdict is still that of the full violation list, on every merge
-    # `av_minimal` tries on the Tate and grid fans, and on Tate fans that
-    # fail (7) and a local check at once.
-    tried = []
-    original = S._av_valid
-    monkeypatch.setattr(
-        S, "_av_valid", lambda f, form: tried.append((f, form)) or original(f, form)
-    )
-    tate = [load(name) for name in (
+def _av_minimal_test_fans():
+    """The four Tate fixtures, the grids k = 1, 2 and the translation
+    check fans of seeds 1–3, invalid ones included."""
+    fans = [load(name) for name in (
         "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
         "tate_two_arc_idx2.json",
     )]
-    for fan in tate + [gen.torus_grid_fan(1), gen.torus_grid_fan(2)]:
+    fans += [gen.torus_grid_fan(1), gen.torus_grid_fan(2)]
+    for seed in (1, 2, 3):
+        fans += _translation_check_fans(seed)
+    return fans
+
+
+def _drops_one_or_two(cells, kept):
+    """Is `kept` the list `cells` with the entries at one or two indices
+    removed, in order?"""
+    return any(
+        kept == [c for k, c in enumerate(cells) if k not in (i, j)]
+        for i in range(len(cells))
+        for j in range(len(cells))
+    )
+
+
+def test_av_minimal_keeps_a_merge_iff_the_merged_fan_validates(monkeypatch):
+    # Each merge `av_minimal` tries is one `_rebuild` of its cells with one
+    # or two of them replaced by their merge, and its last `_rebuild` is of
+    # the final cells.  Replaying the loop from the recorded merges, with a
+    # merge kept iff `validate_av_fan` passes on the merged fan and the
+    # loop going on from that fan's maximal classes, gives the cells of
+    # every next merge and the final cells; each kept merge's tops are
+    # those maximal classes.
+    rebuilds = []
+    original = S._rebuild
+
+    def recording(base, cells, form):
+        result = original(base, cells, form)
+        rebuilds.append((list(cells), result))
+        return result
+
+    monkeypatch.setattr(S, "_rebuild", recording)
+    kept = refused = 0
+    for fan in _av_minimal_test_fans():
+        rebuilds.clear()
         S.av_minimal(fan)
-    assert len(tried) > 10
-    for fan in tate:
-        base, n = fan.base, fan.ambient_rank
-        form = S._OrbitForms(base)
-        reps = [sc for sc in fan.representatives if sc != form.base_cone]
-        ray = next(sc for sc in reps if sc.dim == 1)
-        broken = S.av_fan(
-            base, [F.StackyCone(ray.cone, L.zero_lattice(n))] + [sc for sc in reps if sc != ray]
-        )
-        assert S.local_violations(broken)
-        tried.append((broken, form))
-    verdicts = set()
-    for fan, form in tried:
-        verdict = original(fan, form)
-        assert verdict == (not S._av_violations(fan, form))
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+        form = S._OrbitForms(fan.base)
+        cells = S._maximal_classes(S._orbit_classes(fan, form), form)
+        *tried, (final, _) = rebuilds
+        for new_cells, (candidate, tops) in tried:
+            assert _drops_one_or_two(cells, new_cells[:-1])
+            if S.validate_av_fan(candidate) == []:
+                cells = S._maximal_classes(S._orbit_classes(candidate, form), form)
+                assert tops == cells
+                kept += 1
+            else:
+                refused += 1
+        assert final == cells
+    assert kept > 10 and refused > 100
+
+
+def test_av_minimal_scans_containment_only_on_its_input(monkeypatch):
+    # `_maximal_classes` runs once, on the input; each kept merge goes on
+    # from the tops of `_rebuild`'s face closure, and no merge runs the
+    # face walk of `_orbit_checks`.
+    calls = []
+
+    def counting(name):
+        original = getattr(S, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("_maximal_classes", "_orbit_checks"):
+        monkeypatch.setattr(S, name, counting(name))
+    coarsened = 0
+    for fan in _translation_fans(1) + [gen.torus_grid_fan(2)]:
+        calls.clear()
+        minimal = S.av_minimal(fan)
+        assert calls == ["_maximal_classes"]
+        coarsened += len(minimal.representatives) < len(fan.representatives)
+    assert coarsened
 
 
 def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
-    # Inside `semiabelian`, the per-ray data, the shear blocks and the
-    # embedded base cone are read through `_OrbitForms`, which works each
-    # out once per call; only the public wrappers that take no table call
-    # them directly.
+    # Inside `semiabelian`, the per-ray data, the shear blocks, the
+    # translated cones and the embedded base cone (the table's
+    # `base_cone`) are worked out only by `_OrbitForms`, once per call;
+    # only `q_hom`, which takes no table, reads a shear block directly.
     tree = ast.parse(pathlib.Path(S.__file__).read_text())
-    guarded = {"_ray_data", "embedded_base_cone", "shear_block"}
-    allowed = {"_OrbitForms", "candidate_translations", "translate", "translate_vector", "q_hom"}
+    guarded = {"_ray_data", "shear_block", "_shear_cone"}
+    allowed = {"_OrbitForms", "q_hom"}
     readers = set()
     for top in tree.body:
         for node in ast.walk(top):
