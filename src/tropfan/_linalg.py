@@ -10,9 +10,8 @@ reference for the tests.
 Matrices are lists of row tuples/lists.
 
 `dot` is the kernel every sign scan reads: `sum(map(mul, a, b))`, which
-stops at the shorter input, as `zip` does.  Callers rely on that
-truncation: `oracle._sweep_piece` takes ⟨row, u⟩ of a row of length n
-with a point u of length n − 1.
+stops at the shorter input, as `zip` does.  No caller in the library
+relies on that truncation: each pairs two vectors of one length.
 """
 
 from fractions import Fraction

@@ -7,7 +7,6 @@ inputs, 4 unsupported operation.
 import argparse
 import sys
 
-from . import cones as C
 from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
@@ -286,14 +285,14 @@ def build_parser():
     p = sub.add_parser("render", help="SVG rendering (rank 2 only)")
     p.add_argument("file")
     p.add_argument("--out")
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--radius", type=nonnegative_int, default=4)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("oracle", help="brute-force cross-check oracles")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     q = osub.add_parser("s-enumerate")
     q.add_argument("file")
-    q.add_argument("--radius", type=int, default=5)
+    q.add_argument("--radius", type=nonnegative_int, default=5)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("cover-sample")
     q.add_argument("file")
@@ -302,7 +301,7 @@ def build_parser():
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("translations-bruteforce")
     q.add_argument("file")
-    q.add_argument("--bound", type=int, default=10)
+    q.add_argument("--bound", type=nonnegative_int, default=10)
     q.add_argument("--cells", type=int, nargs=2)
     q.set_defaults(func=cmd_oracle)
 

@@ -81,6 +81,33 @@ def member(v, lattice):
     return express_at_pivots(lattice.basis, lattice.pivots, v) is not None
 
 
+def line_solve(u, lattice):
+    """The t with (u, t) in the lattice, for a prefix u of n − 1 entries:
+    None when there is none, else (s, d) such that they are s + d·Z,
+    which is t = s alone when d = 0.
+
+    This is `member` with t left unknown.  Only the last basis row can
+    have its pivot in the last column; its entry there is d.  The other
+    rows are solved from u by back-substitution, as `express_at_pivots`
+    does, and their last entries add up to s.
+    """
+    n = lattice.ambient_rank
+    v = [*u, 0]
+    d = 0
+    for row, p in zip(lattice.basis, lattice.pivots):
+        if p == n - 1:
+            d = row[p]
+            break
+        q, r = divmod(v[p], row[p])
+        if r:
+            return None
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    if any(v[:-1]):
+        return None
+    return -v[-1], d
+
+
 def contains(sup, sub):
     """True iff every basis vector of `sub` lies in `sup`."""
     return all(member(b, sup) for b in sub.basis)

@@ -13,7 +13,6 @@ from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
 from . import semiabelian as S
-from ._linalg import dot
 
 
 def _stacky_pieces(obj):
@@ -36,15 +35,18 @@ def s_enumerate(obj, radius):
     """All points of the S-set inside the box [-radius, radius]^n, in the
     box's lexicographic order.
 
-    Each piece is swept one box line at a time.  At a fixed prefix u of
-    the first n−1 coordinates, each facet normal of the piece, and each
-    span equation taken with both signs, is affine in the last coordinate
-    t and bounds it from one side, by floor or ceil of an integer
-    division; an equation's two rows pin t to at most one integer.
-    Inside the interval left every point lies in the cone, so only
-    lattice membership is tested, and not even that when the piece's
-    lattice is its span's full lattice.  Every box point is still decided
-    exactly, with no symbolic decision procedure involved.
+    Each piece is swept along the box lines.  At a fixed prefix u of the
+    first n−1 coordinates, each facet normal of the piece, and each span
+    equation taken with both signs, is affine in the last coordinate t
+    and bounds it from one side, by floor or ceil of an integer division;
+    an equation's two rows pin t to at most one integer.  Each row's
+    values are worked out over all prefixes at once and folded into one
+    interval per line.  Inside the interval every point lies in the cone,
+    and the lattice points of the line are one solve for u
+    (`lattice.line_solve`), which gives none, one t, or an arithmetic
+    progression of t; no solve is needed when the piece's lattice is its
+    span's full lattice.  Every box point is still decided exactly, with
+    no symbolic decision procedure involved.
     """
     n = obj.ambient_rank
     if radius < 0 and n > 0:
@@ -66,24 +68,38 @@ def _sweep_piece(p, radius, points):
     for e in cone.span_equations:
         rows += [e, [-x for x in e]]
     rows += cone.facet_normals
-    check_lattice = p.lattice.basis != cone.span_basis
-    for u in product(range(-radius, radius + 1), repeat=n - 1):
-        lo, hi = -radius, radius
-        for row in rows:
-            a, b = dot(row, u), row[-1]  # <row, (u, t)> = a + b·t
-            if b > 0:
-                lo = max(lo, -(a // b))  # t >= ceil(-a / b)
-            elif b < 0:
-                hi = min(hi, a // -b)  # t <= floor(a / -b)
-            elif a < 0:
-                break
-            if lo > hi:
-                break
+    box = range(-radius, radius + 1)
+    lines = list(product(box, repeat=n - 1))
+    lo, hi = [-radius] * len(lines), [radius] * len(lines)
+    for row in rows:
+        a = [0]  # <row, (u, 0)> for each u of `lines`, in the same order
+        for c in row[:-1]:
+            terms = [c * y for y in box]
+            a = [x + y for x in a for y in terms]
+        b = row[-1]  # <row, (u, t)> = a + b·t
+        if b > 0:
+            lo = [max(l, -(x // b)) for l, x in zip(lo, a)]  # t >= ceil(-a / b)
+        elif b < 0:
+            hi = [min(h, x // -b) for h, x in zip(hi, a)]  # t <= floor(a / -b)
         else:
-            for t in range(lo, hi + 1):
-                v = u + (t,)
-                if not check_lattice or L.member(v, p.lattice):
-                    points.add(v)
+            hi = [h if x >= 0 else -radius - 1 for h, x in zip(hi, a)]  # a < 0 empties
+    lattice = p.lattice
+    check_lattice = lattice.basis != cone.span_basis
+    for u, l, h in zip(lines, lo, hi):
+        if l > h:
+            continue
+        ts = range(l, h + 1)
+        if check_lattice:
+            solved = L.line_solve(u, lattice)
+            if solved is None:
+                continue
+            s, d = solved
+            if d:
+                ts = range(l + (s - l) % d, h + 1, d)
+            else:
+                ts = (s,) if l <= s <= h else ()
+        for t in ts:
+            points.add(u + (t,))
 
 
 def cover_sample_fan(fan, count, seed, radius=10):

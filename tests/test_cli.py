@@ -503,6 +503,12 @@ class TestRenderCommand:
         code = cli.main(["render", str(path)])
         assert code == 4
 
+    def test_render_rejects_negative_radius(self, capsys, fx):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "render", fx("trivial.json"), "--radius", "-1")
+        assert exc.value.code == 2
+        assert "argument --radius: -1 is negative" in capsys.readouterr().err
+
     def test_render_svg_matches_module(self, fx):
         _, fan = SER.load_path(fx("trivial.json"))
         assert R.render_svg(fan) == R.render_svg(fan)
@@ -554,6 +560,16 @@ class TestOracleCommands:
             run(capsys, "oracle", "cover-sample", fx("trivial.json"), "--count", "-3")
         assert exc.value.code == 2
         assert "argument --count: -3 is negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, flag", [
+        ("s-enumerate", "trivial.json", "--radius"),
+        ("translations-bruteforce", "tate_two_arc.json", "--bound"),
+    ])
+    def test_rejects_negative_box(self, capsys, fx, command, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "oracle", command, fx(name), flag, "-1")
+        assert exc.value.code == 2
+        assert f"argument {flag}: -1 is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cells, bad", [(("0", "99"), "99"), (("-1", "0"), "-1")])
     def test_translations_bruteforce_index_out_of_range(self, capsys, fx, cells, bad):

@@ -264,8 +264,8 @@ def test_dot_matches_generator_form():
     for a, b in cases:
         assert dot(a, b) == ref_dot(a, b)
         assert type(dot(a, b)) is int
-    # Unequal lengths stop at the shorter input, which `oracle._sweep_piece`
-    # relies on: it pairs a row of length n with a point of length n - 1.
+    # Unequal lengths stop at the shorter input, as `zip` does; no library
+    # caller relies on it, but the documented behaviour stays pinned.
     assert dot((2, 3, 5), (7, 11)) == dot((7, 11), (2, 3, 5)) == 47
     assert any(len(a) != len(b) for a, b in cases)
     assert any(abs(ref_dot(a, b)) > big for a, b in cases)

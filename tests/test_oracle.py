@@ -7,6 +7,8 @@ it replaced.
 pieces with lattices replaced by random ones of the same rank, some
 inside the cone's span and some not: a lattice-skip rule that only looks
 at the rank or the saturation of the lattice fails on the latter.
+`lattice.line_solve`, which gives the sweep each line's lattice points,
+is checked against `lattice.member` at every point of the lines.
 """
 
 import random
@@ -118,3 +120,96 @@ def test_lattice_outside_span():
 def test_negative_radius_is_empty():
     fan = _gen.random_complete_fan2(random.Random(0))
     assert oracle.s_enumerate(fan, -1) == ref_s_enumerate(fan, -1) == []
+
+
+# Lattices whose HNF has its last pivot in the last column with an entry
+# above 1 (each line's points are a progression with that step), and one
+# with no pivot there (a line holds at most one point of it).
+EXPLICIT_LATTICES = {2: [[(1, 0), (0, 3)], [(1, 1), (0, 2)], [(2, 4)]]}
+
+
+def _seeded_lattices(n):
+    """The explicit lattices of Z^n and eight seeded ones of each rank
+    0..n, generated by small vectors, so most are not saturated."""
+    rng = random.Random(200 + n)
+    out = [L.canonicalize(gens, n) for gens in EXPLICIT_LATTICES.get(n, [])]
+    for k in range(n + 1):
+        for _ in range(8):
+            gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            out.append(L.canonicalize(gens, n))
+    return out
+
+
+def _line_points(solved, ts):
+    if solved is None:
+        return []
+    s, d = solved
+    return [t for t in ts if (t - s) % d == 0] if d else [t for t in ts if t == s]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_line_solve_matches_member(n):
+    radius = 2 if n == 4 else 3
+    box = range(-radius, radius + 1)
+    ts = range(-4 * radius, 4 * radius + 1)
+    ranks, steps = set(), set()  # steps of the nonzero lattices' lines
+    for lat in _seeded_lattices(n):
+        ranks.add(lat.rank)
+        if lat.rank:
+            steps.add(min(lat.basis[-1][-1], 2) if lat.pivots[-1] == n - 1 else 0)
+        for u in product(box, repeat=n - 1):
+            want = [t for t in ts if L.member(u + (t,), lat)]
+            assert _line_points(L.line_solve(u, lat), ts) == want, (lat.basis, u)
+    assert ranks == set(range(n + 1))
+    assert {0, 2} & steps == ({0, 2} if n > 1 else {2})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_matches_point_scan_on_seeded_lattices(n):
+    rng = random.Random(300 + n)
+    lattices = _seeded_lattices(n)
+    for obj in _seeded_fans(rng, n)[:2]:
+        pieces = obj.pieces if isinstance(obj, MIN.MinimalFan) else obj.cones
+        seeded = MIN.MinimalFan(
+            n, tuple(F.StackyCone(sc.cone, rng.choice(lattices)) for sc in pieces)
+        )
+        for radius in (0, 1, 3):
+            assert oracle.s_enumerate(seeded, radius) == ref_s_enumerate(seeded, radius)
+
+
+def test_sweep_on_explicit_lattices():
+    # Each explicit lattice on a cone that spans Z^2, on a ray inside its
+    # span and on a ray outside it.
+    cones = [
+        C.from_rays(rays, 2)
+        for rays in ([(1, 0), (1, 2)], [(-1, 1), (0, -1)], [(1, 2)], [(1, 0)])
+    ]
+    for gens in EXPLICIT_LATTICES[2]:
+        lattice = L.canonicalize(gens, 2)
+        for cone in cones:
+            fan = MIN.MinimalFan(2, (F.StackyCone(cone, lattice),))
+            for radius in (0, 1, 3):
+                assert oracle.s_enumerate(fan, radius) == ref_s_enumerate(fan, radius)
+
+
+def test_sweep_makes_no_membership_test(monkeypatch):
+    fan = _gen.global_root(_gen.random_orthant_fan(random.Random(7), 3), 2)
+    assert any(sc.lattice != F.span_lattice(sc.cone) for sc in fan.cones)
+    sweep, member = oracle._sweep_piece, L.member
+    sweeping, calls = [False], []
+
+    def counted_sweep(*args):
+        sweeping[0] = True
+        try:
+            sweep(*args)
+        finally:
+            sweeping[0] = False
+
+    def counted_member(v, lattice):
+        calls.append(sweeping[0])
+        return member(v, lattice)
+
+    monkeypatch.setattr(oracle, "_sweep_piece", counted_sweep)
+    monkeypatch.setattr(L, "member", counted_member)
+    assert oracle.s_enumerate(fan, 2) == ref_s_enumerate(fan, 2)
+    assert calls and not any(calls)  # the reference scan calls it; the sweep never
