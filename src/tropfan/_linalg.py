@@ -131,7 +131,7 @@ def express_at_pivots(H, pivots, v):
 
 def left_kernel(mat, ncols):
     """Basis of {u integer : u * mat == 0} for `mat` with len(mat) rows."""
-    H, U, r = hnf_with_transform(mat, ncols)
+    _, U, r = hnf_with_transform(mat, ncols)
     return [tuple(row) for row in U[r:]]
 
 

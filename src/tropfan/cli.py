@@ -177,7 +177,7 @@ def cmd_refine(args):
 
 
 def cmd_render(args):
-    kind, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
+    _, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
     try:
         svg = R.render_svg(obj, radius=args.radius)
     except R.RankError as exc:
@@ -188,7 +188,7 @@ def cmd_render(args):
 
 def cmd_oracle(args):
     if args.oracle_cmd == "s-enumerate":
-        kind, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
+        _, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
         points = oracle.s_enumerate(obj, args.radius)
         for p in points:
             print(" ".join(str(x) for x in p))

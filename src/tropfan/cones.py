@@ -44,10 +44,13 @@ whose facets are unknown.
 All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
-The simplicial cone that starts the dual step (`_simplicial_start`) also
-starts the chambers of a hyperplane arrangement: n independent normals
-cut R^n into 2^n simplicial chambers, and `arrangement_chambers` splits
-those by the remaining normals.
+Splitting by hyperplanes is one depth-first walk (`_split_walk`):
+`split_by_hyperplanes` takes all its leaf cells, and `uncovered_point`
+(hence coverage and union equality) stops it at cells that one piece
+holds.  The simplicial cone that starts the dual step
+(`_simplicial_start`) also starts the chambers of a hyperplane
+arrangement: n independent normals cut R^n into 2^n simplicial chambers,
+and `arrangement_chambers` splits those by the remaining normals.
 """
 
 from dataclasses import dataclass, field
@@ -478,7 +481,7 @@ def _cut(cone, rows, n_eq=0):
     return _from_incidences(kept, masks, full, functionals, span_basis, n)
 
 
-def _cut_incidences(cone, rows, n_eq=0):
+def _cut_incidences(cone, rows, n_eq):
     """The `_dd_cut` pass of `_cut`: the extreme rays of the cut cone and
     their zero masks, in which bit i < len(cone.facet_normals) is facet
     normal i and bit len(cone.facet_normals) + j is rows[j].  The zero
@@ -488,7 +491,7 @@ def _cut_incidences(cone, rows, n_eq=0):
     return _dd_cut(list(cone.rays), list(cone.zero_masks), labelled, n_eq)
 
 
-def cut_pass(cone, rows, n_eq=0):
+def cut_pass(cone, rows, n_eq):
     """(rays, own, other) for the cut of `_cut`, with no cone built: its
     sorted extreme rays; the bitmask of the cone's facet normals, and that
     of the inequality rows (bit j for rows[n_eq + j]), that vanish on all
@@ -580,22 +583,38 @@ def _dd_pairs(vals, zeros, vectors):
 
 
 def split_by_hyperplanes(cones, hyperplanes):
-    """Refine a list of cones by the hyperplanes {<h, x> = 0}.
+    """Refine a list of cones by the hyperplanes {<h, x> = 0}, taken in
+    order: the leaves of each cone's `_split_walk`, cone by cone.
 
     A cell with rays strictly on both sides of h becomes its two sides,
-    each of the cell's dimension; every other cell stays whole.  The sign
-    scan over a cell's rays stops as soon as it has seen both signs.
+    each of the cell's dimension, the `+` side first; every other cell
+    stays whole.
     """
-    cells = list(cones)
-    for h in hyperplanes:
-        new_cells = []
-        for c in cells:
-            if _crosses(h, c.rays):
-                new_cells += [halfspace_slice(c, h, 1), halfspace_slice(c, h, -1)]
-            else:
-                new_cells.append(c)
-        cells = new_cells
-    return cells
+    return [cell for c in cones for cell in _split_walk(c, hyperplanes, ())]
+
+
+def _split_walk(cone, hyperplanes, holders):
+    """The leaf cells of the cone split by the hyperplanes in order, the
+    `+` side of each before the `−` side, in the order of the fully split
+    list.  A hyperplane that cuts no cell, such as one already used,
+    leaves the cell whole; the sign scan over a cell's rays stops as soon
+    as it has seen both signs.
+
+    The split is walked depth first on an explicit stack.  A cell that one
+    of the `holders` holds is split no further and gives no leaf: every
+    leaf under it lies in that holder.
+    """
+    stack = [(cone, 0)]
+    while stack:
+        cell, i = stack.pop()
+        while i < len(hyperplanes) and not _crosses(hyperplanes[i], cell.rays):
+            i += 1
+        if i == len(hyperplanes):
+            yield cell
+        elif not any(contains_cone(p, cell) for p in holders):
+            h = hyperplanes[i]
+            stack.append((halfspace_slice(cell, h, -1), i + 1))
+            stack.append((halfspace_slice(cell, h, 1), i + 1))
 
 
 def _crosses(h, rays):
@@ -634,32 +653,19 @@ def uncovered_point(target, pieces):
     """An integer interior point of target outside every piece, or None.
 
     Exact: the target is split by every facet hyperplane of every piece of
-    at least its dimension, in order, as `split_by_hyperplanes` splits it
-    (a hyperplane that cuts no cell, such as one already used, leaves the
-    cells whole); each leaf cell, of the target's dimension, is
-    represented by an interior point which must land in some piece.
-
-    The split is walked depth first on an explicit stack, the `+` side of
-    a hyperplane before the `−` side, so the leaves come in the order of
-    the fully split list.  A cell that one piece holds is split no
-    further: every leaf under it lies in that piece.  So the first
-    uncovered leaf, and its point, are those of the full split.
+    at least its dimension, in order, as `split_by_hyperplanes` splits it;
+    each leaf cell, of the target's dimension, is represented by an
+    interior point which must land in some piece.  The walk
+    (`_split_walk`) stops at cells that one of those pieces holds, since
+    every leaf under them is covered.  So the first uncovered leaf, and
+    its point, are those of the full split.
     """
     holders = [p for p in pieces if p.dim >= target.dim]
     hyperplanes = [h for p in holders for h in p.facet_normals]
-    stack = [(target, 0)]
-    while stack:
-        cell, i = stack.pop()
-        while i < len(hyperplanes) and not _crosses(hyperplanes[i], cell.rays):
-            i += 1
-        if i == len(hyperplanes):
-            pt = interior_point(cell)
-            if not any(member(p, pt) for p in pieces):
-                return pt
-        elif not any(contains_cone(p, cell) for p in holders):
-            h = hyperplanes[i]
-            stack.append((halfspace_slice(cell, h, -1), i + 1))
-            stack.append((halfspace_slice(cell, h, 1), i + 1))
+    for cell in _split_walk(target, hyperplanes, holders):
+        pt = interior_point(cell)
+        if not any(member(p, pt) for p in pieces):
+            return pt
     return None
 
 

@@ -3,15 +3,15 @@
 Maximal cones are shaded with one color per sublattice (stable palette
 keyed by the canonical lattice basis), rays are drawn as arrows, and the
 lattice points of each piece's sublattice are drawn as dots within a
-configurable radius.  Output is plain text and byte-stable for golden
-tests.
+configurable radius, taken from the oracle's box sweep of the piece
+(`oracle._sweep_piece`).  Output is plain text and byte-stable for
+golden tests.
 """
 
 import math
 
-from . import cones as C
-from . import lattice as L
 from . import minimal as MIN
+from . import oracle
 
 PALETTE = (
     "#4477aa",  # blue
@@ -79,13 +79,14 @@ def render_svg(obj, radius=4):
         raise RankError("rendering is only supported in ambient rank 2")
     lattices = sorted({p.lattice for p in pieces}, key=lambda l: l.basis)
     color_of = {lat: PALETTE[i % len(PALETTE)] for i, lat in enumerate(lattices)}
+    ordered = sorted(pieces, key=lambda p: (p.dim, p.cone.rays))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     # Shaded maximal cones.
-    for p in sorted(pieces, key=lambda p: (p.dim, p.cone.rays)):
+    for p in ordered:
         if p.dim != 2:
             continue
         path = _wedge_path(_oriented_rays(p.cone))
@@ -112,21 +113,18 @@ def render_svg(obj, radius=4):
                 f'x2="{_fmt(end[0])}" y2="{_fmt(end[1])}" '
                 f'stroke="black" stroke-width="1.5"/>'
             )
-    # Lattice points of each piece within the radius.
+    # Lattice points of each piece within the radius, from the oracle's
+    # box sweep, x then y; the first piece to reach a point gives its color.
     drawn = set()
-    for p in sorted(pieces, key=lambda p: (p.dim, p.cone.rays)):
-        color = color_of[p.lattice]
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                v = (x, y)
-                if v in drawn:
-                    continue
-                if C.member(p.cone, v) and L.member(v, p.lattice):
-                    px, py = _to_px(x, y)
-                    lines.append(
-                        f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
-                        f'fill="{color}"/>'
-                    )
-                    drawn.add(v)
+    for p in ordered:
+        points = set()
+        oracle._sweep_piece(p, radius, points)
+        for x, y in sorted(points - drawn):
+            px, py = _to_px(x, y)
+            lines.append(
+                f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
+                f'fill="{color_of[p.lattice]}"/>'
+            )
+        drawn |= points
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -39,10 +39,13 @@ compare overlay lattices only with translates where one of the two
 lattices is not its cone's span lattice.
 Each public call keeps one table (`_OrbitForms`) that works out every
 ray's Gram and slope, every ray tuple's slope box, every orbit form,
-every shift's shear block and the embedded base cone once.  The table
-owns every translation operation (orbit forms, candidate scans,
-translates); `candidate_translations` and `translate` make a table for
-one call.
+every cell's face orbits (each proper face's restricted lattice and
+orbit form), every shift's shear block and the embedded base cone once.
+The table owns every translation operation (orbit forms, face orbits and
+tops, candidate scans, translates); check (3), the tops, the face
+closure of `av_minimal` and the face maps of `quotient_complex` all read
+its face orbits.  `candidate_translations` and `translate` make a table
+for one call.
 """
 
 import math
@@ -419,6 +422,10 @@ class _OrbitForms:
       which the orbit form and every scan through `candidates` read;
     - per (rays, lattice), the orbit form: calling the table on a
       StackyCone, or `of` on rays and a lattice;
+    - per (rays, lattice) of a cell, its proper nonzero faces with their
+      restricted lattices and orbit forms (`faces`), which check (3), the
+      tops (`tops`), the face closure of `av_minimal` and the face maps of
+      `quotient_complex` read;
     - per m, the shear block A_m (`block`), which the orbit forms, the
       overlap and containment scans and the translates (`translate`) of
       the merges and covers read;
@@ -430,6 +437,7 @@ class _OrbitForms:
     def __init__(self, base):
         self.base = base
         self._forms = {}
+        self._faces = {}
         self._rays = {}
         self._slopes = {}
         self._blocks = {}
@@ -470,6 +478,27 @@ class _OrbitForms:
             else:
                 self._forms[key] = key, tuple([0] * self.base.m_rank)
         return self._forms[key]
+
+    def faces(self, sc):
+        """(face, lattice, (form, shift)) for each proper nonzero face of the
+        StackyCone sc, in face walk order: its `cones.face_walk` entry, sc's
+        lattice restricted to its span, and its orbit form (`of`)."""
+        key = (sc.cone.rays, sc.lattice.basis)
+        if key not in self._faces:
+            out = []
+            for face in sc.cone.face_walk:
+                rays, span_basis, _ = face
+                if rays and rays != sc.cone.rays:
+                    lattice = F._restrict_to_span(sc.lattice, span_basis)
+                    out.append((face, lattice, self.of(rays, lattice)))
+            self._faces[key] = out
+        return self._faces[key]
+
+    def tops(self, cells):
+        """The cells of positive dimension whose orbit form is the form of
+        no proper face of a cell."""
+        face_forms = {f for c in cells for _, _, (f, _) in self.faces(c)}
+        return [c for c in cells if c.dim > 0 and self(c)[0] not in face_forms]
 
     def slopes(self, rays):
         if rays not in self._slopes:
@@ -551,25 +580,40 @@ def validate_av_fan(fan):
     """Violations of the translation-equivariant fan conditions.
 
     The overlap checks (1), (4) and (5) are decided on the pairs of tops
-    only: the representatives of positive dimension that are not a
-    translate of a proper face of one.  This is exact by the fan lemma.
-    Let σ be a face of σ′ and τ a face of τ′.  If ρ = σ′ ∩ τ′ is a face
-    of both, then σ ∩ ρ and τ ∩ ρ are faces of ρ, so σ ∩ τ is a face of σ
-    and of τ; lattice restrictions compose the same way, so (4) passes
-    down to faces.  Fixedness passes down too: for τ = T_a(face of τ′),
-    τ ∩ T_m τ ⊆ T_a(τ′ ∩ T_m τ′), and T_a keeps the base part that
-    Q_hom,N(m) reads.  The lemma needs every representative to lie in a
-    translate of a top, which is check (3), so (3) runs first.  Only when
-    some check fails are all pairs scanned, so that the list names every
-    violating pair.
+    only (`_OrbitForms.tops`): the representatives of positive dimension
+    that are not a translate of a proper face of one.  This is exact by
+    the fan lemma.  Let σ be a face of σ′ and τ a face of τ′.  If
+    ρ = σ′ ∩ τ′ is a face of both, then σ ∩ ρ and τ ∩ ρ are faces of ρ, so
+    σ ∩ τ is a face of σ and of τ; lattice restrictions compose the same
+    way, so (4) passes down to faces.  Fixedness passes down too: for
+    τ = T_a(face of τ′), τ ∩ T_m τ ⊆ T_a(τ′ ∩ T_m τ′), and T_a keeps the
+    base part that Q_hom,N(m) reads.  The lemma needs every representative
+    to lie in a translate of a top, which is check (3), so (3) runs first.
+    Only when some check fails are all pairs scanned, so that the list
+    names every violating pair.
     """
     out = local_violations(fan)
     if out:
         return out
     form = _OrbitForms(fan.base)
-    head, faces, tops = _orbit_checks(fan, form)
-    if head or faces or _overlap_violations(tops, form):
-        return head + _overlap_violations(fan.representatives, form) + faces
+    reps = fan.representatives
+    head = []
+    # (7) the embedded base cone is present.
+    if form.base_cone not in reps:
+        head.append("(7): base cone σ0×{0}×{0} is not among the representatives")
+    if not any(sc.cone.rays == () for sc in reps):
+        head.append("(3): zero cone missing from representatives")
+    # (3): faces of representatives are translates of representatives.
+    forms = {form(t)[0] for t in reps}
+    faces = [
+        f"(3): face {face[0]} of {t.cone.rays} is not a translate of any "
+        f"representative"
+        for t in reps
+        for face, _, (face_form, _) in form.faces(t)
+        if face_form not in forms
+    ]
+    if head or faces or _overlap_violations(form.tops(reps), form):
+        return head + _overlap_violations(reps, form) + faces
     return []
 
 
@@ -594,37 +638,6 @@ def local_violations(fan):
             if is_zero(n) and not is_zero(nprime):
                 out.append(f"ray {ray} has zero base part but nonzero N part")
     return out
-
-
-def _orbit_checks(fan, form):
-    """(head, faces, tops) for a fan with no `local_violations`: the (7)
-    and zero-cone messages, the (3) messages, and the tops, which are the
-    representatives of positive dimension that are not a translate of a
-    proper face of a representative."""
-    reps = fan.representatives
-    head = []
-    # (7) the embedded base cone is present.
-    if form.base_cone not in reps:
-        head.append("(7): base cone σ0×{0}×{0} is not among the representatives")
-    if not any(sc.cone.rays == () for sc in reps):
-        head.append("(3): zero cone missing from representatives")
-    # (3): faces of representatives are translates of representatives.
-    forms = {form(t)[0] for t in reps}
-    face_forms = set()
-    faces = []
-    for t in reps:
-        for rays, span_basis, _ in t.cone.face_walk:
-            if rays == () or rays == t.cone.rays:
-                continue
-            face_form = form.of(rays, F._restrict_to_span(t.lattice, span_basis))[0]
-            face_forms.add(face_form)
-            if face_form not in forms:
-                faces.append(
-                    f"(3): face {rays} of {t.cone.rays} is not a translate "
-                    f"of any representative"
-                )
-    tops = [t for t in reps if t.dim > 0 and form(t)[0] not in face_forms]
-    return head, faces, tops
 
 
 def _overlap_violations(reps, form):
@@ -740,13 +753,6 @@ def quotient_complex(fan):
     form = _OrbitForms(base)
     cells = _orbit_classes(fan, form, strict=True)
     forms = [form(c) for c in cells]
-    face_forms = [
-        [
-            form.of(rays, F._restrict_to_span(b.lattice, span_basis))
-            for rays, span_basis, _ in b.cone.face_walk
-        ]
-        for b in cells
-    ]
     face_maps = []
     for i, a in enumerate(cells):
         for j, b in enumerate(cells):
@@ -759,7 +765,7 @@ def quotient_complex(fan):
             form_a, s_a = forms[i]
             witnesses = sorted(
                 tuple(x - y for x, y in zip(s_a, s_f))
-                for form_f, s_f in face_forms[j]
+                for _, _, (form_f, s_f) in form.faces(b)
                 if form_f == form_a
             )
             if len(witnesses) > 1:
@@ -770,14 +776,6 @@ def quotient_complex(fan):
             if witnesses:
                 face_maps.append((i, j, witnesses[0]))
     return QuotientComplex(tuple(cells), tuple(face_maps))
-
-
-def _relint_base(base, p_base):
-    """Is p_base in the relative interior of σ0 (relint of {0} is {0})?"""
-    cone = base.base_cone.cone
-    if cone.dim == 0:
-        return is_zero(p_base)
-    return C.contains_point(cone, p_base) == C.RELATIVE_INTERIOR
 
 
 def av_complete(fan):
@@ -825,7 +823,8 @@ def av_complete(fan):
     adjacency = {i: set() for i in range(len(tops))}
     for ti, rays, key in ridges:
         p = [sum(x) for x in zip(*rays)] or [0] * n
-        if not _relint_base(base, split_point(base, p)[0]):
+        p_base = split_point(base, p)[0]
+        if C.contains_point(base.base_cone.cone, p_base) != C.RELATIVE_INTERIOR:
             continue
         paired = owners[key]
         if len(paired) != 2:
@@ -906,10 +905,8 @@ def av_minimal(fan):
 
 def _rebuild(base, cells, form):
     """(fan, tops): the fan from maximal cells, with their face orbits and
-    the zero cone added, and its tops, the classes of positive dimension
-    whose orbit form is that of no proper face of a class.  Each face of a
-    class's face walk is keyed by its rays and restricted lattice; only a
-    face whose key is new is built as a Cone."""
+    the zero cone added, and its tops (`_OrbitForms.tops`).  Only a face
+    whose orbit form is new is built as a Cone."""
     reps = list(cells)
     seen_zero = any(c.dim == 0 for c in reps)
     if not seen_zero:
@@ -918,19 +915,11 @@ def _rebuild(base, cells, form):
     fan = AVStackyFan(base, F._sort_stacky(reps))
     classes = _orbit_classes(fan, form)
     orbits = {form(c)[0]: c for c in classes}
-    face_forms = set()
     for c in classes:
-        for face in c.cone.face_walk:
-            rays, span_basis, _ = face
-            if rays == () or rays == c.cone.rays:
-                continue
-            lattice = F._restrict_to_span(c.lattice, span_basis)
-            key = form.of(rays, lattice)[0]
-            face_forms.add(key)
+        for face, lattice, (key, _) in form.faces(c):
             if key not in orbits:
                 orbits[key] = F.StackyCone(C.face_cone(c.cone, face), lattice)
-    tops = [c for c in classes if c.dim > 0 and form(c)[0] not in face_forms]
-    return av_fan(base, list(orbits.values())), tops
+    return av_fan(base, list(orbits.values())), form.tops(classes)
 
 
 def av_bir_equivalent(f1, f2):

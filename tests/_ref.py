@@ -4,6 +4,8 @@ constructions that library decisions are compared against."""
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
+import tropfan.minimal as MIN
+import tropfan.render as R
 import tropfan.semiabelian as S
 from tropfan._linalg import dot
 
@@ -117,3 +119,22 @@ def ref_overlay_mismatch(pieces1, pieces2):
             if r1 != r2:
                 return cell, r1, r2
     return None
+
+
+def ref_render_points(obj, radius):
+    """The dots of `render.render_svg` as (x, y, fill), from a scan of the
+    box [-radius, radius]^2: pieces in (dimension, rays) order, x then y,
+    each point tested with `cones.member` and `lattice.member`; the first
+    piece that holds a point gives its fill."""
+    pieces = MIN._pieces_of(obj)
+    lattices = sorted({p.lattice for p in pieces}, key=lambda lat: lat.basis)
+    fill = {lat: R.PALETTE[i % len(R.PALETTE)] for i, lat in enumerate(lattices)}
+    out, drawn = [], set()
+    for p in sorted(pieces, key=lambda p: (p.dim, p.cone.rays)):
+        for x in range(-radius, radius + 1):
+            for y in range(-radius, radius + 1):
+                v = (x, y)
+                if v not in drawn and C.member(p.cone, v) and L.member(v, p.lattice):
+                    out.append((x, y, fill[p.lattice]))
+                    drawn.add(v)
+    return out

@@ -625,7 +625,8 @@ def ref_av_complete(fan):
     for ti, top in enumerate(tops):
         for ridge in ref_facets(top.cone):
             p = C.interior_point(ridge)
-            if not S._relint_base(base, S.split_point(base, p)[0]):
+            p_base = S.split_point(base, p)[0]
+            if C.contains_point(base.base_cone.cone, p_base) != C.RELATIVE_INTERIOR:
                 continue
             ridge_sc = F.induced_stacky_cone(ridge, top.lattice)
             count = 0
@@ -1483,15 +1484,15 @@ def test_av_minimal_keeps_a_merge_iff_the_merged_fan_validates(monkeypatch):
 
 def test_av_minimal_scans_containment_only_on_its_input(monkeypatch):
     # `_maximal_classes` runs once, on the input; each kept merge goes on
-    # from the tops of `_rebuild`'s face closure, and no merge runs the
-    # face walk of `_orbit_checks`.
+    # from the tops of `_rebuild`'s face closure, and no merge calls
+    # `validate_av_fan`.
     calls = []
 
     def counting(name):
         original = getattr(S, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("_maximal_classes", "_orbit_checks"):
+    for name in ("_maximal_classes", "validate_av_fan"):
         monkeypatch.setattr(S, name, counting(name))
     coarsened = 0
     for fan in _translation_fans(1) + [gen.torus_grid_fan(2)]:
@@ -1500,6 +1501,45 @@ def test_av_minimal_scans_containment_only_on_its_input(monkeypatch):
         assert calls == ["_maximal_classes"]
         coarsened += len(minimal.representatives) < len(fan.representatives)
     assert coarsened
+
+
+@pytest.mark.parametrize("name", [
+    "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+    "tate_two_arc_idx2.json", "grid1", "grid2",
+])
+def test_face_table_restricts_each_face_walk_once_per_call(name, monkeypatch):
+    # During one call, `_OrbitForms.faces` restricts the lattice of each
+    # distinct (rays, lattice) cell it is asked for once per proper nonzero
+    # face, however often it is asked.
+    fan = gen.torus_grid_fan(int(name[4:])) if name.startswith("grid") else load(name)
+    asked, restricted, inside = {}, [], [False]
+    faces, restrict = S._OrbitForms.faces, F._restrict_to_span
+
+    def counted_faces(self, sc):
+        walk = sc.cone.face_walk
+        asked[sc.cone.rays, sc.lattice.basis] = sum(
+            1 for rays, _, _ in walk if rays and rays != sc.cone.rays
+        )
+        inside[0] = True
+        try:
+            return faces(self, sc)
+        finally:
+            inside[0] = False
+
+    def counted_restrict(lattice, span_basis):
+        restricted.append(inside[0])
+        return restrict(lattice, span_basis)
+
+    monkeypatch.setattr(S._OrbitForms, "faces", counted_faces)
+    monkeypatch.setattr(F, "_restrict_to_span", counted_restrict)
+    cells = 0
+    for call in (S.av_minimal, S.validate_av_fan, S.quotient_complex):
+        asked.clear()
+        restricted.clear()
+        _outcome(call, fan)
+        assert restricted.count(True) == sum(asked.values())
+        cells += len(asked)
+    assert cells
 
 
 def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
@@ -1517,3 +1557,19 @@ def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
                 readers.add((getattr(top, "name", None), node.id))
     assert {name for owner, name in readers if owner == "_OrbitForms"} == guarded
     assert {owner for owner, _ in readers} <= allowed
+
+
+def test_only_the_face_table_restricts_a_face_walk():
+    # Inside `semiabelian`, a cell's face walk is restricted to lattices
+    # only by `_OrbitForms.faces`; `av_complete` walks faces with span
+    # lattices, and the (4) overlap check restricts to its overlap's span.
+    tree = ast.parse(pathlib.Path(S.__file__).read_text())
+    readers = {"face_walk": set(), "_restrict_to_span": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                readers[node.attr].add(top.name)
+    assert readers == {
+        "face_walk": {"_OrbitForms", "av_complete"},
+        "_restrict_to_span": {"_OrbitForms", "_overlap_violations"},
+    }
