@@ -162,8 +162,8 @@ def validate_stacky_cone(sc):
             f"for cone with rays {sc.cone.rays}"
         )
         return out
-    sat = L.saturate(sc.lattice)
-    if sat != span_lattice(sc.cone):
+    span = span_lattice(sc.cone)
+    if sc.lattice != span and L.saturate(sc.lattice) != span:
         out.append(
             f"lattice on cone with rays {sc.cone.rays} is not finite-index in "
             f"the span lattice (saturation mismatch)"

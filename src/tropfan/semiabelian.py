@@ -18,7 +18,8 @@ give.
 Fans here are translation-equivariant: they are stored as one
 representative cone per T_m-orbit.  Orbit identity is decided by a
 normal form (`_OrbitForms.of`), not by a search over translations: a key
-of sheared rays and one sheared lattice basis.  `candidate_translations`
+of sheared rays and one sheared lattice basis, or None for a span
+lattice, which the rays already fix.  `candidate_translations`
 answers only which translates meet: pulled back by T_m, each functional
 of one cone is affine in m at each ray of the other, and the m to test
 come from the ranges of integer ray slopes (adj(G_n)·n′ / det G_n,
@@ -32,20 +33,24 @@ base cone of check (7)):
   c2's functionals pulled back by T_{−m}: its rays, and the functionals
   tight on all of them, decide whether it is a face of each cone; only
   an unsaturated lattice needs the span of its rays.
-- Containment tests move rays back by T_{−m}.
+- Containment tests move rays back by T_{−m} (`_OrbitForms.inside`).
 Translated cones are built only for the wall merges of `av_minimal` and
-the covers of `av_bir_equivalent`, which need whole cones; the covers
-compare overlay lattices only with translates where one of the two
-lattices is not its cone's span lattice.
+the covers of `av_bir_equivalent`, which need whole cones.  A cover
+builds them only when no single translate holds the piece, or for the
+overlay, which compares lattices only with translates where one of the
+two lattices is not its cone's span lattice.
 Each public call keeps one table (`_OrbitForms`) that works out every
-ray's Gram and slope, every ray tuple's slope box, every orbit form,
-every cell's face orbits (each proper face's restricted lattice and
-orbit form), every shift's shear block and the embedded base cone once.
-The table owns every translation operation (orbit forms, face orbits and
-tops, candidate scans, translates); check (3), the tops, the face
-closure of `av_minimal` and the face maps of `quotient_complex` all read
-its face orbits.  `candidate_translations` and `translate` make a table
-for one call.
+ray's Gram and slope, every ray tuple's slope rows (and, on its first
+scan, its slope box), every orbit form, every cell's face orbits (each
+proper face's restricted lattice and orbit form), every shift's shear
+block and the embedded base cone once.  An orbit form shears the rays
+only for the shift that the first ray with nonzero base part picks, and
+puts only a lattice other than the span lattice in HNF.  The table owns
+every translation operation (orbit forms, face orbits and tops,
+candidate scans, containment on rays, translates); check (3), the tops,
+the face closure of `av_minimal` and the face maps of `quotient_complex`
+all read its face orbits.  `candidate_translations` and `translate` make
+a table for one call.
 """
 
 import math
@@ -353,18 +358,30 @@ class _Slopes:
     `rows` over one denominator `D` > 0, with their column minima `lo` and
     maxima `hi`; whether those rays' Grams are positive multiples of one
     matrix (`proportional`, false when there are none); and whether every
-    ray has a nonzero base part (`all_moving`).  `radius`, the
-    `_slope_radius` of the rows, is worked out on first use."""
+    ray has a nonzero base part (`all_moving`).  Only the Grams, the rows,
+    D and `all_moving` are worked out at once: the orbit form reads the
+    rows alone, and `lo`, `hi`, `proportional` and `radius` (the
+    `_slope_radius` of the rows) wait for the first scan that reads
+    them."""
 
     def __init__(self, data):
         self.grams = [G for G, _ in data]
         moving = [(G, mu) for G, mu in data if mu]
         self.moving_grams = [G for G, _ in moving]
         self.rows, self.D = _over_common_denominator([mu for _, mu in moving])
-        self.lo = [min(col) for col in zip(*self.rows)]
-        self.hi = [max(col) for col in zip(*self.rows)]
-        self.proportional = bool(moving) and _proportional(self.moving_grams)
         self.all_moving = len(moving) == len(data)
+
+    @cached_property
+    def lo(self):
+        return [min(col) for col in zip(*self.rows)]
+
+    @cached_property
+    def hi(self):
+        return [max(col) for col in zip(*self.rows)]
+
+    @cached_property
+    def proportional(self):
+        return bool(self.moving_grams) and _proportional(self.moving_grams)
 
     @cached_property
     def radius(self):
@@ -421,14 +438,14 @@ class _OrbitForms:
     - per ray tuple, its `_Slopes` (`slopes`; no slopes when g = 0),
       which the orbit form and every scan through `candidates` read;
     - per (rays, lattice), the orbit form: calling the table on a
-      StackyCone, or `of` on rays and a lattice;
+      StackyCone, or `of` on rays, a lattice and their span basis;
     - per (rays, lattice) of a cell, its proper nonzero faces with their
       restricted lattices and orbit forms (`faces`), which check (3), the
       tops (`tops`), the face closure of `av_minimal` and the face maps of
       `quotient_complex` read;
     - per m, the shear block A_m (`block`), which the orbit forms, the
-      overlap and containment scans and the translates (`translate`) of
-      the merges and covers read;
+      overlap scans, the containment tests on rays (`inside`) and the
+      translates (`translate`) of the merges and covers read;
     - the embedded base cone of check (7) (`base_cone`).
 
     Each public entry point makes its own, so no table outlives one call.
@@ -443,38 +460,45 @@ class _OrbitForms:
         self._blocks = {}
 
     def __call__(self, sc):
-        return self.of(sc.cone.rays, sc.lattice)
+        return self.of(sc.cone.rays, sc.lattice, sc.cone.span_basis)
 
-    def of(self, rays, lattice):
-        """(form, shift): the key (rays, lattice basis) of the least of the
-        candidate translates T_shift(sc) of the cone sc with these rays and
-        this lattice, ordered by that key.  Only the rays and the lattice
-        decide it, so a face of a cone needs no Cone of its own.
+    def of(self, rays, lattice, span_basis):
+        """(form, shift): the key (rays, lattice part) of the least of the
+        candidate translates T_shift(sc) of the cone sc with these rays,
+        this lattice and this saturated span basis, ordered by that key.
+        Only the rays and the lattice decide it, so a face of a cone needs
+        no Cone of its own.  The lattice part is None when the lattice is
+        the span lattice (its basis is `span_basis`), else the HNF basis of
+        the translated lattice.  That is exact: T_m keeps saturation, the
+        span lattice is a function of the rays, and None is never equal to
+        a basis.  So a span lattice is neither sheared nor put in HNF.
 
         The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
         rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
         d, so T_d(sc) has the same candidates and the same least one.  Hence a
         and b share an orbit iff their forms are equal, and then
         T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
-        base part (G_n is nonsingular there).  For the same reason no two
-        shifts give the same sheared rays, so the least translate is found
-        from its `_shear`ed rays alone, which stay sorted, and only its
-        lattice is sheared and put in HNF; no translated cone is built.  Other
-        cones, and all cones when g = 0, are their own form with shift 0.
+        base part (G_n is nonsingular there).  T_m keeps the rays sorted and
+        fixes those with zero base part, which come first; at the first ray
+        r with nonzero base part, T_s(r) − r = (0, G_n s, 0) is injective in
+        s.  So that ray alone picks the least translate, and only its shift
+        shears the other rays and the lattice; no translated cone is built.
+        Other cones, and all cones when g = 0, are their own form with
+        shift 0.
         """
-        key = (rays, lattice.basis)
+        key = rays, None if lattice.basis == span_basis else lattice.basis
         if key not in self._forms:
             slopes = self.slopes(rays)
             shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
             if shifts:
                 b = self.base.base_rank
-                sheared = {
-                    s: tuple(_shear(self.block(s), b, r) for r in rays) for s in shifts
-                }
-                s = min(shifts, key=sheared.__getitem__)
-                lat = [_shear(self.block(s), b, v) for v in lattice.basis]
-                form = sheared[s], L.canonicalize(lat, lattice.ambient_rank).basis
-                self._forms[key] = form, s
+                first = next(r for r in rays if any(r[:b]))
+                s = min(shifts, key=lambda s: _shear(self.block(s), b, first))
+                A, lat = self.block(s), key[1]
+                if lat is not None:
+                    n = lattice.ambient_rank
+                    lat = L.canonicalize([_shear(A, b, v) for v in lat], n).basis
+                self._forms[key] = (tuple(_shear(A, b, r) for r in rays), lat), s
             else:
                 self._forms[key] = key, tuple([0] * self.base.m_rank)
         return self._forms[key]
@@ -490,7 +514,7 @@ class _OrbitForms:
                 rays, span_basis, _ = face
                 if rays and rays != sc.cone.rays:
                     lattice = F._restrict_to_span(sc.lattice, span_basis)
-                    out.append((face, lattice, self.of(rays, lattice)))
+                    out.append((face, lattice, self.of(rays, lattice, span_basis)))
             self._faces[key] = out
         return self._faces[key]
 
@@ -516,6 +540,12 @@ class _OrbitForms:
         if m not in self._blocks:
             self._blocks[m] = shear_block(self.base, m)
         return self._blocks[m]
+
+    def inside(self, c, rho, m):
+        """Is c ⊆ T_m(ρ)?  It is iff T_{−m} maps every ray of c into ρ, so
+        no translate is built."""
+        A, b = self.block(tuple(-x for x in m)), self.base.base_rank
+        return all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays)
 
     def translate(self, sc, m):
         """T_m(sc), as `translate` describes."""
@@ -619,24 +649,38 @@ def validate_av_fan(fan):
 
 def local_violations(fan):
     """Violations of the form and of each representative on its own: its
-    ambient rank, its lattice and the admissibility of its rays.  The
-    orbit and translation code (`_ray_data`) assumes there are none."""
+    ambient rank, its lattice and the admissibility of its rays, each
+    distinct ray tested once.  The orbit and translation code
+    (`_ray_data`) assumes there are none."""
     base = fan.base
     out = list(validate_form(base))
     if out:
         return ["base form invalid: " + v for v in out]
+    by_ray = {}
     for sc in fan.representatives:
         if sc.ambient_rank != base.ambient_rank:
             return [f"representative {sc.cone.rays} has wrong ambient rank"]
         out.extend(F.validate_stacky_cone(sc))
         for ray in sc.cone.rays:
-            n, nprime, _ = split_point(base, ray)
-            if not C.member(base.base_cone.cone, n):
-                out.append(f"ray {ray} has base part outside the base cone")
-            elif not admissible_point(n, nprime, base):
-                out.append(f"ray {ray} is not an admissible point")
-            if is_zero(n) and not is_zero(nprime):
-                out.append(f"ray {ray} has zero base part but nonzero N part")
+            if ray not in by_ray:
+                by_ray[ray] = _ray_violations(base, ray)
+            out.extend(by_ray[ray])
+    return out
+
+
+def _ray_violations(base, ray):
+    """The `local_violations` messages of one ray: its base part lies in
+    the base cone, the ray is admissible (as `admissible_point` decides,
+    with its base-cone test not made twice), and a zero base part has a
+    zero N part."""
+    n, nprime, _ = split_point(base, ray)
+    out = []
+    if not C.member(base.base_cone.cone, n):
+        out.append(f"ray {ray} has base part outside the base cone")
+    elif not is_zero(nprime) and not _in_row_span(gram(base, n), nprime):
+        out.append(f"ray {ray} is not an admissible point")
+    if is_zero(n) and not is_zero(nprime):
+        out.append(f"ray {ray} has zero base part but nonzero N part")
     return out
 
 
@@ -799,7 +843,7 @@ def av_complete(fan):
 
     def form(rays, span_basis):
         # Cones are compared without lattices: each carries its span lattice.
-        return orbit_form.of(rays, L.Sublattice(n, span_basis))[0]
+        return orbit_form.of(rays, L.Sublattice(n, span_basis), span_basis)[0]
 
     # The tops owning each face orbit, once per face of a top, and the
     # ridges: the faces of dimension D − 1, with their forms.
@@ -835,21 +879,16 @@ def av_complete(fan):
 
 def _maximal_classes(cells, form):
     """The cells in no translate of a cell of higher dimension, over the
-    base of `form`.  No translate is built: c ⊆ T_m(ρ) iff T_{−m} maps
-    every ray of c into ρ."""
-    b = form.base.base_rank
-
-    def inside(c, rho):
-        for m in form.candidates(c, rho):
-            A = form.block(tuple(-x for x in m))
-            if all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays):
-                return True
-        return False
-
+    base of `form`.  Containment is tested on rays (`_OrbitForms.inside`)
+    for each m that `candidates` finds, so no translate is built."""
     return [
         c
         for c in cells
-        if not any(rho.dim > c.dim and (c.dim == 0 or inside(c, rho)) for rho in cells)
+        if not any(
+            rho.dim > c.dim
+            and (c.dim == 0 or any(form.inside(c, rho, m) for m in form.candidates(c, rho)))
+            for rho in cells
+        )
     ]
 
 
@@ -937,24 +976,32 @@ def _av_covers(pieces1, pieces2, form):
     """Does each piece of pieces1 lie in the union of the translates of
     pieces2 that meet it, with the same lattices on their overlaps?
 
-    The overlay skips a translate T_m(ρ) when t1's and ρ's lattices are
-    both their cones' span lattices: T_m keeps saturation, and the span
-    lattice restricted to a cell is the cell's span lattice, so both
-    sides restrict to the same lattice there.
+    The pairs (ρ, m) with t1 ∩ T_m(ρ) ≠ {0} are gathered first.  When one
+    translate holds t1, tested on rays (`_OrbitForms.inside`), t1 is
+    covered; only otherwise does `cones.cone_covered_by` run on all of
+    them.  The overlay skips a translate T_m(ρ) when t1's and ρ's lattices
+    are both their cones' span lattices: T_m keeps saturation, and the
+    span lattice restricted to a cell is the cell's span lattice, so both
+    sides restrict to the same lattice there.  So a translate is built
+    only for the cover test or the overlay, and at most once per piece.
     """
     saturated = [rho.lattice == F.span_lattice(rho.cone) for rho in pieces2]
     for t1 in pieces1:
         t1_saturated = t1.lattice == F.span_lattice(t1.cone)
-        translates, overlaid = [], []
-        for rho, rho_saturated in zip(pieces2, saturated):
-            for m in form.candidates(t1, rho):
-                moved = form.translate(rho, m)
-                translates.append(moved)
-                if not (t1_saturated and rho_saturated):
-                    overlaid.append(moved)
-        if not C.cone_covered_by(t1.cone, [t.cone for t in translates]):
+        meeting = [
+            (rho, m, rho_saturated)
+            for rho, rho_saturated in zip(pieces2, saturated)
+            for m in form.candidates(t1, rho)
+        ]
+        overlaid = [i for i, (_, _, s) in enumerate(meeting) if not (t1_saturated and s)]
+        held = any(form.inside(t1, rho, m) for rho, m, _ in meeting)
+        moved = {
+            i: form.translate(meeting[i][0], meeting[i][1])
+            for i in (overlaid if held else range(len(meeting)))
+        }
+        if not held and not C.cone_covered_by(t1.cone, [t.cone for t in moved.values()]):
             return False
-        if MIN._overlay_mismatch([t1], overlaid) is not None:
+        if MIN._overlay_mismatch([t1], [moved[i] for i in overlaid]) is not None:
             return False
     return True
 

@@ -1133,8 +1133,9 @@ def test_ray_slope_matches_rational_solve(g):
 #
 # The ref_* functions below are the code that sheared rays and pulled-back
 # functionals replaced: each builds the translated cone with `translate`.
-# ref_orbit_form returns the least translate itself, whose (rays, lattice
-# basis) is the key `_OrbitForms.of` returns.
+# ref_orbit_form returns the least translate itself; its rays, and its
+# lattice basis or None for its span lattice, are the key `_OrbitForms.of`
+# returns.
 
 
 def ref_orbit_form(sc, base):
@@ -1217,7 +1218,8 @@ def _assert_translation_checks_agree(cones, base):
     for sc in _cones_and_faces(S.av_fan(base, cones)):
         key, shift = orbit(sc)
         form, ref_shift = ref_orbit_form(sc, base)
-        assert (key, shift) == ((form.cone.rays, form.lattice.basis), ref_shift), sc
+        lattice = None if form.lattice == F.span_lattice(form.cone) else form.lattice.basis
+        assert (key, shift) == ((form.cone.rays, lattice), ref_shift), sc
     messages = _outcome(S._overlap_violations, cones, S._OrbitForms(base))
     assert messages == _outcome(ref_overlap_violations, cones, base)
     maximal = S._maximal_classes(cones, S._OrbitForms(base))
@@ -1573,3 +1575,195 @@ def test_only_the_face_table_restricts_a_face_walk():
         "face_walk": {"_OrbitForms", "av_complete"},
         "_restrict_to_span": {"_OrbitForms", "_overlap_violations"},
     }
+
+
+# --- Orbit keys of span lattices, and covers tested on rays first -----------
+
+
+def _fixture_or_grid(name):
+    return gen.torus_grid_fan(int(name[4:])) if name.startswith("grid") else load(name)
+
+
+_TATE_AND_GRIDS = [
+    "tate_one_arc.json", "tate_two_arc.json", "tate_three_arc.json",
+    "tate_two_arc_idx2.json", "grid1", "grid2",
+]
+
+
+@pytest.mark.parametrize("name", ["tate_two_arc.json", "tate_three_arc.json", "grid1"])
+def test_span_and_index_two_lattices_key_apart(name):
+    # A cell on its span lattice keys with None and an index-2 sublattice
+    # of it with its sheared basis, so the two forms differ; each translate
+    # of either keys as its own cone, with the shift moved by m.
+    fan = _fixture_or_grid(name)
+    base, n = fan.base, fan.ambient_rank
+    orbit = S._OrbitForms(base)
+    cells = 0
+    for sc in fan.representatives:
+        if not any(any(S.split_point(base, r)[0]) for r in sc.cone.rays):
+            continue
+        assert sc.lattice == F.span_lattice(sc.cone)
+        first, *rest = sc.lattice.basis
+        half = F.StackyCone(sc.cone, L.canonicalize([[2 * x for x in first]] + rest, n))
+        form, shift = orbit(sc)
+        half_form, half_shift = orbit(half)
+        assert form[1] is None and half_form[1] is not None
+        assert form[0] == half_form[0] and shift == half_shift
+        for m in product(range(-2, 3), repeat=base.m_rank):
+            for cell, (key, s) in ((sc, (form, shift)), (half, (half_form, half_shift))):
+                moved = S.translate(cell, m, base)
+                assert S._OrbitForms(base)(moved) == (key, tuple(a - b for a, b in zip(s, m)))
+        cells += 1
+    assert cells
+
+
+def test_first_moving_ray_picks_the_least_translate_on_the_skew_base():
+    # Over the skew base the Grams of two rays order the candidate shifts
+    # differently, so a ray other than the first with nonzero base part
+    # can pick another shift; the form still matches the least translate.
+    base = _skew_base()
+    rng = random.Random(7)
+    orbit = S._OrbitForms(base)
+    disagree = 0
+    for _ in range(200):
+        sc = _random_admissible_cone(rng, base)
+        form, ref_shift = ref_orbit_form(sc, base)
+        lattice = None if form.lattice == F.span_lattice(form.cone) else form.lattice.basis
+        assert orbit(sc) == ((form.cone.rays, lattice), ref_shift)
+        slopes = orbit.slopes(sc.cone.rays)
+        shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
+        picks = {
+            min(shifts, key=lambda s: translate_vector(base, r, s))
+            for r in sc.cone.rays
+            if any(r[:2])
+        }
+        disagree += len(picks) > 1
+    assert disagree
+
+
+def test_saturated_lattices_are_never_put_in_hnf_for_a_form(monkeypatch):
+    # During `validate_av_fan`, `quotient_complex` and `av_minimal`, no
+    # orbit form of a lattice whose basis is its span basis calls
+    # `lattice.canonicalize`; the forms of the index-2 fixture's other
+    # lattices still do.
+    state = {"in": None}
+    canonical = {True: 0, False: 0}
+    forms = {True: 0, False: 0}
+    of, canonicalize = S._OrbitForms.of, L.canonicalize
+
+    def counted_of(self, rays, lattice, span_basis):
+        state["in"] = lattice.basis == span_basis
+        forms[state["in"]] += 1
+        try:
+            return of(self, rays, lattice, span_basis)
+        finally:
+            state["in"] = None
+
+    def counted_canonicalize(vectors, ambient_rank):
+        if state["in"] is not None:
+            canonical[state["in"]] += 1
+        return canonicalize(vectors, ambient_rank)
+
+    monkeypatch.setattr(S._OrbitForms, "of", counted_of)
+    monkeypatch.setattr(L, "canonicalize", counted_canonicalize)
+    for name in _TATE_AND_GRIDS:
+        fan = _fixture_or_grid(name)
+        for call in (S.validate_av_fan, S.quotient_complex, S.av_minimal):
+            _outcome(call, fan)
+    assert forms[True] > 0 and canonical[True] == 0
+    assert forms[False] > 0 and canonical[False] > 0
+
+
+def test_orbit_table_inside_matches_a_built_translate():
+    # c ⊆ T_m(ρ) on rays against `contains_cone` on the built translate.
+    held = checked = 0
+    for fan in _translation_check_fans(1):
+        if S.local_violations(fan):
+            continue
+        base, reps = fan.base, list(fan.representatives)
+        form = S._OrbitForms(base)
+        for c, rho in product(reps, repeat=2):
+            for m in form.candidates(c, rho):
+                inside = form.inside(c, rho, m)
+                assert inside == C.contains_cone(S.translate(rho, m, base).cone, c.cone)
+                held += inside
+                checked += 1
+    assert 0 < held < checked
+
+
+def test_covers_split_only_pieces_in_no_single_translate(monkeypatch):
+    # `av_bir_equivalent(f, av_minimal(f))` runs the split of
+    # `cones.uncovered_point` exactly for the pieces, in order, that lie in
+    # no single translate of the other side (decided on built translates),
+    # and runs it at least once, so the fallback is exercised.
+    split = []
+    uncovered = C.uncovered_point
+    monkeypatch.setattr(
+        C, "uncovered_point",
+        lambda target, pieces: split.append(target) or uncovered(target, pieces),
+    )
+    fallbacks = 0
+    for name in _TATE_AND_GRIDS:
+        fan = _fixture_or_grid(name)
+        minimal = S.av_minimal(fan)
+        base = fan.base
+        form = S._OrbitForms(base)
+        m1 = S._maximal_classes(S._orbit_classes(fan, form), form)
+        m2 = S._maximal_classes(S._orbit_classes(minimal, form), form)
+        expected = [
+            t1.cone
+            for pieces1, pieces2 in ((m1, m2), (m2, m1))
+            for t1 in pieces1
+            if not any(
+                C.contains_cone(S.translate(rho, m, base).cone, t1.cone)
+                for rho in pieces2
+                for m in form.candidates(t1, rho)
+            )
+        ]
+        split.clear()
+        assert S.av_bir_equivalent(fan, minimal)
+        assert split == expected
+        fallbacks += len(split)
+    assert fallbacks > 0
+
+
+def test_local_violations_test_each_distinct_ray_once(monkeypatch):
+    # Over the Tate base, rays with base part outside σ0 and rays with
+    # zero base part and nonzero N part, each shared by two cones, give the
+    # messages of the per-ray reference in the same order, from one test
+    # per distinct ray.
+    base = tate_base()
+    pairs = [
+        ((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (-1, 2)),
+        ((-1, 2), (0, 1)), ((1, 0), (2, 1)),
+    ]
+    cones = [C.from_rays(pair, 2) for pair in pairs]
+    reps = [F.StackyCone(cone, F.span_lattice(cone)) for cone in cones]
+    fan = S.av_fan(base, reps)
+    tested = []
+    original = S._ray_violations
+    monkeypatch.setattr(
+        S, "_ray_violations", lambda b, ray: tested.append(ray) or original(b, ray)
+    )
+    out = S.validate_av_fan(fan)
+    assert out == ref_validate_av_fan(fan)
+    assert len(tested) == len(set(tested)) == len(
+        {r for sc in fan.representatives for r in sc.cone.rays}
+    )
+    assert any("outside the base cone" in v for v in out)
+    assert any("not an admissible point" in v for v in out)
+    assert any("zero base part" in v for v in out)
+
+
+def test_only_the_orbit_table_and_its_peers_shear_vectors():
+    # Inside `semiabelian`, `_shear` is read only by `_shear_cone`,
+    # `_OrbitForms` and `_overlap_violations`, so a containment test on
+    # rays goes through `_OrbitForms.inside`.
+    tree = ast.parse(pathlib.Path(S.__file__).read_text())
+    readers = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_shear"
+    }
+    assert readers == {"_shear_cone", "_OrbitForms", "_overlap_violations"}
