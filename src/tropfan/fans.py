@@ -38,6 +38,11 @@ class StackyCone:
     def dim(self):
         return self.cone.dim
 
+    @property
+    def saturated(self):
+        """Is the lattice the span lattice Zⁿ ∩ Span(cone)?"""
+        return self.lattice.basis == self.cone.span_basis
+
     def __repr__(self):
         return f"StackyCone(rays={self.cone.rays}, lattice={self.lattice.basis})"
 
@@ -162,8 +167,7 @@ def validate_stacky_cone(sc):
             f"for cone with rays {sc.cone.rays}"
         )
         return out
-    span = span_lattice(sc.cone)
-    if sc.lattice != span and L.saturate(sc.lattice) != span:
+    if not sc.saturated and L.saturate(sc.lattice) != span_lattice(sc.cone):
         out.append(
             f"lattice on cone with rays {sc.cone.rays} is not finite-index in "
             f"the span lattice (saturation mismatch)"
@@ -300,17 +304,19 @@ def is_complete(fan):
     for i, c in enumerate(tops):
         for k in range(len(c.facet_normals)):
             by_ridge.setdefault(tuple(C.tight_rays(c, 1 << k)), []).append(i)
-    if any(len(members) != 2 for members in by_ridge.values()):
-        return False
-    adj = {i: set() for i in range(len(tops))}
-    for a, b in by_ridge.values():
+    return _ridges_pair(by_ridge.values(), len(tops))
+
+
+def _ridges_pair(groups, count):
+    """Does each group (the tops at one ridge) hold exactly two of the
+    count ≥ 1 tops, and do these pairs connect all of them?"""
+    adj = {i: set() for i in range(count)}
+    for members in groups:
+        if len(members) != 2:
+            return False
+        a, b = members
         adj[a].add(b)
         adj[b].add(a)
-    return _connected(adj)
-
-
-def _connected(adj):
-    """Is the graph on 0..len(adj)−1 with neighbour sets adj connected?"""
     seen = {0}
     stack = [0]
     while stack:

@@ -124,14 +124,22 @@ def _overlay_mismatch(pieces1, pieces2):
     return None
 
 
-def s_sets_equal(a, b):
-    """Do two fans (or minimal fans) have the same point set S?"""
+def _s_difference(a, b):
+    """(pieces, point, mismatch) for two fans (or minimal fans): the pieces
+    of a and then of b, a point in one support only (None when the
+    supports agree) and, only when they agree, the first overlay cell
+    where the lattices differ (`_overlay_mismatch`)."""
     if a.ambient_rank != b.ambient_rank:
         raise L.DimensionError("ambient ranks differ")
     p1, p2 = _pieces_of(a), _pieces_of(b)
-    if C.union_difference([p.cone for p in p1], [p.cone for p in p2]) is not None:
-        return False
-    return _overlay_mismatch(p1, p2) is None
+    pt = C.union_difference([p.cone for p in p1], [p.cone for p in p2])
+    return p1 + p2, pt, _overlay_mismatch(p1, p2) if pt is None else None
+
+
+def s_sets_equal(a, b):
+    """Do two fans (or minimal fans) have the same point set S?"""
+    _, pt, mismatch = _s_difference(a, b)
+    return pt is None and mismatch is None
 
 
 def birationally_equivalent(f1, f2):
@@ -144,15 +152,11 @@ def s_witness(a, b):
     The witness is exact: it lies in the support of both overlays (or in
     one support only, when the supports differ).
     """
-    if a.ambient_rank != b.ambient_rank:
-        raise L.DimensionError("ambient ranks differ")
-    p1, p2 = _pieces_of(a), _pieces_of(b)
-    pt = C.union_difference([p.cone for p in p1], [p.cone for p in p2])
+    pieces, pt, mismatch = _s_difference(a, b)
     if pt is not None:
         # pt lies in one support only, so the first piece holding it is
         # on that side.
-        return _support_witness(pt, p1 + p2)
-    mismatch = _overlay_mismatch(p1, p2)
+        return _support_witness(pt, pieces)
     if mismatch is None:
         return None
     cell, r1, r2 = mismatch

@@ -83,14 +83,13 @@ def _sweep_piece(p, radius, points):
             hi = [min(h, x // -b) for h, x in zip(hi, a)]  # t <= floor(a / -b)
         else:
             hi = [h if x >= 0 else -radius - 1 for h, x in zip(hi, a)]  # a < 0 empties
-    lattice = p.lattice
-    check_lattice = lattice.basis != cone.span_basis
+    check_lattice = not p.saturated
     for u, l, h in zip(lines, lo, hi):
         if l > h:
             continue
         ts = range(l, h + 1)
         if check_lattice:
-            solved = L.line_solve(u, lattice)
+            solved = L.line_solve(u, p.lattice)
             if solved is None:
                 continue
             s, d = solved

@@ -27,30 +27,25 @@ fraction-free).  The validity, completeness and quotient checks build no
 cone for their decisions (`validate_av_fan` builds only the embedded
 base cone of check (7)):
 - An orbit form reads only rays and a lattice, so the forms of faces
-  come from `cones.face_walk` (each face's rays and span basis) with the
-  lattice restricted to that span.
+  come from `cones.face_walk` (each face's rays and span basis); only an
+  unsaturated lattice is restricted to a face's span.
 - An overlap c1 ∩ T_m(c2) is read from one `cones.cut_pass` of c1 by
   c2's functionals pulled back by T_{−m}: its rays, and the functionals
   tight on all of them, decide whether it is a face of each cone; only
-  an unsaturated lattice needs the span of its rays.
+  an unsaturated lattice needs the span of its rays.  A test for any
+  fault stops at the first.
 - Containment tests move rays back by T_{−m} (`_OrbitForms.inside`).
 Translated cones are built only for the wall merges of `av_minimal` and
-the covers of `av_bir_equivalent`, which need whole cones.  A cover
-builds them only when no single translate holds the piece, or for the
-overlay, which compares lattices only with translates where one of the
-two lattices is not its cone's span lattice.
-Each public call keeps one table (`_OrbitForms`) that works out every
-ray's Gram and slope, every ray tuple's slope rows (and, on its first
-scan, its slope box), every orbit form, every cell's face orbits (each
-proper face's restricted lattice and orbit form), every shift's shear
-block and the embedded base cone once.  An orbit form shears the rays
-only for the shift that the first ray with nonzero base part picks, and
-puts only a lattice other than the span lattice in HNF.  The table owns
-every translation operation (orbit forms, face orbits and tops,
-candidate scans, containment on rays, translates); check (3), the tops,
-the face closure of `av_minimal` and the face maps of `quotient_complex`
-all read its face orbits.  `candidate_translations` and `translate` make
-a table for one call.
+the covers of `av_bir_equivalent`, which need whole cones: a cover
+builds them only when no single translate holds a piece or when its
+lattices must be compared.
+Each public call keeps one table (`_OrbitForms`) that works out each
+ray's Gram and slope, slope rows and boxes, orbit forms, each cell's
+face orbits, shear blocks and the embedded base cone once.  Every
+translation decision reads its face orbits and tops: check (3), the
+maximal classes, the face closure of `av_minimal`, the face maps of
+`quotient_complex` and the ridges of `av_complete`.
+`candidate_translations` and `translate` make a table for one call.
 """
 
 import math
@@ -440,9 +435,7 @@ class _OrbitForms:
     - per (rays, lattice), the orbit form: calling the table on a
       StackyCone, or `of` on rays, a lattice and their span basis;
     - per (rays, lattice) of a cell, its proper nonzero faces with their
-      restricted lattices and orbit forms (`faces`), which check (3), the
-      tops (`tops`), the face closure of `av_minimal` and the face maps of
-      `quotient_complex` read;
+      lattices and orbit forms (`faces`), and so the tops (`tops`);
     - per m, the shear block A_m (`block`), which the orbit forms, the
       overlap scans, the containment tests on rays (`inside`) and the
       translates (`translate`) of the merges and covers read;
@@ -506,14 +499,20 @@ class _OrbitForms:
     def faces(self, sc):
         """(face, lattice, (form, shift)) for each proper nonzero face of the
         StackyCone sc, in face walk order: its `cones.face_walk` entry, sc's
-        lattice restricted to its span, and its orbit form (`of`)."""
+        lattice restricted to its span (the face's span lattice when sc is
+        saturated), and its orbit form (`of`)."""
         key = (sc.cone.rays, sc.lattice.basis)
         if key not in self._faces:
             out = []
+            n = sc.ambient_rank
             for face in sc.cone.face_walk:
                 rays, span_basis, _ = face
                 if rays and rays != sc.cone.rays:
-                    lattice = F._restrict_to_span(sc.lattice, span_basis)
+                    lattice = (
+                        L.Sublattice(n, span_basis)
+                        if sc.saturated
+                        else F._restrict_to_span(sc.lattice, span_basis)
+                    )
                     out.append((face, lattice, self.of(rays, lattice, span_basis)))
             self._faces[key] = out
         return self._faces[key]
@@ -620,7 +619,7 @@ def validate_av_fan(fan):
     base part that Q_hom,N(m) reads.  The lemma needs every representative
     to lie in a translate of a top, which is check (3), so (3) runs first.
     Only when some check fails are all pairs scanned, so that the list
-    names every violating pair.
+    names every violating pair, with the (1)/(4) messages before the (5).
     """
     out = local_violations(fan)
     if out:
@@ -642,8 +641,9 @@ def validate_av_fan(fan):
         for face, _, (face_form, _) in form.faces(t)
         if face_form not in forms
     ]
-    if head or faces or _overlap_violations(form.tops(reps), form):
-        return head + _overlap_violations(reps, form) + faces
+    if head or faces or any(_overlap_violations(form.tops(reps), form)):
+        overlaps = _overlap_violations(reps, form)
+        return head + sorted(overlaps, key=lambda v: v.startswith("(5)")) + faces
     return []
 
 
@@ -685,7 +685,7 @@ def _ray_violations(base, ray):
 
 
 def _overlap_violations(reps, form):
-    """The (1)/(4) messages, then the (5) messages, of every pair of reps,
+    """The (1), (4) and (5) messages of every pair of reps, in scan order,
     over the base of `form` (an `_OrbitForms`).
 
     No overlap cone is built.  The overlap t1 ∩ T_m(t2) is t1 cut by t2's
@@ -700,15 +700,11 @@ def _overlap_violations(reps, form):
     lattices; else only t2's lattice is sheared, and the two lattices are
     restricted to the span of the overlap's rays.
     """
-    out = []
     base = form.base
     b, n = base.base_rank, base.ambient_rank
-    saturated = [t.lattice == F.span_lattice(t.cone) for t in reps]
     # (1),(2),(4): all translated pairwise intersections are common faces
     # with matching lattices.  (5): τ ∩ T_m τ is pointwise fixed by T_m,
-    # i.e. lies in the vanishing locus of x ↦ Q_hom,N(m)(x_base); its
-    # lines follow those of (1) and (4).
-    unfixed = []
+    # i.e. lies in the vanishing locus of x ↦ Q_hom,N(m)(x_base).
     for i, t1 in enumerate(reps):
         for j, t2 in enumerate(reps):
             if j < i:
@@ -723,7 +719,7 @@ def _overlap_violations(reps, form):
                 if i == j:
                     for x in rays:
                         if any(dot(row, x[:b]) for row in A):
-                            unfixed.append(
+                            yield (
                                 f"(5): {x} in the overlap of {t1.cone.rays} with "
                                 f"its T_{m}-translate is not fixed: T_{m}{x} = "
                                 f"{_shear(A, b, x)}"
@@ -734,23 +730,22 @@ def _overlap_violations(reps, form):
                     rays == C.tight_rays(t1.cone, own)
                     and pulled == C.tight_rays(t2.cone, other)
                 ):
-                    out.append(
+                    yield (
                         f"(1): {t1.cone.rays} and T_{m}{t2.cone.rays} do not "
                         f"meet along a common face"
                     )
                     continue
-                if saturated[i] and saturated[j]:
+                if t1.saturated and t2.saturated:
                     continue
                 span_basis = C.ray_span(rays, n)
                 moved = L.canonicalize([_shear(A, b, v) for v in t2.lattice.basis], n)
                 if F._restrict_to_span(t1.lattice, span_basis) != F._restrict_to_span(
                     moved, span_basis
                 ):
-                    out.append(
+                    yield (
                         f"(4): lattices disagree on the overlap of "
                         f"{t1.cone.rays} and T_{m}{t2.cone.rays}"
                     )
-    return out + unfixed
 
 
 def _orbit_classes(fan, form, strict=False):
@@ -792,102 +787,88 @@ class QuotientComplex:
 
 
 def quotient_complex(fan):
-    """Cone complex of translation-orbit classes with unique face maps."""
-    base = fan.base
-    form = _OrbitForms(base)
+    """Cone complex of translation-orbit classes with unique face maps:
+    T_m(a) is the face f of b iff a has f's orbit form and m = s_a − s_f,
+    and the zero cell maps to every other cell at m = 0."""
+    form = _OrbitForms(fan.base)
     cells = _orbit_classes(fan, form, strict=True)
-    forms = [form(c) for c in cells]
+    index = {form(c)[0]: i for i, c in enumerate(cells) if c.dim > 0}
+    witnesses = {}
+    for j, b in enumerate(cells):
+        if j and cells[0].dim == 0:
+            witnesses[0, j] = [(0,) * fan.base.m_rank]
+        for _, _, (form_f, s_f) in form.faces(b):
+            if form_f in index:
+                i = index[form_f]
+                m = tuple(x - y for x, y in zip(form(cells[i])[1], s_f))
+                witnesses.setdefault((i, j), []).append(m)
     face_maps = []
-    for i, a in enumerate(cells):
-        for j, b in enumerate(cells):
-            if i == j or a.dim >= b.dim:
-                continue
-            if a.dim == 0:
-                face_maps.append((i, j, tuple([0] * base.m_rank)))
-                continue
-            # T_m(a) is the face f of b exactly when m = s_a − s_f.
-            form_a, s_a = forms[i]
-            witnesses = sorted(
-                tuple(x - y for x, y in zip(s_a, s_f))
-                for _, _, (form_f, s_f) in form.faces(b)
-                if form_f == form_a
+    for (i, j), ms in sorted(witnesses.items()):
+        if len(ms) > 1:
+            raise NormalizationError(
+                f"multiple face morphisms between cells {cells[i].cone.rays} "
+                f"and {cells[j].cone.rays}: {sorted(ms)}"
             )
-            if len(witnesses) > 1:
-                raise NormalizationError(
-                    f"multiple face morphisms between cells {a.cone.rays} "
-                    f"and {b.cone.rays}: {witnesses}"
-                )
-            if witnesses:
-                face_maps.append((i, j, witnesses[0]))
+        face_maps.append((i, j, ms[0]))
     return QuotientComplex(tuple(cells), tuple(face_maps))
 
 
 def av_complete(fan):
     """Does the translation-orbit union of cones cover the admissible region?
 
-    Ridge-pairing on the quotient: every codimension-1 face of a maximal
-    cell whose interior lies over the relative interior of σ0 must bound
-    exactly two maximal cells, counted with translation multiplicity.
+    Ridge-pairing on the quotient (`fans._ridges_pair`): every
+    codimension-1 face of a maximal cell whose interior lies over the
+    relative interior of σ0 must bound exactly two maximal cells, counted
+    with translation multiplicity.  Cells are compared without lattices.
     """
     base = fan.base
-    orbit_form = _OrbitForms(base)
-    cells = _orbit_classes(fan, orbit_form)
+    form = _OrbitForms(base)
+    cells = [
+        F.StackyCone(c.cone, F.span_lattice(c.cone)) for c in _orbit_classes(fan, form)
+    ]
     D = base.base_cone.dim + base.m_rank + base.torus_rank
     if D == 0:
         return True
     tops = [c for c in cells if c.dim == D]
     if not tops:
         return False
-
-    n = base.ambient_rank
-
-    def form(rays, span_basis):
-        # Cones are compared without lattices: each carries its span lattice.
-        return orbit_form.of(rays, L.Sublattice(n, span_basis), span_basis)[0]
-
     # The tops owning each face orbit, once per face of a top, and the
-    # ridges: the faces of dimension D − 1, with their forms.
-    owners = {}
-    ridges = []
+    # ridges: the faces of dimension D − 1, with their forms.  At D = 1
+    # the ridge is the zero face, which every top has (key None).
+    owners = {None: list(range(len(tops)))}
+    ridges = [((), None)] * len(tops) if D == 1 else []
     for ti, top in enumerate(tops):
-        for rays, span_basis, _ in top.cone.face_walk:
-            key = form(rays, span_basis)
+        for (rays, span_basis, _), _, (key, _) in form.faces(top):
             owners.setdefault(key, []).append(ti)
             if len(span_basis) == D - 1:
-                ridges.append((ti, rays, key))
+                ridges.append((rays, key))
     # Every lower cell must appear as a face of some translated top.
-    if any(
-        form(c.cone.rays, c.cone.span_basis) not in owners
-        for c in cells
-        if c.dim not in (0, D)
-    ):
+    if any(form(c)[0] not in owners for c in cells if c.dim not in (0, D)):
         return False
-    # Ridge pairing with translation multiplicity; a ridge's interior
-    # point is the sum of its rays.
-    adjacency = {i: set() for i in range(len(tops))}
-    for ti, rays, key in ridges:
-        p = [sum(x) for x in zip(*rays)] or [0] * n
-        p_base = split_point(base, p)[0]
-        if C.contains_point(base.base_cone.cone, p_base) != C.RELATIVE_INTERIOR:
-            continue
-        paired = owners[key]
-        if len(paired) != 2:
-            return False
-        adjacency[ti].update(paired)
-    return F._connected(adjacency)
+    # The owners of each ridge over the relative interior of σ0; a ridge's
+    # interior point is the sum of its rays.
+    zero = [0] * base.ambient_rank
+    interior = []
+    for rays, key in ridges:
+        p = split_point(base, [sum(x) for x in zip(*rays)] or zero)[0]
+        if C.contains_point(base.base_cone.cone, p) == C.RELATIVE_INTERIOR:
+            interior.append(owners[key])
+    return F._ridges_pair(interior, len(tops))
 
 
 def _maximal_classes(cells, form):
     """The cells in no translate of a cell of higher dimension, over the
-    base of `form`.  Containment is tested on rays (`_OrbitForms.inside`)
-    for each m that `candidates` finds, so no translate is built."""
+    base of `form`: the tops (else the zero cells) in no translate of a
+    higher top, since a non-top lies in a translate of a higher cell and
+    such chains end at tops.  Containment is tested on rays
+    (`_OrbitForms.inside`) for each m that `candidates` finds."""
+    tops = form.tops(cells) or cells
     return [
         c
-        for c in cells
+        for c in tops
         if not any(
-            rho.dim > c.dim
-            and (c.dim == 0 or any(form.inside(c, rho, m) for m in form.candidates(c, rho)))
-            for rho in cells
+            rho.dim > c.dim and any(form.inside(c, rho, m) for m in form.candidates(c, rho))
+            for rho in tops
         )
     ]
 
@@ -932,7 +913,7 @@ def av_minimal(fan):
                 if (
                     form.base_cone in candidate.representatives
                     and not local_violations(candidate)
-                    and not _overlap_violations(tops, form)
+                    and not any(_overlap_violations(tops, form))
                 ):
                     cells = tops
                     changed = True
@@ -985,18 +966,14 @@ def _av_covers(pieces1, pieces2, form):
     sides restrict to the same lattice there.  So a translate is built
     only for the cover test or the overlay, and at most once per piece.
     """
-    saturated = [rho.lattice == F.span_lattice(rho.cone) for rho in pieces2]
     for t1 in pieces1:
-        t1_saturated = t1.lattice == F.span_lattice(t1.cone)
-        meeting = [
-            (rho, m, rho_saturated)
-            for rho, rho_saturated in zip(pieces2, saturated)
-            for m in form.candidates(t1, rho)
+        meeting = [(rho, m) for rho in pieces2 for m in form.candidates(t1, rho)]
+        overlaid = [
+            i for i, (rho, _) in enumerate(meeting) if not (t1.saturated and rho.saturated)
         ]
-        overlaid = [i for i, (_, _, s) in enumerate(meeting) if not (t1_saturated and s)]
-        held = any(form.inside(t1, rho, m) for rho, m, _ in meeting)
+        held = any(form.inside(t1, rho, m) for rho, m in meeting)
         moved = {
-            i: form.translate(meeting[i][0], meeting[i][1])
+            i: form.translate(*meeting[i])
             for i in (overlaid if held else range(len(meeting)))
         }
         if not held and not C.cone_covered_by(t1.cone, [t.cone for t in moved.values()]):

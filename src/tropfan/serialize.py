@@ -43,6 +43,14 @@ def _dec_int(s):
         raise ParseError(f"expected a decimal integer string, got {s!r}")
 
 
+def _dec_count(s):
+    """A rank or a vertex count: a decimal integer string, at least 0."""
+    n = _dec_int(s)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative count, got {n}")
+    return n
+
+
 def _dec_vec(v):
     return tuple(_dec_int(x) for x in v)
 
@@ -63,7 +71,7 @@ def _enc_fan(fan):
 
 
 def _dec_fan(payload):
-    n = _dec_int(payload["ambient_rank"])
+    n = _dec_count(payload["ambient_rank"])
     return F.make_fan(_dec_cones(payload["cones"], n), n)
 
 
@@ -121,7 +129,7 @@ def _enc_coloring_from_minimal(m):
 
 
 def _dec_minimal(payload):
-    n = _dec_int(payload["ambient_rank"])
+    n = _dec_count(payload["ambient_rank"])
     colors = [
         (
             L.canonicalize(_dec_mat(color["lattice"]), n),
@@ -143,15 +151,15 @@ def _enc_base(base):
 
 
 def _dec_base(payload):
-    b = _dec_int(payload["base_rank"])
+    b = _dec_count(payload["base_rank"])
     base_cone = _dec_cones([payload["base_cone"]], b)[0]
-    g = _dec_int(payload["m_rank"])
+    g = _dec_count(payload["m_rank"])
     q = tuple(
         tuple(_dec_vec(v) for v in row) for row in payload["q_matrix"]
     )
     if len(q) != g or any(len(row) != g or any(len(v) != b for v in row) for row in q):
         raise ValueError(f"q_matrix is not {g} × {g} vectors of length {b}")
-    return S.PolarizedBase(base_cone, g, q, _dec_int(payload["torus_rank"]))
+    return S.PolarizedBase(base_cone, g, q, _dec_count(payload["torus_rank"]))
 
 
 def _enc_av_fan(fan):
@@ -180,14 +188,14 @@ def _enc_graph(graph):
 
 
 def _dec_graph(payload):
-    b = _dec_int(payload["base_rank"])
+    b = _dec_count(payload["base_rank"])
     base_cone = _dec_cones([payload["base_cone"]], b)[0]
     edges = [
         (_dec_int(u), _dec_int(v), _dec_vec(length))
         for u, v, length in payload["edges"]
     ]
-    num_vertices = _dec_int(payload["num_vertices"])
-    torus_rank = _dec_int(payload["torus_rank"])
+    num_vertices = _dec_count(payload["num_vertices"])
+    torus_rank = _dec_count(payload["torus_rank"])
     for u, v, length in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ParseError(f"edge ({u}, {v}) has an endpoint outside 0..{num_vertices - 1}")

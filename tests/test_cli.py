@@ -213,8 +213,20 @@ class TestValidateCommand:
             ("quadrant.json", "stacky_fan", lambda p: p.update(ambient_rank="-1")),
             # A q_matrix row with no entries where g = 1 asks for one.
             ("tate_two_arc.json", "av_fan", lambda p: p["base"]["q_matrix"][0].clear()),
+            # Negative ranks and counts, on documents that are otherwise
+            # consistent with them.
+            ("quadrant.json", "stacky_fan", lambda p: p.update(ambient_rank="-1", cones=[])),
+            ("minimal/quadrant.json", "coloring",
+             lambda p: p.update(ambient_rank="-2", colors=[])),
+            ("tate_two_arc.json", "av_fan", lambda p: p["base"].update(torus_rank="-1")),
+            ("theta_graph.json", "graph", lambda p: p.update(torus_rank="-1")),
+            ("theta_graph.json", "graph", lambda p: p.update(num_vertices="-1", edges=[])),
         ],
-        ids=["non_pointed", "ray_length", "negative_rank", "q_row_empty"],
+        ids=[
+            "non_pointed", "ray_length", "negative_rank", "q_row_empty",
+            "negative_rank_no_cones", "coloring_negative_rank", "av_negative_torus_rank",
+            "graph_negative_torus_rank", "graph_negative_vertices",
+        ],
     )
     def test_decode_error_is_parse_error(self, capsys, fx, tmp_path, name, kind, edit):
         with open(fx(name)) as fh:
@@ -225,6 +237,19 @@ class TestValidateCommand:
         for cmd in ("validate", "complete"):
             code, _, err = run(capsys, cmd, str(path))
             assert code == 2 and f"malformed {kind} payload" in err
+
+    def test_negative_torus_rank_of_a_base_is_parse_error(self, capsys, fx, tmp_path):
+        with open(fx("tate_two_arc.json")) as fh:
+            base = json.load(fh)["payload"]["base"]
+        doc = {"schema_version": "1", "kind": "polarized_base", "payload": base}
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path))[:2] == (0, "ok\n")
+        base["torus_rank"] = "-1"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2 and "malformed polarized_base payload" in err
+        assert "nonnegative" in err
 
     def test_singular_gram_unsupported(self, capsys, fx, tmp_path):
         """Slopes over a base ray with a singular Gram matrix are unsupported."""

@@ -1210,6 +1210,12 @@ def ref_maximal_classes(cells, base):
     return out
 
 
+def _ordered_faults(cones, form):
+    """The overlap messages in the order `validate_av_fan` lists them: the
+    (1)/(4) messages, then the (5) messages, each in scan order."""
+    return sorted(S._overlap_violations(cones, form), key=lambda v: v.startswith("(5)"))
+
+
 def _assert_translation_checks_agree(cones, base):
     """Form key and shift of every cone and face, the overlap messages of
     every pair in order, and the maximal classes, against the references.
@@ -1220,7 +1226,7 @@ def _assert_translation_checks_agree(cones, base):
         form, ref_shift = ref_orbit_form(sc, base)
         lattice = None if form.lattice == F.span_lattice(form.cone) else form.lattice.basis
         assert (key, shift) == ((form.cone.rays, lattice), ref_shift), sc
-    messages = _outcome(S._overlap_violations, cones, S._OrbitForms(base))
+    messages = _outcome(_ordered_faults, cones, S._OrbitForms(base))
     assert messages == _outcome(ref_overlap_violations, cones, base)
     maximal = S._maximal_classes(cones, S._OrbitForms(base))
     assert maximal == ref_maximal_classes(cones, base)
@@ -1512,14 +1518,15 @@ def test_av_minimal_scans_containment_only_on_its_input(monkeypatch):
 def test_face_table_restricts_each_face_walk_once_per_call(name, monkeypatch):
     # During one call, `_OrbitForms.faces` restricts the lattice of each
     # distinct (rays, lattice) cell it is asked for once per proper nonzero
-    # face, however often it is asked.
+    # face, however often it is asked, unless the lattice is the span
+    # lattice, whose restriction to each face is that face's span lattice.
     fan = gen.torus_grid_fan(int(name[4:])) if name.startswith("grid") else load(name)
     asked, restricted, inside = {}, [], [False]
     faces, restrict = S._OrbitForms.faces, F._restrict_to_span
 
     def counted_faces(self, sc):
         walk = sc.cone.face_walk
-        asked[sc.cone.rays, sc.lattice.basis] = sum(
+        asked[sc.cone.rays, sc.lattice.basis] = 0 if sc.saturated else sum(
             1 for rays, _, _ in walk if rays and rays != sc.cone.rays
         )
         inside[0] = True
@@ -1534,14 +1541,16 @@ def test_face_table_restricts_each_face_walk_once_per_call(name, monkeypatch):
 
     monkeypatch.setattr(S._OrbitForms, "faces", counted_faces)
     monkeypatch.setattr(F, "_restrict_to_span", counted_restrict)
-    cells = 0
+    cells = restrictions = 0
     for call in (S.av_minimal, S.validate_av_fan, S.quotient_complex):
         asked.clear()
         restricted.clear()
         _outcome(call, fan)
         assert restricted.count(True) == sum(asked.values())
         cells += len(asked)
+        restrictions += restricted.count(True)
     assert cells
+    assert (restrictions > 0) == (name == "tate_two_arc_idx2.json")
 
 
 def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
@@ -1562,9 +1571,10 @@ def test_only_the_orbit_table_works_out_ray_data_blocks_and_base_cone():
 
 
 def test_only_the_face_table_restricts_a_face_walk():
-    # Inside `semiabelian`, a cell's face walk is restricted to lattices
-    # only by `_OrbitForms.faces`; `av_complete` walks faces with span
-    # lattices, and the (4) overlap check restricts to its overlap's span.
+    # Inside `semiabelian`, only `_OrbitForms.faces` reads a cell's face
+    # walk and restricts lattices to it; `av_complete` reads the faces of
+    # span-lattice stand-ins from it, and the (4) overlap check restricts
+    # to its overlap's span.
     tree = ast.parse(pathlib.Path(S.__file__).read_text())
     readers = {"face_walk": set(), "_restrict_to_span": set()}
     for top in tree.body:
@@ -1572,7 +1582,7 @@ def test_only_the_face_table_restricts_a_face_walk():
             if isinstance(node, ast.Attribute) and node.attr in readers:
                 readers[node.attr].add(top.name)
     assert readers == {
-        "face_walk": {"_OrbitForms", "av_complete"},
+        "face_walk": {"_OrbitForms"},
         "_restrict_to_span": {"_OrbitForms", "_overlap_violations"},
     }
 
@@ -1767,3 +1777,140 @@ def test_only_the_orbit_table_and_its_peers_shear_vectors():
         if isinstance(node, ast.Name) and node.id == "_shear"
     }
     assert readers == {"_shear_cone", "_OrbitForms", "_overlap_violations"}
+
+
+# --- One face table: tops, first faults and face maps ------------------------
+
+
+def test_first_fault_stops_the_overlap_scan(monkeypatch):
+    # The fast path of `validate_av_fan` and the merge test of `av_minimal`
+    # ask only whether there is a fault, so the scan stops at the first: on
+    # the Tate 1-arc fan, which fails check (5), `any` makes fewer
+    # `cut_pass` calls than the full list.
+    fan = load("tate_one_arc.json")
+    reps = list(fan.representatives)
+    calls = []
+    cut_pass = C.cut_pass
+    monkeypatch.setattr(C, "cut_pass", lambda *args: calls.append(1) or cut_pass(*args))
+    assert any(S._overlap_violations(reps, S._OrbitForms(fan.base)))
+    first = len(calls)
+    calls.clear()
+    faults = list(S._overlap_violations(reps, S._OrbitForms(fan.base)))
+    full = len(calls)
+    assert 0 < first < full
+    assert len(faults) > 1
+    # `validate_av_fan` stops its scan of the tops at their first fault,
+    # then lists the faults of every pair.
+    tops = S._OrbitForms(fan.base).tops(reps)
+    calls.clear()
+    assert any(S._overlap_violations(tops, S._OrbitForms(fan.base)))
+    on_tops = len(calls)
+    calls.clear()
+    assert S.validate_av_fan(fan) == _ordered_faults(reps, S._OrbitForms(fan.base))
+    assert len(calls) == on_tops + 2 * full
+
+
+@pytest.mark.parametrize("name", _TATE_AND_GRIDS)
+def test_quotient_complex_reads_each_cells_faces_once(name, monkeypatch):
+    # The face maps come from one pass over each cell's face orbits, in
+    # cell order, and the zero cell maps to every other cell at m = 0.
+    # Errors are the reference's: two representatives of one orbit (Tate
+    # 1-arc) raise before any face is read, and a pair of cells with two
+    # face maps (grid k = 1) after that pass.
+    fan = _fixture_or_grid(name)
+    asked = []
+    faces = S._OrbitForms.faces
+    monkeypatch.setattr(
+        S._OrbitForms, "faces", lambda self, sc: asked.append(sc) or faces(self, sc)
+    )
+    qc = _outcome(S.quotient_complex, fan)
+    cells = _outcome(S._orbit_classes, fan, S._OrbitForms(fan.base), True)
+    assert asked == (cells if isinstance(cells, list) else [])
+    monkeypatch.undo()
+    assert qc == _outcome(ref_quotient_complex, fan)
+    if isinstance(qc, S.QuotientComplex):
+        zero = tuple([0] * fan.base.m_rank)
+        assert [m for i, _, m in qc.face_maps if i == 0] == [zero] * (len(qc.cells) - 1)
+
+
+def test_zero_face_is_the_ridge_of_a_torus_line():
+    # Over a base of rank 0 with g = 0 and r = 1, the tops are rays and
+    # their one ridge is the zero face, which both rays of the line bound.
+    base = S.PolarizedBase(F.StackyCone(C.zero_cone(0), L.zero_lattice(0)), 0, (), 1)
+    zero = F.StackyCone(C.zero_cone(1), L.zero_lattice(1))
+    plus, minus = (F.stacky_cone([v], [(1,)], 1) for v in ((1,), (-1,)))
+    for reps, complete in (([zero, plus, minus], True), ([zero, plus], False)):
+        fan = S.av_fan(base, reps)
+        assert S.validate_av_fan(fan) == []
+        assert S.av_complete(fan) == complete
+
+
+def test_maximal_classes_test_containment_only_between_tops(monkeypatch):
+    pairs = []
+    candidates = S._OrbitForms.candidates
+    monkeypatch.setattr(
+        S._OrbitForms,
+        "candidates",
+        lambda self, c, rho: pairs.append((c, rho)) or candidates(self, c, rho),
+    )
+    tested = 0
+    for fan in _translation_check_fans(1):
+        if S.local_violations(fan):
+            continue
+        form = S._OrbitForms(fan.base)
+        cells = S._orbit_classes(fan, form)
+        tops = form.tops(cells)
+        pairs.clear()
+        maximal = S._maximal_classes(cells, form)
+        assert all(c in tops and rho in tops for c, rho in pairs)
+        tested += len(pairs)
+        assert maximal == ref_maximal_classes(cells, fan.base)
+    assert tested
+
+
+def _theta_fan():
+    """The halved break-divisor fan of the theta graph (two vertices,
+    edges eₖ = (0, 1) for k = 0, 1, 2) over the cone of edge lengths
+    σ0 = cone((1,1,0), (0,1,1), (1,0,1)) in Z³, whose Gram matrices are not
+    proportional.  Edge k has cycle vector w(eₖ).  For each spanning tree
+    {eₖ}, with chords i ≠ k, and each halving h ∈ {0,1}², one cell on the
+    full lattice is generated by (2ρ, Σᵢ sᵢ·w(eᵢ)) for the rays ρ of σ0 and
+    sᵢ ∈ {hᵢ·ρᵢ, (hᵢ+1)·ρᵢ}.  The fan is the face closure of the cells."""
+    e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    sigma0 = F.stacky_cone([(1, 1, 0), (0, 1, 1), (1, 0, 1)], e, 3)
+    base = S.jacobian_form(2, [(0, 1, v) for v in e], sigma0)
+    w = [(-1, -1), (1, 0), (0, 1)]
+    assert base.q_matrix == tuple(
+        tuple(tuple(w[k][i] * w[k][j] for k in range(3)) for j in range(2)) for i in range(2)
+    )
+    cells = []
+    for k in range(3):
+        chords = [i for i in range(3) if i != k]
+        for h in product((0, 1), repeat=2):
+            gens = [
+                tuple(2 * x for x in rho)
+                + tuple(sum(s * w[i][c] for s, i in zip(ss, chords)) for c in range(2))
+                for rho in sigma0.cone.rays
+                for ss in product(*[(hi * rho[i], (hi + 1) * rho[i]) for hi, i in zip(h, chords)])
+            ]
+            cells.append(F.StackyCone(C.from_rays(gens, 5), L.full_lattice(5)))
+    return S._rebuild(base, cells, S._OrbitForms(base))[0]
+
+
+def test_theta_graph_fan_over_a_base_of_rank_three():
+    # A multi-parameter base: b = 3, g = 2.  The fan is valid and complete,
+    # its quotient has one face map per proper nonzero face of each cell
+    # plus the zero cell's, and its 12 tops are its maximal classes.
+    fan = _theta_fan()
+    assert len(fan.representatives) == 241
+    assert S.validate_av_fan(fan) == []
+    qc = S.quotient_complex(fan)
+    assert qc.cells_by_dim() == {0: 1, 1: 12, 2: 60, 3: 96, 4: 60, 5: 12}
+    faces = sum(
+        1 for c in qc.cells for rays, _, _ in c.cone.face_walk if rays and rays != c.cone.rays
+    )
+    assert len(qc.face_maps) == faces + len(qc.cells) - 1 == 2688
+    assert S.av_complete(fan)
+    form = S._OrbitForms(fan.base)
+    maximal = S._maximal_classes(S._orbit_classes(fan, form), form)
+    assert len(maximal) == 12 and all(c.dim == 5 for c in maximal)
