@@ -655,13 +655,20 @@ def uncovered_point(target, pieces):
     Exact: the target is split by every facet hyperplane of every piece of
     at least its dimension, in order, as `split_by_hyperplanes` splits it;
     each leaf cell, of the target's dimension, is represented by an
-    interior point which must land in some piece.  The walk
-    (`_split_walk`) stops at cells that one of those pieces holds, since
-    every leaf under them is covered.  So the first uncovered leaf, and
-    its point, are those of the full split.
+    interior point which must land in some piece.  Each hyperplane is
+    kept once up to sign, at its first position: a cell below the first
+    copy lies weakly on one side of it, so no later h or −h crosses it.
+    The walk (`_split_walk`) stops at cells that one of those pieces
+    holds, since every leaf under them is covered.  So the first uncovered
+    leaf, and its point, are those of the full split.
     """
     holders = [p for p in pieces if p.dim >= target.dim]
-    hyperplanes = [h for p in holders for h in p.facet_normals]
+    hyperplanes, seen = [], set()
+    for p in holders:
+        for h in p.facet_normals:
+            if h not in seen:
+                hyperplanes.append(h)
+                seen.update((h, tuple(-x for x in h)))
     for cell in _split_walk(target, hyperplanes, holders):
         pt = interior_point(cell)
         if not any(member(p, pt) for p in pieces):

@@ -260,22 +260,33 @@ def validate(fan):
 
 
 def maximal_cones(fan):
-    """StackyCones contained in no cone of the fan of higher dimension.
+    """StackyCones contained in no cone of the fan of higher dimension, in
+    the fan's order.
 
-    This tests containment, not only faces, so that a cone inside another
-    without being a face of it (which only an invalid fan has) is not
-    maximal either.  A face's rays are rays of the cone, so a ray-set test
-    settles every proper face first; only the cones it leaves are scanned
-    for containment.
+    A cone of the fan's top dimension is maximal at once, and the zero
+    cone is not when any cone has positive dimension.  This tests
+    containment, not only faces, so that a cone inside another without
+    being a face of it (which only an invalid fan has) is not maximal
+    either.  A face's rays are rays of the cone, so a ray-set test
+    settles every proper face first: it looks only among the cones that
+    hold the face's first ray, through a ray → cones index built once per
+    call.  Only the cones it leaves are scanned for containment.
     """
     cones = [(sc, sc.dim, frozenset(sc.cone.rays)) for sc in fan.cones]
+    top = max((d for _, d, _ in cones), default=0)
+    holding = {}  # ray -> the (dim, rays) of each cone holding it
+    for _, d, rays in cones:
+        for r in rays:
+            holding.setdefault(r, []).append((d, rays))
     out = []
     for sc, d, rays in cones:
-        higher = [(o, r) for o, e, r in cones if e > d]
-        if not any(rays <= r for _, r in higher) and not any(
-            C.contains_cone(o.cone, sc.cone) for o, _ in higher
+        if d < top and (
+            not rays
+            or any(e > d and rays <= r for e, r in holding[sc.cone.rays[0]])
+            or any(e > d and C.contains_cone(o.cone, sc.cone) for o, e, _ in cones)
         ):
-            out.append(sc)
+            continue
+        out.append(sc)
     return out
 
 

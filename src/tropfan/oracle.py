@@ -2,7 +2,10 @@
 
 These are deliberately independent code paths: exact box sweeps and
 scans, and seeded random sampling, never the symbolic decision
-procedures they are meant to validate.
+procedures they are meant to validate.  The S-set box sweep fills each
+line of the box once: every piece adds the last coordinates of its
+points to the sets of the lines they lie on (`_sweep_piece`), and the
+lines, read in order, give the box's lexicographic order.
 """
 
 import random
@@ -22,12 +25,18 @@ def _stacky_pieces(obj):
 
 
 def _adds_points(sc, rays, keyed):
-    """False when another piece contains sc's cone and lattice, so that
-    sc adds no point: its rays (the set `rays`) are a proper subset of the
-    other's rays and its lattice lies in the other's lattice.  `keyed`
-    holds each piece with the set of its rays."""
-    return not any(
-        rays < other and L.contains(p.lattice, sc.lattice) for p, other in keyed
+    """False when another piece holds every point of sc, so that sc adds
+    no point; `keyed` holds each piece with the set of its rays.
+
+    Only a piece whose rays are a proper superset of sc's rays (the set
+    `rays`) is asked, since its cone holds sc's cone.  A saturated one
+    settles it with no lattice test: its points are all the integer
+    points of its cone, even where sc's lattice leaves sc's span.  Any
+    other one holds sc's points when sc's lattice lies in its lattice.
+    """
+    supersets = [p for p, other in keyed if rays < other]
+    return not any(p.saturated for p in supersets) and not any(
+        L.contains(p.lattice, sc.lattice) for p in supersets
     )
 
 
@@ -35,41 +44,58 @@ def s_enumerate(obj, radius):
     """All points of the S-set inside the box [-radius, radius]^n, in the
     box's lexicographic order.
 
-    Each piece is swept along the box lines.  At a fixed prefix u of the
-    first n−1 coordinates, each facet normal of the piece, and each span
-    equation taken with both signs, is affine in the last coordinate t
-    and bounds it from one side, by floor or ceil of an integer division;
-    an equation's two rows pin t to at most one integer.  Each row's
-    values are worked out over all prefixes at once and folded into one
-    interval per line.  Inside the interval every point lies in the cone,
-    and the lattice points of the line are one solve for u
-    (`lattice.line_solve`), which gives none, one t, or an arithmetic
-    progression of t; no solve is needed when the piece's lattice is its
-    span's full lattice.  Every box point is still decided exactly, with
-    no symbolic decision procedure involved.
+    The box is a list of lines: the prefixes u of the first n−1
+    coordinates, in lexicographic order, each with the last coordinate t
+    free.  Each piece that adds points is swept along them
+    (`_sweep_piece`), which puts the t of each of its points into its
+    line's set; the zero point goes on the middle line, the zero prefix.
+    Listing the lines in order, each with its t sorted, is the box's
+    order (`_in_order`).  Every box point is decided exactly, with no
+    symbolic decision procedure involved.
     """
     n = obj.ambient_rank
-    if radius < 0 and n > 0:
+    if n == 0:
+        return [()]
+    if radius < 0:
         return []  # the box is empty
     pieces = _stacky_pieces(obj)
-    points = {tuple([0] * n)}
+    lines = list(product(range(-radius, radius + 1), repeat=n - 1))
+    ts = {len(lines) // 2: {0}}
     keyed = [(p, set(p.cone.rays)) for p in pieces]
     for p, rays in keyed:
         if p.dim > 0 and _adds_points(p, rays, keyed):
-            _sweep_piece(p, radius, points)
-    return sorted(points)
+            _sweep_piece(p, radius, lines, ts)
+    return _in_order(lines, ts)
 
 
-def _sweep_piece(p, radius, points):
-    """Add to `points` each point of p's cone ∩ lattice in the box."""
-    n = p.ambient_rank
+def _in_order(lines, ts):
+    """The points that `_sweep_piece` put in `ts`, in the box's
+    lexicographic order: the lines in order, each with its t sorted."""
+    return [lines[i] + (t,) for i in sorted(ts) for t in sorted(ts[i])]
+
+
+def _sweep_piece(p, radius, lines, ts):
+    """Add the points of p's cone ∩ lattice in the box [-radius, radius]^n
+    to `ts`, which maps the index of a line of `lines` (the box's
+    prefixes, in lexicographic order) to the set of t of its points.  A
+    line gets its set when it first gets a point.
+
+    At a fixed prefix u, each facet normal of the piece, and each span
+    equation taken with both signs, is affine in t and bounds it from one
+    side, by floor or ceil of an integer division; an equation's two rows
+    pin t to at most one integer.  Each row's values are worked out over
+    all prefixes at once and folded into one interval per line.  Inside
+    the interval every point lies in the cone, and the lattice points of
+    the line are one solve for u (`lattice.line_solve`), which gives
+    none, one t, or an arithmetic progression of t; no solve is needed
+    when the piece's lattice is its span's full lattice.
+    """
     cone = p.cone
     rows = []  # x ∈ cone ⇔ <row, x> >= 0 for every row
     for e in cone.span_equations:
         rows += [e, [-x for x in e]]
     rows += cone.facet_normals
     box = range(-radius, radius + 1)
-    lines = list(product(box, repeat=n - 1))
     lo, hi = [-radius] * len(lines), [radius] * len(lines)
     for row in rows:
         a = [0]  # <row, (u, 0)> for each u of `lines`, in the same order
@@ -84,21 +110,25 @@ def _sweep_piece(p, radius, points):
         else:
             hi = [h if x >= 0 else -radius - 1 for h, x in zip(hi, a)]  # a < 0 empties
     check_lattice = not p.saturated
-    for u, l, h in zip(lines, lo, hi):
+    for i, (l, h) in enumerate(zip(lo, hi)):
         if l > h:
             continue
-        ts = range(l, h + 1)
+        step = 1
         if check_lattice:
-            solved = L.line_solve(u, p.lattice)
+            solved = L.line_solve(lines[i], p.lattice)
             if solved is None:
                 continue
             s, d = solved
             if d:
-                ts = range(l + (s - l) % d, h + 1, d)
+                l, step = l + (s - l) % d, d
             else:
-                ts = (s,) if l <= s <= h else ()
-        for t in ts:
-            points.add(u + (t,))
+                l, h = max(l, s), min(h, s)  # t = s alone
+            if l > h:
+                continue
+        line = ts.get(i)
+        if line is None:
+            line = ts[i] = set()
+        line.update(range(l, h + 1, step))
 
 
 def cover_sample_fan(fan, count, seed, radius=10):

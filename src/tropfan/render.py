@@ -3,8 +3,9 @@
 Maximal cones are shaded with one color per sublattice (stable palette
 keyed by the canonical lattice basis), rays are drawn as arrows, and the
 lattice points of each piece's sublattice are drawn as dots within a
-configurable radius, taken from the oracle's box sweep of the piece
-(`oracle._sweep_piece`).  Output is plain text and byte-stable for
+configurable radius, taken from the oracle's line-by-line box sweep of
+the piece (`oracle._sweep_piece`: each line x of the box gets the set of
+y of the piece's points on it).  Output is plain text and byte-stable for
 golden tests.
 """
 
@@ -115,16 +116,20 @@ def render_svg(obj, radius=4):
             )
     # Lattice points of each piece within the radius, from the oracle's
     # box sweep, x then y; the first piece to reach a point gives its color.
+    xs = [(x,) for x in range(-radius, radius + 1)]
     drawn = set()
     for p in ordered:
-        points = set()
-        oracle._sweep_piece(p, radius, points)
-        for x, y in sorted(points - drawn):
+        ts = {}
+        oracle._sweep_piece(p, radius, xs, ts)
+        points = oracle._in_order(xs, ts)
+        for x, y in points:
+            if (x, y) in drawn:
+                continue
             px, py = _to_px(x, y)
             lines.append(
                 f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
                 f'fill="{color_of[p.lattice]}"/>'
             )
-        drawn |= points
+        drawn.update(points)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

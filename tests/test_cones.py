@@ -19,6 +19,7 @@ from tropfan._linalg import (
     rational_rank,
 )
 
+import _gen
 from _ref import (
     ref_facets,
     ref_is_face_of,
@@ -842,6 +843,43 @@ def test_target_held_by_a_piece_is_not_split(monkeypatch):
         assert C.uncovered_point(target, pieces + [target]) is None
     assert calls == []
     assert crossed > len(covers) // 2
+
+
+def test_uncovered_point_tests_each_hyperplane_once_per_cell(monkeypatch):
+    """Each facet hyperplane is kept once up to sign: within one
+    `uncovered_point` call, `_crosses` never gets h for a cell once it has
+    had h or −h for that cell.  Targets and pieces are the maximal cones
+    of seeded fans, of their stellar subdivisions and of the fans with one
+    cone dropped, each against another; neighbouring pieces share walls,
+    so their facet normals repeat up to sign."""
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(8):
+        fan = _gen.random_fan(rng)
+        maxs = [sc.cone for sc in F.maximal_cones(fan)]
+        sub = [sc.cone for sc in F.maximal_cones(_gen.random_stellar(rng, fan))]
+        dropped = maxs[:]
+        del dropped[rng.randrange(len(dropped))]
+        for targets, pieces in ((maxs, sub), (sub, maxs), (maxs, dropped), (sub, dropped)):
+            pairs += [(target, pieces) for target in targets]
+    tested = []
+    crosses = C._crosses
+    monkeypatch.setattr(
+        C, "_crosses", lambda h, rays: tested.append((rays, h)) or crosses(h, rays)
+    )
+    uncovered = repeated = 0
+    for target, pieces in pairs:
+        want = ref_uncovered_point(target, pieces)
+        tested.clear()
+        assert C.uncovered_point(target, pieces) == want
+        seen = set()
+        for rays, h in tested:
+            assert (rays, h) not in seen
+            seen.update(((rays, h), (rays, tuple(-x for x in h))))
+        normals = [h for p in pieces if p.dim >= target.dim for h in p.facet_normals]
+        repeated += len({min(h, tuple(-x for x in h)) for h in normals}) < len(normals)
+        uncovered += want is not None
+    assert uncovered and repeated > len(pairs) // 2
 
 
 def test_face_walk_matches_reference_faces():

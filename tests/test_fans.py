@@ -108,6 +108,14 @@ class TestMaximalCones:
         self._same(fan)
         assert F.maximal_cones(fan) == [quadrant]
 
+    def test_zero_cone_is_maximal_only_alone(self):
+        zero = F.StackyCone(C.zero_cone(2), L.zero_lattice(2))
+        ray = F.stacky_cone([(1, 0)], [(1, 0)], 2)
+        for cones, want in (([zero], [zero]), ([zero, ray], [ray])):
+            fan = F.make_fan(cones, 2)
+            self._same(fan)
+            assert F.maximal_cones(fan) == want
+
     def test_overlapping_cones(self):
         a = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
         b = F.stacky_cone([(1, 1), (-1, 1)], [(1, 0), (0, 1)], 2)

@@ -8,7 +8,10 @@ pieces with lattices replaced by random ones of the same rank, some
 inside the cone's span and some not: a lattice-skip rule that only looks
 at the rank or the saturation of the lattice fails on the latter.
 `lattice.line_solve`, which gives the sweep each line's lattice points,
-is checked against `lattice.member` at every point of the lines.
+is checked against `lattice.member` at every point of the lines.  Count
+tests pin the exact work the sweep skips (membership and lattice
+containment tests), and a guard makes the symbolic procedures the oracle
+checks raise while it runs.
 """
 
 import random
@@ -213,3 +216,67 @@ def test_sweep_makes_no_membership_test(monkeypatch):
     monkeypatch.setattr(L, "member", counted_member)
     assert oracle.s_enumerate(fan, 2) == ref_s_enumerate(fan, 2)
     assert calls and not any(calls)  # the reference scan calls it; the sweep never
+
+
+def test_saturated_fan_makes_no_lattice_containment_test(monkeypatch):
+    # Every face of a complete rank-2 fan with full lattices lies in a
+    # saturated piece with more rays, which settles that the face adds no
+    # point.
+    fans = [_gen.random_complete_fan2(random.Random(s), full_lattice_only=True) for s in range(4)]
+    assert all(sc.saturated for fan in fans for sc in fan.cones)
+    calls = []
+    contains = L.contains
+    monkeypatch.setattr(L, "contains", lambda *a: calls.append(a) or contains(*a))
+    for fan in fans:
+        assert oracle.s_enumerate(fan, 3) == ref_s_enumerate(fan, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("radius", [-1, 0, 3])
+def test_rank_zero_gives_the_origin(radius):
+    zero = F.StackyCone(C.zero_cone(0), L.zero_lattice(0))
+    for obj in (F.make_fan([zero], 0), MIN.MinimalFan(0, (zero,)), MIN.MinimalFan(0, ())):
+        assert oracle.s_enumerate(obj, radius) == ref_s_enumerate(obj, radius) == [()]
+
+
+def test_saturated_face_of_a_finer_piece_adds_points():
+    # The ray (0, 1) with its full span lattice is a face of the quadrant
+    # with lattice <(1, 0), (0, 2)>: the ray is saturated, the quadrant is
+    # not, so the ray's odd points are its own.
+    quadrant = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 2)], 2)
+    ray = F.stacky_cone([(0, 1)], [(0, 1)], 2)
+    fan = MIN.MinimalFan(2, (quadrant, ray))
+    listed = oracle.s_enumerate(fan, 3)
+    assert listed == ref_s_enumerate(fan, 3)
+    assert (0, 1) in listed and (0, 3) in listed
+
+
+@pytest.mark.parametrize("n, radius", [(2, 8), (3, 4)])
+def test_sweep_matches_point_scan_at_workload_radii(n, radius):
+    rng = random.Random(400 + n)
+    for obj in _seeded_fans(rng, n)[:4]:
+        for fan in (obj, _mutated(rng, obj)):
+            assert oracle.s_enumerate(fan, radius) == ref_s_enumerate(fan, radius)
+
+
+def test_sweep_calls_no_symbolic_decision(monkeypatch):
+    # The oracle cross-checks these functions, so it must not use them.
+    fans = []
+    for n in (2, 3):
+        rng = random.Random(500 + n)
+        fans += _seeded_fans(rng, n)
+    assert any(isinstance(f, F.StackyFan) for f in fans)
+    assert any(isinstance(f, MIN.MinimalFan) for f in fans)
+
+    def refuse(*args):
+        raise AssertionError("the oracle called a symbolic decision procedure")
+
+    for module, name in (
+        (F, "maximal_cones"),
+        (C, "union_difference"),
+        (C, "uncovered_point"),
+        (MIN, "s_sets_equal"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for fan in fans:
+        oracle.s_enumerate(fan, 2)

@@ -628,15 +628,21 @@ def ref_av_complete(fan):
             p_base = S.split_point(base, p)[0]
             if C.contains_point(base.base_cone.cone, p_base) != C.RELATIVE_INTERIOR:
                 continue
-            ridge_sc = F.induced_stacky_cone(ridge, top.lattice)
-            count = 0
-            for rj, rho in enumerate(tops):
-                for m in S.candidate_translations(ridge_sc, rho, base):
-                    if ref_is_face_of(ridge, S.translate(rho, m, base).cone):
-                        count += 1
-                        adjacency[ti].add(rj)
-            if count != 2:
+            if ridge.dim == 0:
+                # Every top has the zero face, which `candidate_translations`
+                # finds no translate for.
+                owners = list(range(len(tops)))
+            else:
+                ridge_sc = F.induced_stacky_cone(ridge, top.lattice)
+                owners = [
+                    rj
+                    for rj, rho in enumerate(tops)
+                    for m in S.candidate_translations(ridge_sc, rho, base)
+                    if ref_is_face_of(ridge, S.translate(rho, m, base).cone)
+                ]
+            if len(owners) != 2:
                 return False
+            adjacency[ti].update(owners)
     seen = {0}
     stack = [0]
     while stack:
@@ -1842,7 +1848,7 @@ def test_zero_face_is_the_ridge_of_a_torus_line():
     for reps, complete in (([zero, plus, minus], True), ([zero, plus], False)):
         fan = S.av_fan(base, reps)
         assert S.validate_av_fan(fan) == []
-        assert S.av_complete(fan) == complete
+        assert S.av_complete(fan) == ref_av_complete(fan) == complete
 
 
 def test_maximal_classes_test_containment_only_between_tops(monkeypatch):
