@@ -47,10 +47,12 @@ vanishes on the whole dual cone, and non-pointed input is rejected.
 Splitting by hyperplanes is one depth-first walk (`_split_walk`):
 `split_by_hyperplanes` takes all its leaf cells, and `uncovered_point`
 (hence coverage and union equality) stops it at cells that one piece
-holds.  The simplicial cone that starts the dual step
-(`_simplicial_start`) also starts the chambers of a hyperplane
-arrangement: n independent normals cut R^n into 2^n simplicial chambers,
-and `arrangement_chambers` splits those by the remaining normals.
+holds, from a plan of holders and hyperplanes (`_cover_plan`) that
+`union_difference` builds once per side and target dimension.  The
+simplicial cone that starts the dual step (`_simplicial_start`) also
+starts the chambers of a hyperplane arrangement: n independent normals
+cut R^n into 2^n simplicial chambers, and `arrangement_chambers` splits
+those by the remaining normals.
 """
 
 from dataclasses import dataclass, field
@@ -653,43 +655,103 @@ def uncovered_point(target, pieces):
     """An integer interior point of target outside every piece, or None.
 
     Exact: the target is split by every facet hyperplane of every piece of
-    at least its dimension, in order, as `split_by_hyperplanes` splits it;
-    each leaf cell, of the target's dimension, is represented by an
-    interior point which must land in some piece.  Each hyperplane is
-    kept once up to sign, at its first position: a cell below the first
-    copy lies weakly on one side of it, so no later h or −h crosses it.
-    The walk (`_split_walk`) stops at cells that one of those pieces
-    holds, since every leaf under them is covered.  So the first uncovered
-    leaf, and its point, are those of the full split.
+    at least its dimension, in order, as `split_by_hyperplanes` splits it
+    (`_cover_plan`).  Each hyperplane is kept once up to sign, at its
+    first position: a cell below the first copy lies weakly on one side
+    of it, so no later h or −h crosses it.  The walk (`_split_walk`) stops
+    at cells that one of those pieces holds, since every leaf under them
+    is covered.  So the first uncovered leaf is that of the full split
+    (`_uncovered`).
     """
-    holders = [p for p in pieces if p.dim >= target.dim]
-    hyperplanes, seen = [], set()
-    for p in holders:
-        for h in p.facet_normals:
-            if h not in seen:
-                hyperplanes.append(h)
-                seen.update((h, tuple(-x for x in h)))
-    for cell in _split_walk(target, hyperplanes, holders):
-        pt = interior_point(cell)
-        if not any(member(p, pt) for p in pieces):
-            return pt
-    return None
+    return _uncovered(target, pieces, _cover_plan(pieces, target.dim))
 
 
 def cone_covered_by(target, pieces):
-    """Exact test: is `target` contained in the union of `pieces`?"""
+    """Exact test: is `target` contained in the union of `pieces`?  The
+    walk and the spanning-piece rule of `uncovered_point`."""
     return uncovered_point(target, pieces) is None
 
 
 def union_difference(cones1, cones2):
     """An interior point of a cone of one list outside the other list's
     union, or None when the two unions are equal.  The first list's cones
-    are scanned first, in order, then the second list's, each by
-    `uncovered_point`: a depth-first split that stops at cells one piece
-    of the other list holds."""
+    are scanned first, in order, then the second list's, each with the
+    walk of `uncovered_point`.
+
+    Each side builds its plan (`_cover_plan`: holders and hyperplanes)
+    once per target dimension, and every target of that dimension reads
+    it.  A target whose rays are the rays of a piece on the other side is
+    that piece, since a cone is fixed by its rays, so it is covered and
+    gets no walk.  Root pairs, with equal cones and different lattices,
+    so do no split at all."""
     for targets, pieces in ((cones1, cones2), (cones2, cones1)):
+        plans = {}
+        shared = {p.rays for p in pieces}
         for target in targets:
-            pt = uncovered_point(target, pieces)
+            if target.rays in shared:
+                continue
+            if target.dim not in plans:
+                plans[target.dim] = _cover_plan(pieces, target.dim)
+            pt = _uncovered(target, pieces, plans[target.dim])
             if pt is not None:
                 return pt
     return None
+
+
+def _cover_plan(pieces, dim):
+    """(holders, hyperplanes) for covering a target of dimension `dim` by
+    the pieces: the pieces of at least that dimension, and their facet
+    normals in order, each once up to sign at its first position."""
+    holders = [p for p in pieces if p.dim >= dim]
+    hyperplanes, seen = [], set()
+    for p in holders:
+        for h in p.facet_normals:
+            if h not in seen:
+                hyperplanes.append(h)
+                seen.update((h, tuple(-x for x in h)))
+    return holders, hyperplanes
+
+
+def _uncovered(target, pieces, plan):
+    """The point of `uncovered_point` from the pieces' `_cover_plan` for
+    the target's dimension.
+
+    A leaf cell counts as covered only when its interior point lies in a
+    piece whose span holds the target's span (`_spans`); every other
+    piece meets that span in a proper subspace.  The walk splits by every
+    such piece's facets, so a leaf lies in it or meets it only on its
+    boundary, and one point decides.  An uncovered leaf's relative
+    interior then lies in no such piece, and `_point_in_no_piece` finds a
+    point of it that the other pieces miss too.
+    """
+    holders, hyperplanes = plan
+    for cell in _split_walk(target, hyperplanes, holders):
+        pt = interior_point(cell)
+        if not any(_spans(p, target) and member(p, pt) for p in holders):
+            return _point_in_no_piece(cell, pieces)
+    return None
+
+
+def _spans(piece, target):
+    """Does the piece's span hold the target's?  Always for a
+    full-dimensional piece, which has no span equations."""
+    return all(dot(e, r) == 0 for e in piece.span_equations for r in target.rays)
+
+
+def _point_in_no_piece(cell, pieces):
+    """The first of the points Σᵢ kⁱ·rᵢ over the cell's rays rᵢ, for
+    k = 1, 2, …, that lies in no piece; k = 1 gives `interior_point`.
+
+    They all lie in the cell's relative interior, which no piece spanning
+    the cell meets.  A proper subspace of the cell's span holds at most
+    #rays − 1 of them, the roots of a nonzero polynomial in k of degree
+    below #rays, so the search ends."""
+    k = 1
+    while True:
+        pt = tuple(
+            sum(k**i * r[j] for i, r in enumerate(cell.rays))
+            for j in range(cell.ambient_rank)
+        )
+        if not any(member(p, pt) for p in pieces):
+            return pt
+        k += 1

@@ -347,17 +347,16 @@ def _slope_radius(grams, rows, D):
 
 
 class _Slopes:
-    """The slopes of a ray tuple as `_OrbitForms.of` and `_translation_box`
-    read them, from each ray's `_ray_data`: every ray's Gram matrix
-    (`grams`); the slopes of the rays with nonzero base part as integer
-    `rows` over one denominator `D` > 0, with their column minima `lo` and
-    maxima `hi`; whether those rays' Grams are positive multiples of one
-    matrix (`proportional`, false when there are none); and whether every
-    ray has a nonzero base part (`all_moving`).  Only the Grams, the rows,
-    D and `all_moving` are worked out at once: the orbit form reads the
-    rows alone, and `lo`, `hi`, `proportional` and `radius` (the
-    `_slope_radius` of the rows) wait for the first scan that reads
-    them."""
+    """The slopes of a ray tuple as the scans (`_OrbitForms.candidates`
+    and `_translation_box`) read them, from each ray's `_ray_data`: every
+    ray's Gram matrix (`grams`); the slopes of the rays with nonzero base
+    part as integer `rows` over one denominator `D` > 0, with their column
+    minima `lo` and maxima `hi`; whether those rays' Grams are positive
+    multiples of one matrix (`proportional`, false when there are none);
+    and whether every ray has a nonzero base part (`all_moving`).  Only the Grams, the rows,
+    D and `all_moving` are worked out at once; `lo`, `hi`, `proportional`
+    and `radius` (the `_slope_radius` of the rows) wait for the first
+    scan that reads them."""
 
     def __init__(self, data):
         self.grams = [G for G, _ in data]
@@ -429,9 +428,10 @@ def candidate_translations(c1, c2, base):
 class _OrbitForms:
     """What the translation decisions read over one base, each entry
     worked out once:
-    - per ray, its `_ray_data` (G_n and slope);
+    - per ray, its `_ray_data` (G_n and slope) and its candidate shift
+      −⌊μ⌋ (`_shift`), which the orbit form reads;
     - per ray tuple, its `_Slopes` (`slopes`; no slopes when g = 0),
-      which the orbit form and every scan through `candidates` read;
+      which every scan through `candidates` reads;
     - per (rays, lattice), the orbit form: calling the table on a
       StackyCone, or `of` on rays, a lattice and their span basis;
     - per (rays, lattice) of a cell, its proper nonzero faces with their
@@ -439,6 +439,8 @@ class _OrbitForms:
     - per m, the shear block A_m (`block`), which the orbit forms, the
       overlap scans, the containment tests on rays (`inside`) and the
       translates (`translate`) of the merges and covers read;
+    - per (ray, m), the sheared ray T_m r (`shear`), which the orbit
+      forms, `inside` and the overlap scans' pulled-back rays read;
     - the embedded base cone of check (7) (`base_cone`).
 
     Each public entry point makes its own, so no table outlives one call.
@@ -449,8 +451,10 @@ class _OrbitForms:
         self._forms = {}
         self._faces = {}
         self._rays = {}
+        self._shifts = {}
         self._slopes = {}
         self._blocks = {}
+        self._sheared = {}
 
     def __call__(self, sc):
         return self.of(sc.cone.rays, sc.lattice, sc.cone.span_basis)
@@ -467,9 +471,10 @@ class _OrbitForms:
         a basis.  So a span lattice is neither sheared nor put in HNF.
 
         The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
-        rays with nonzero base part.  Slopes of T_d(sc) are those of sc plus
-        d, so T_d(sc) has the same candidates and the same least one.  Hence a
-        and b share an orbit iff their forms are equal, and then
+        rays with nonzero base part; each depends on its ray alone
+        (`_shift`), so no `_Slopes` is built.  Slopes of T_d(sc) are those
+        of sc plus d, so T_d(sc) has the same candidates and the same least
+        one.  Hence a and b share an orbit iff their forms are equal, and then
         T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
         base part (G_n is nonsingular there).  T_m keeps the rays sorted and
         fixes those with zero base part, which come first; at the first ray
@@ -481,17 +486,17 @@ class _OrbitForms:
         """
         key = rays, None if lattice.basis == span_basis else lattice.basis
         if key not in self._forms:
-            slopes = self.slopes(rays)
-            shifts = {tuple(-(x // slopes.D) for x in row) for row in slopes.rows}
+            shifts = {self._shift(r) for r in rays} if self.base.m_rank else set()
+            shifts.discard(None)
             if shifts:
                 b = self.base.base_rank
                 first = next(r for r in rays if any(r[:b]))
-                s = min(shifts, key=lambda s: _shear(self.block(s), b, first))
-                A, lat = self.block(s), key[1]
+                s = min(shifts, key=lambda s: self.shear(first, s))
+                lat = key[1]
                 if lat is not None:
-                    n = lattice.ambient_rank
+                    A, n = self.block(s), lattice.ambient_rank
                     lat = L.canonicalize([_shear(A, b, v) for v in lat], n).basis
-                self._forms[key] = (tuple(_shear(A, b, r) for r in rays), lat), s
+                self._forms[key] = (tuple(self.shear(r, s) for r in rays), lat), s
             else:
                 self._forms[key] = key, tuple([0] * self.base.m_rank)
         return self._forms[key]
@@ -534,6 +539,21 @@ class _OrbitForms:
             self._rays[ray] = _ray_data(self.base, ray)
         return self._rays[ray]
 
+    def _shift(self, ray):
+        """−⌊μ⌋ for the ray's slope μ = v/d (`_ray_data`), or None when it
+        has none."""
+        if ray not in self._shifts:
+            mu = self._ray(ray)[1]
+            self._shifts[ray] = mu and tuple(-(x // mu[1]) for x in mu[0])
+        return self._shifts[ray]
+
+    def shear(self, ray, m):
+        """T_m r for a ray r (`_shear` by the block A_m)."""
+        key = ray, m
+        if key not in self._sheared:
+            self._sheared[key] = _shear(self.block(m), self.base.base_rank, ray)
+        return self._sheared[key]
+
     def block(self, m):
         """The shear block A_m (`shear_block`)."""
         if m not in self._blocks:
@@ -543,8 +563,8 @@ class _OrbitForms:
     def inside(self, c, rho, m):
         """Is c ⊆ T_m(ρ)?  It is iff T_{−m} maps every ray of c into ρ, so
         no translate is built."""
-        A, b = self.block(tuple(-x for x in m)), self.base.base_rank
-        return all(C.member(rho.cone, _shear(A, b, r)) for r in c.cone.rays)
+        back = tuple(-x for x in m)
+        return all(C.member(rho.cone, self.shear(r, back)) for r in c.cone.rays)
 
     def translate(self, sc, m):
         """T_m(sc), as `translate` describes."""
@@ -724,8 +744,8 @@ def _overlap_violations(reps, form):
                                 f"its T_{m}-translate is not fixed: T_{m}{x} = "
                                 f"{_shear(A, b, x)}"
                             )
-                back = form.block(tuple(-k for k in m))
-                pulled = [_shear(back, b, x) for x in rays]
+                back = tuple(-k for k in m)
+                pulled = [form.shear(x, back) for x in rays]
                 if not (
                     rays == C.tight_rays(t1.cone, own)
                     and pulled == C.tight_rays(t2.cone, other)

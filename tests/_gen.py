@@ -141,6 +141,18 @@ def global_root(fan, d=5):
 
 # --- helpers only the tests use ----------------------------------------------
 
+def quadrant_and_diagonal_ray():
+    """The fans {quadrant, Z^2} and {ray (1, 1), Z(1, 1)}.  The ray holds
+    the quadrant's interior point but covers none of the quadrant, so the
+    supports and the S-sets differ."""
+    quadrant = C.from_rays([(1, 0), (0, 1)], 2)
+    ray = C.from_rays([(1, 1)], 2)
+    return (
+        F.fan_from_maximal([F.StackyCone(quadrant, L.full_lattice(2))], 2),
+        F.fan_from_maximal([F.StackyCone(ray, L.canonicalize([(1, 1)], 2))], 2),
+    )
+
+
 def minimal_set_member(v, m):
     """Is v in the point set S of the minimal fan?"""
     if len(v) != m.ambient_rank:

@@ -95,13 +95,28 @@ def ref_splitting_hyperplanes(target, pieces):
 
 
 def ref_uncovered_point(target, pieces):
-    """The target split by the hyperplanes that cut it; the interior point
-    of the first cell that no piece contains."""
+    """The target split by the hyperplanes that cut it; the first cell
+    whose interior point lies in no piece whose span holds the target's
+    span (the rank of the piece's rays with the target's is the piece's
+    dimension).  Its point is the first of Σᵢ kⁱ·rᵢ over the cell's rays,
+    k = 1, 2, …, that lies in no piece at all."""
+    n = target.ambient_rank
+    spanning = [
+        p
+        for p in pieces
+        if L.canonicalize(list(p.rays) + list(target.rays), n).rank == p.dim
+    ]
     hyperplanes = ref_splitting_hyperplanes(target, pieces)
     for cell in ref_split_by_hyperplanes([target], hyperplanes):
-        pt = C.interior_point(cell)
-        if not any(C.member(p, pt) for p in pieces):
-            return pt
+        if any(C.member(p, C.interior_point(cell)) for p in spanning):
+            continue
+        for k in range(1, len(pieces) * len(cell.rays) + 2):
+            pt = tuple(
+                sum(k**i * r[j] for i, r in enumerate(cell.rays)) for j in range(n)
+            )
+            if not any(C.member(p, pt) for p in pieces):
+                return pt
+        raise AssertionError("every point of an uncovered cell lies in a piece")
     return None
 
 

@@ -288,6 +288,21 @@ class TestEquivCommand:
         code, out, _ = run(capsys, "equiv", fx("delta_fig.json"), fx("delta_fig.json"))
         assert code == 0
 
+    def test_ray_inside_quadrant_is_inequivalent(self, capsys, tmp_path):
+        fans = dict(zip(("quadrant", "ray"), _gen.quadrant_and_diagonal_ray()))
+        for name, fan in fans.items():
+            _gen.dump_path(fan, tmp_path / f"{name}.json")
+        for a, b in (("quadrant", "ray"), ("ray", "quadrant")):
+            code, out, err = run(
+                capsys, "equiv", str(tmp_path / f"{a}.json"), str(tmp_path / f"{b}.json")
+            )
+            assert (code, err) == (1, "")
+            assert out.startswith("inequivalent witness ")
+            w = tuple(int(x) for x in out.split()[2:])
+            in_a = _gen.minimal_set_member(w, MIN.minimal_fan(fans[a]))
+            in_b = _gen.minimal_set_member(w, MIN.minimal_fan(fans[b]))
+            assert in_a != in_b
+
     def test_inequivalent_with_witness(self, capsys, fx):
         code, out, _ = run(capsys, "equiv", fx("delta_fig.json"), fx("trivial.json"))
         assert code == 1
@@ -370,6 +385,13 @@ class TestPredicateCommands:
         for cmd in ("proper", "representable"):
             code, out, _ = run(capsys, cmd, fx("split_quadrant.json"), fx("quadrant.json"))
             assert code == 0 and out.strip() == "true"
+
+    def test_ray_inside_quadrant_is_not_proper(self, capsys, tmp_path):
+        quadrant, ray = _gen.quadrant_and_diagonal_ray()
+        fine, coarse = str(tmp_path / "ray.json"), str(tmp_path / "quadrant.json")
+        _gen.dump_path(ray, fine)
+        _gen.dump_path(quadrant, coarse)
+        assert run(capsys, "proper", fine, coarse) == (1, "false\n", "")
 
     def test_complete(self, capsys, fx):
         code, out, _ = run(capsys, "complete", fx("trivial.json"))

@@ -1,7 +1,7 @@
 import ast
 import pathlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -415,6 +415,16 @@ class TestSplitting:
         assert C.member(q, pt)
         assert not C.member(lower, pt)
 
+    def test_piece_of_another_span_covers_nothing(self):
+        # The target's interior point (1, 1, 0) lies in the piece, but the
+        # piece meets the target's plane only along the ray through it.
+        target = C.from_rays([(1, 0, 0), (0, 1, 0)], 3)
+        piece = C.from_rays([(1, 1, 0), (0, 0, 1)], 3)
+        assert not C.cone_covered_by(target, [piece])
+        pt = C.uncovered_point(target, [piece])
+        assert C.contains_point(target, pt) == C.RELATIVE_INTERIOR
+        assert not C.member(piece, pt)
+
     def test_covered_by_overshooting_pieces(self):
         # Pieces may stick out of the target; coverage still detected.
         c = C.from_rays([(1, 0), (1, 2)], 2)
@@ -615,6 +625,81 @@ def _from_rays_outcome(build, vs, n):
 
 
 _seeds = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+def _through(rng, point, n):
+    """A cone through `point` that leaves its span: the ray through it, or
+    the cone over it and a random vector."""
+    if rng.random() < 0.5:
+        return C.from_rays([point], n)
+    try:
+        return C.from_rays([point, _vector(rng, n)], n)
+    except C.PointednessError:
+        return C.from_rays([point], n)
+
+
+def _random_spans(rng):
+    """(target, pieces) at rank 2 or 3, the target a third of the time
+    lower-dimensional: random pieces of any dimension, cones through the
+    target's interior point or through that of one side of a cut of it
+    in other spans (`_through`), one side of such a cut, and often
+    `_holders` of the target."""
+    n = rng.choice((2, 3))
+    target = _random_cone(rng, n)
+    pieces = [_random_cone(rng, n) for _ in range(rng.randint(0, 2))]
+    side = C.halfspace_slice(target, _vector(rng, n), 1)
+    for cell in (target, side):
+        if cell.dim > 0 and rng.random() < 0.6:
+            pieces.append(_through(rng, C.interior_point(cell), n))
+    if rng.random() < 0.5:
+        pieces.append(side)
+    if rng.random() < 0.4:
+        pieces += _holders(rng, target, rng.choice(HOLDS))
+    rng.shuffle(pieces)
+    return target, pieces
+
+
+def _box_outside(cones, pieces):
+    """The points of the box [-R, R]^n (R = 6 at rank 2, 3 at rank 3) that
+    lie in one of the cones and in no piece, by membership tests alone."""
+    n = cones[0].ambient_rank
+    radius = 6 if n == 2 else 3
+    return [
+        v
+        for v in product(range(-radius, radius + 1), repeat=n)
+        if any(C.member(c, v) for c in cones) and not any(C.member(p, v) for p in pieces)
+    ]
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True)
+@given(_seeds)
+def test_coverage_against_box_scan(rng):
+    """Coverage with pieces of lower dimension and of other spans, checked
+    against a box scan that does not split: a returned point lies in the
+    target's relative interior and in no piece; "covered" means no box
+    point of the target lies outside every piece.  The same holds for
+    `union_difference` of the target with extra cones against the
+    pieces, in either order."""
+    target, pieces = _random_spans(rng)
+    pt = C.uncovered_point(target, pieces)
+    assert C.cone_covered_by(target, pieces) == (pt is None)
+    if pt is None:
+        assert _box_outside([target], pieces) == []
+    else:
+        assert C.contains_point(target, pt) == C.RELATIVE_INTERIOR
+        assert not any(C.member(p, pt) for p in pieces)
+    n = target.ambient_rank
+    cones = [target] + [_random_cone(rng, n) for _ in range(rng.randint(0, 2))]
+    for c1, c2 in ((cones, pieces), (pieces, cones)):
+        pt = C.union_difference(c1, c2)
+        if pt is None:
+            assert _box_outside(c1, c2) == [] and _box_outside(c2, c1) == []
+        else:
+            in1 = [c for c in c1 if C.contains_point(c, pt) == C.RELATIVE_INTERIOR]
+            in2 = [c for c in c2 if C.contains_point(c, pt) == C.RELATIVE_INTERIOR]
+            assert (in1 and not any(C.member(c, pt) for c in c2)) or (
+                in2 and not any(C.member(c, pt) for c in c1)
+            )
 
 
 class TestAgainstReference:

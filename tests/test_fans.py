@@ -329,6 +329,13 @@ class TestMorphisms:
         assert F.is_representable(m)
         assert not F.is_proper(m)
 
+    def test_source_of_lower_dimension_not_proper(self):
+        # The ray through (1, 1) lies in the quadrant and holds its
+        # interior point, but covers none of it.
+        quadrant, ray = _gen.quadrant_and_diagonal_ray()
+        m = F.FanMorphismData(ray, quadrant)
+        assert not F.is_proper(m)
+
     def test_smallest_containing(self):
         fan = load_fan("quadrant.json")
         inner = C.from_rays([(1, 1), (1, 2)], 2)

@@ -158,6 +158,16 @@ class TestWitness:
         fan = load("trivial.json")
         self._check_witness(fan, _gen.global_root(fan, 5))
 
+    def test_ray_inside_quadrant_witness(self):
+        # The ray holds the quadrant's interior point but covers none of
+        # the quadrant; the oracle tells the S-sets apart.
+        quadrant, ray = _gen.quadrant_and_diagonal_ray()
+        assert oracle.s_enumerate(quadrant, 2) != oracle.s_enumerate(ray, 2)
+        assert not MIN.birationally_equivalent(quadrant, ray)
+        assert not MIN.birationally_equivalent(ray, quadrant)
+        self._check_witness(quadrant, ray)
+        self._check_witness(ray, quadrant)
+
     def test_no_witness_when_equal(self):
         m1 = MIN.minimal_fan(load("p2.json"))
         m2 = MIN.minimal_fan(load("trivial.json"))
@@ -384,3 +394,68 @@ class TestColoring:
             assert not MIN.coloring_is_complete(MIN.minimal_fan(fan))
         whole = F.fan_from_maximal([F.StackyCone(o, full) for o in orthants], n)
         assert MIN.coloring_is_complete(MIN.minimal_fan(whole))
+
+
+def _first_uncovered(cones1, cones2):
+    """`union_difference` from `ref_uncovered_point`: the first point
+    found, the first list's cones first."""
+    for targets, pieces in ((cones1, cones2), (cones2, cones1)):
+        for target in targets:
+            pt = ref_uncovered_point(target, pieces)
+            if pt is not None:
+                return pt
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_union_difference_is_the_first_uncovered_point(seed):
+    for a, b in _support_pairs(seed):
+        c1 = [p.cone for p in F.maximal_cones(a)]
+        c2 = [p.cone for p in F.maximal_cones(b)]
+        want = _first_uncovered(c1, c2)
+        assert C.union_difference(c1, c2) == want
+        assert (want is None) == ref_same_union(c1, c2)
+
+
+def test_root_pair_support_test_splits_nothing(monkeypatch):
+    """A fan and a root of it have the same cones, so every target of
+    `union_difference` is a piece on the other side and none is split."""
+    rng = random.Random(41)
+    pairs = []
+    for _ in range(8):
+        a = _gen.random_fan(rng)
+        pairs.append((a, _gen.global_root(a, rng.choice((2, 3, 5)))))
+    walks = []
+    real = C._split_walk
+    monkeypatch.setattr(C, "_split_walk", lambda *a: walks.append(a) or real(*a))
+    for a, b in pairs:
+        c1 = [p.cone for p in F.maximal_cones(a)]
+        c2 = [p.cone for p in F.maximal_cones(b)]
+        assert C.union_difference(c1, c2) is None
+    assert walks == []
+
+
+def test_each_side_plans_once_per_target_dimension(monkeypatch):
+    """On a fan against a stellar subdivision of it, each side builds its
+    cover plan at most once per target dimension, and targets share it."""
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(8):
+        a = _gen.random_fan(rng)
+        pairs.append((a, _gen.random_stellar(rng, a)))
+    plans = []
+    real = C._cover_plan
+    monkeypatch.setattr(
+        C, "_cover_plan", lambda pieces, dim: plans.append((id(pieces), dim)) or real(pieces, dim)
+    )
+    walks = []
+    walk = C._split_walk
+    monkeypatch.setattr(C, "_split_walk", lambda *a: walks.append(a) or walk(*a))
+    for a, b in pairs:
+        c1 = [p.cone for p in F.maximal_cones(a)]
+        c2 = [p.cone for p in F.maximal_cones(b)]
+        plans.clear()
+        walks.clear()
+        assert C.union_difference(c1, c2) is None
+        assert len(plans) == len(set(plans)) <= 2 * len({c.dim for c in c1 + c2})
+        assert len(walks) > len(plans)
