@@ -45,14 +45,14 @@ All cones are pointed: a cone is pointed iff none of its generators
 vanishes on the whole dual cone, and non-pointed input is rejected.
 
 Splitting by hyperplanes is one depth-first walk (`_split_walk`):
-`split_by_hyperplanes` takes all its leaf cells, and `uncovered_point`
+`split_by_hyperplanes` takes all its leaf cells, and `first_uncovered`
 (hence coverage and union equality) stops it at cells that one piece
-holds, from a plan of holders and hyperplanes (`_cover_plan`) that
-`union_difference` builds once per side and target dimension.  The
-simplicial cone that starts the dual step (`_simplicial_start`) also
-starts the chambers of a hyperplane arrangement: n independent normals
-cut R^n into 2^n simplicial chambers, and `arrangement_chambers` splits
-those by the remaining normals.
+holds, from a plan of holders and hyperplanes (`_cover_plan`) that it
+builds once per target dimension.  The simplicial cone that starts the
+dual step (`_simplicial_start`) also starts the chambers of a
+hyperplane arrangement: n independent normals cut R^n into 2^n
+simplicial chambers, and `arrangement_chambers` splits those by the
+remaining normals.
 """
 
 from dataclasses import dataclass, field
@@ -652,49 +652,63 @@ def arrangement_chambers(normals, ambient_rank):
 
 
 def uncovered_point(target, pieces):
-    """An integer interior point of target outside every piece, or None.
-
-    Exact: the target is split by every facet hyperplane of every piece of
-    at least its dimension, in order, as `split_by_hyperplanes` splits it
-    (`_cover_plan`).  Each hyperplane is kept once up to sign, at its
-    first position: a cell below the first copy lies weakly on one side
-    of it, so no later h or −h crosses it.  The walk (`_split_walk`) stops
-    at cells that one of those pieces holds, since every leaf under them
-    is covered.  So the first uncovered leaf is that of the full split
-    (`_uncovered`).
-    """
-    return _uncovered(target, pieces, _cover_plan(pieces, target.dim))
+    """An integer interior point of target outside every piece, or None:
+    `first_uncovered` of the one target."""
+    return first_uncovered([target], pieces)
 
 
 def cone_covered_by(target, pieces):
     """Exact test: is `target` contained in the union of `pieces`?  The
-    walk and the spanning-piece rule of `uncovered_point`."""
+    walk and the spanning-piece rule of `first_uncovered`."""
     return uncovered_point(target, pieces) is None
 
 
 def union_difference(cones1, cones2):
     """An interior point of a cone of one list outside the other list's
-    union, or None when the two unions are equal.  The first list's cones
-    are scanned first, in order, then the second list's, each with the
-    walk of `uncovered_point`.
+    union, or None when the two unions are equal: `first_uncovered` of
+    the first list's cones in the second's, then of the second's in the
+    first's."""
+    pt = first_uncovered(cones1, cones2)
+    return pt if pt is not None else first_uncovered(cones2, cones1)
 
-    Each side builds its plan (`_cover_plan`: holders and hyperplanes)
-    once per target dimension, and every target of that dimension reads
-    it.  A target whose rays are the rays of a piece on the other side is
+
+def first_uncovered(targets, pieces):
+    """An integer point in the relative interior of the first target the
+    pieces do not cover, lying in no piece; None when the pieces cover
+    every target.  The targets are read once, in order.
+
+    Exact: each target is split by every facet hyperplane of every piece
+    of at least its dimension, in order, as `split_by_hyperplanes` splits
+    it.  The plan of those holders and hyperplanes (`_cover_plan`) is
+    built once per target dimension, each hyperplane kept once up to
+    sign, at its first position: a cell below the first copy lies weakly
+    on one side of it, so no later h or −h crosses it.  The walk
+    (`_split_walk`) stops at cells that one of the holders holds, since
+    every leaf under them is covered, so the first uncovered leaf is that
+    of the full split.  A target whose rays are the rays of a piece is
     that piece, since a cone is fixed by its rays, so it is covered and
-    gets no walk.  Root pairs, with equal cones and different lattices,
-    so do no split at all."""
-    for targets, pieces in ((cones1, cones2), (cones2, cones1)):
-        plans = {}
-        shared = {p.rays for p in pieces}
-        for target in targets:
-            if target.rays in shared:
-                continue
-            if target.dim not in plans:
-                plans[target.dim] = _cover_plan(pieces, target.dim)
-            pt = _uncovered(target, pieces, plans[target.dim])
-            if pt is not None:
-                return pt
+    gets no walk.
+
+    A leaf cell counts as covered only when its interior point lies in a
+    holder whose span holds the target's span (`_spans`); every other
+    piece meets that span in a proper subspace.  The walk splits by every
+    such piece's facets, so a leaf lies in it or meets it only on its
+    boundary, and one point decides.  An uncovered leaf's relative
+    interior then lies in no such piece, and `_point_in_no_piece` finds a
+    point of it that the other pieces miss too.
+    """
+    plans = {}
+    shared = {p.rays for p in pieces}
+    for target in targets:
+        if target.rays in shared:
+            continue
+        if target.dim not in plans:
+            plans[target.dim] = _cover_plan(pieces, target.dim)
+        holders, hyperplanes = plans[target.dim]
+        for cell in _split_walk(target, hyperplanes, holders):
+            pt = interior_point(cell)
+            if not any(_spans(p, target) and member(p, pt) for p in holders):
+                return _point_in_no_piece(cell, pieces)
     return None
 
 
@@ -710,26 +724,6 @@ def _cover_plan(pieces, dim):
                 hyperplanes.append(h)
                 seen.update((h, tuple(-x for x in h)))
     return holders, hyperplanes
-
-
-def _uncovered(target, pieces, plan):
-    """The point of `uncovered_point` from the pieces' `_cover_plan` for
-    the target's dimension.
-
-    A leaf cell counts as covered only when its interior point lies in a
-    piece whose span holds the target's span (`_spans`); every other
-    piece meets that span in a proper subspace.  The walk splits by every
-    such piece's facets, so a leaf lies in it or meets it only on its
-    boundary, and one point decides.  An uncovered leaf's relative
-    interior then lies in no such piece, and `_point_in_no_piece` finds a
-    point of it that the other pieces miss too.
-    """
-    holders, hyperplanes = plan
-    for cell in _split_walk(target, hyperplanes, holders):
-        pt = interior_point(cell)
-        if not any(_spans(p, target) and member(p, pt) for p in holders):
-            return _point_in_no_piece(cell, pieces)
-    return None
 
 
 def _spans(piece, target):

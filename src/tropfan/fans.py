@@ -297,15 +297,14 @@ def supports_equal(f1, f2):
 
 
 def is_complete(fan):
-    """Does the fan's support cover all of R^n?  Ridge-pairing criterion."""
+    """Does the fan's support cover all of R^n?  Ridge-pairing criterion,
+    on the distinct ray tuples of the maximal cones: a cone listed twice
+    (with two lattices, say) is one top."""
     n = fan.ambient_rank
     if n == 0:
         return True
-    maxs = maximal_cones(fan)
-    if n == 1:
-        rays = {sc.cone.rays for sc in maxs if sc.dim == 1}
-        return ((1,),) in rays and ((-1,),) in rays
-    tops = [sc.cone for sc in maxs if sc.dim == n]
+    maxs = {sc.cone.rays: sc.cone for sc in maximal_cones(fan)}
+    tops = [c for c in maxs.values() if c.dim == n]
     if len(tops) != len(maxs) or not tops:
         return False
     # Each ridge (codim-1 face of a top cone, the rays tight on one facet

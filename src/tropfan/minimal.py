@@ -69,7 +69,7 @@ def _pieces_of(obj):
 
 def _merge_pieces(pieces):
     """Greedy wall-merging; deterministic because processed in canonical order."""
-    items = sorted(pieces, key=lambda sc: (sc.dim, sc.cone.rays))
+    items = F._sort_stacky(pieces)
     changed = True
     while changed:
         changed = False
@@ -77,14 +77,13 @@ def _merge_pieces(pieces):
             for j in range(i + 1, len(items)):
                 merged = F.merge_across_wall(items[i], items[j])
                 if merged is not None:
-                    items = [it for k, it in enumerate(items) if k not in (i, j)]
-                    items.append(merged)
-                    items.sort(key=lambda sc: (sc.dim, sc.cone.rays))
+                    rest = [it for k, it in enumerate(items) if k not in (i, j)]
+                    items = F._sort_stacky(rest + [merged])
                     changed = True
                     break
             if changed:
                 break
-    return tuple(items)
+    return items
 
 
 def minimal_fan(fan):
@@ -252,13 +251,12 @@ def from_coloring(c):
 def coloring_is_complete(m):
     """Does the union of the pieces cover all of R^n?  R^n is covered by
     the n + 1 simplicial cones spanned by all but one of e_1, …, e_n and
-    −(e_1 + … + e_n)."""
+    −(e_1 + … + e_n), and one `cones.first_uncovered` over them plans
+    the split once."""
     n = m.ambient_rank
     if n == 0:
         return True
     tops = [p.cone for p in m.pieces if p.dim == n]
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    return all(
-        C.cone_covered_by(C.from_rays(gens[:i] + gens[i + 1 :], n), tops)
-        for i in range(n + 1)
-    )
+    simplices = (C.from_rays(gens[:i] + gens[i + 1 :], n) for i in range(n + 1))
+    return C.first_uncovered(simplices, tops) is None

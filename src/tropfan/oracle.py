@@ -1,11 +1,14 @@
 """Brute-force oracles used to cross-check the symbolic algorithms.
 
-These are deliberately independent code paths: exact box sweeps and
-scans, and seeded random sampling, never the symbolic decision
-procedures they are meant to validate.  The S-set box sweep fills each
-line of the box once: every piece adds the last coordinates of its
-points to the sets of the lines they lie on (`_sweep_piece`), and the
-lines, read in order, give the box's lexicographic order.
+These are independent code paths (exact box sweeps and scans, and
+seeded random sampling) with one exception: `cover_sample_av` finds
+the translates that hold a sampled point with
+`semiabelian.candidate_translations` and `semiabelian.translate`, the
+code it is meant to check, so it is no independent check of
+translation coverage.  The S-set box sweep fills each line of the box
+once: every piece adds the last coordinates of its points to the sets
+of the lines they lie on (`_sweep_piece`), and the lines, read in
+order, give the box's lexicographic order.
 """
 
 import random
@@ -164,7 +167,9 @@ def _random_admissible_point(rng, base, radius):
 
 
 def cover_sample_av(fan, count, seed, radius=6):
-    """Random admissible points covered by some translated representative."""
+    """Random admissible points covered by some translated representative,
+    found with `semiabelian.candidate_translations` and `translate`, so
+    not independently of them."""
     rng = random.Random(seed)
     base = fan.base
     reps = list(fan.representatives)

@@ -428,8 +428,8 @@ def candidate_translations(c1, c2, base):
 class _OrbitForms:
     """What the translation decisions read over one base, each entry
     worked out once:
-    - per ray, its `_ray_data` (G_n and slope) and its candidate shift
-      −⌊μ⌋ (`_shift`), which the orbit form reads;
+    - per ray, its `_ray_data` (G_n and slope), from whose slope μ the
+      orbit form reads the ray's candidate shift −⌊μ⌋ (`_shift`);
     - per ray tuple, its `_Slopes` (`slopes`; no slopes when g = 0),
       which every scan through `candidates` reads;
     - per (rays, lattice), the orbit form: calling the table on a
@@ -451,7 +451,6 @@ class _OrbitForms:
         self._forms = {}
         self._faces = {}
         self._rays = {}
-        self._shifts = {}
         self._slopes = {}
         self._blocks = {}
         self._sheared = {}
@@ -472,9 +471,9 @@ class _OrbitForms:
 
         The candidate shifts are −⌊μ⌋, componentwise, for the slopes μ of the
         rays with nonzero base part; each depends on its ray alone
-        (`_shift`), so no `_Slopes` is built.  Slopes of T_d(sc) are those
-        of sc plus d, so T_d(sc) has the same candidates and the same least
-        one.  Hence a and b share an orbit iff their forms are equal, and then
+        (`_shift`).  Slopes of T_d(sc) are those of sc plus d, so T_d(sc)
+        has the same candidates and the same least one.  Hence a and b
+        share an orbit iff their forms are equal, and then
         T_{s_a − s_b}(a) = b, the only such m when a has a ray with nonzero
         base part (G_n is nonsingular there).  T_m keeps the rays sorted and
         fixes those with zero base part, which come first; at the first ray
@@ -542,10 +541,8 @@ class _OrbitForms:
     def _shift(self, ray):
         """−⌊μ⌋ for the ray's slope μ = v/d (`_ray_data`), or None when it
         has none."""
-        if ray not in self._shifts:
-            mu = self._ray(ray)[1]
-            self._shifts[ray] = mu and tuple(-(x // mu[1]) for x in mu[0])
-        return self._shifts[ray]
+        mu = self._ray(ray)[1]
+        return mu and tuple(-(x // mu[1]) for x in mu[0])
 
     def shear(self, ray, m):
         """T_m r for a ray r (`_shear` by the block A_m)."""

@@ -17,7 +17,6 @@ from . import fans as F
 from . import lattice as L
 from . import minimal as MIN
 from . import semiabelian as S
-from ._linalg import primitive
 
 SCHEMA_VERSION = "1"
 
@@ -76,48 +75,14 @@ def _dec_fan(payload):
 
 
 def _dec_cones(objs, n):
-    """The StackyCones of a list of encoded cones in ambient rank n.
-
-    Rays and lattices are decoded in document order.  The cones are then
-    built longest first, so that a list whose nonzero primitive rays are
-    the rays of a face of a cone built before it becomes that face
-    (`cones.face_cone` of its `face_walk` entry), with no `from_rays`.
-    Of the faults, that of the first cone in document order is raised, as
-    building the cones in document order would raise it.
-    """
-    lists, failures = [], {}
-    for i, obj in enumerate(objs):
-        try:
-            lists.append((_dec_mat(obj["rays"]), _dec_mat(obj["lattice"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            failures[i] = exc
-            break
-    keys = [_ray_key(rays, n) for rays, _ in lists]
-    faces, built = {}, {}
-    for i in sorted(range(len(lists)), key=lambda i: -len(keys[i] or ())):
-        rays, lat = lists[i]
-        try:
-            if keys[i] in faces:
-                cone = C.face_cone(*faces[keys[i]])
-            else:
-                cone = C.from_rays(rays, n)
-                for face in cone.face_walk:
-                    faces.setdefault(face[0], (cone, face))
-            built[i] = F.StackyCone(cone, L.canonicalize(lat, n))
-        except ValueError as exc:
-            failures[i] = exc
-    if failures:
-        raise failures[min(failures)]
-    return [built[i] for i in range(len(lists))]
-
-
-def _ray_key(rays, n):
-    """The sorted distinct nonzero primitive rays of a list of vectors of
-    length n, which are the rays of the cone they generate when they are
-    those of a face of a cone; None when some vector has another length."""
-    if any(len(r) != n for r in rays):
-        return None
-    return tuple(sorted({primitive(r) for r in rays if any(r)}))
+    """The StackyCones of a list of encoded cones in ambient rank n, each
+    built from its own rays and lattice, in document order, so the first
+    fault in document order is the one raised."""
+    out = []
+    for obj in objs:
+        rays, lat = _dec_mat(obj["rays"]), _dec_mat(obj["lattice"])
+        out.append(F.StackyCone(C.from_rays(rays, n), L.canonicalize(lat, n)))
+    return out
 
 
 def _enc_coloring_from_minimal(m):

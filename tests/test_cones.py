@@ -415,6 +415,16 @@ class TestSplitting:
         assert C.member(q, pt)
         assert not C.member(lower, pt)
 
+    def test_first_uncovered_reads_targets_in_order(self):
+        # The first quadrant is a piece and the second is not covered, so
+        # the point is the second's interior point, whichever target follows.
+        q1, q2 = quadrant(), C.from_rays([(-1, 0), (0, 1)], 2)
+        q3 = C.from_rays([(-1, 0), (0, -1)], 2)
+        assert C.first_uncovered([q1, q2, q3], [q1]) == (-1, 1)
+        assert C.first_uncovered([q1, q3, q2], [q1]) == (-1, -1)
+        assert C.first_uncovered([q1], [q1]) is None
+        assert C.first_uncovered([], []) is None
+
     def test_piece_of_another_span_covers_nothing(self):
         # The target's interior point (1, 1, 0) lies in the piece, but the
         # piece meets the target's plane only along the ray through it.

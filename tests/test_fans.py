@@ -158,6 +158,19 @@ class TestCompleteness:
         assert F.is_complete(F.fan_from_maximal([pos, neg], 1))
         assert not F.is_complete(F.fan_from_maximal([pos], 1))
 
+    def test_rank0(self):
+        zero = F.StackyCone(C.zero_cone(0), L.zero_lattice(0))
+        assert F.is_complete(F.make_fan([zero], 0))
+
+    def test_maximal_cone_below_top_dimension(self):
+        # The ray (−1, −1) lies in no quadrant, so it is a maximal cone of
+        # dimension 1 beside a top of dimension 2.
+        quadrant = F.stacky_cone([(1, 0), (0, 1)], [(1, 0), (0, 1)], 2)
+        ray = F.stacky_cone([(-1, -1)], [(-1, -1)], 2)
+        fan = F.fan_from_maximal([quadrant, ray], 2)
+        assert [sc.dim for sc in F.maximal_cones(fan)] == [1, 2]
+        assert not F.is_complete(fan)
+
     def test_support_member(self):
         fan = load_fan("quadrant.json")
         assert _gen.support_member((3, 4), fan)

@@ -395,6 +395,29 @@ class TestColoring:
         whole = F.fan_from_maximal([F.StackyCone(o, full) for o in orthants], n)
         assert MIN.coloring_is_complete(MIN.minimal_fan(whole))
 
+    def test_coloring_is_complete_rank0(self):
+        zero = F.StackyCone(C.zero_cone(0), L.zero_lattice(0))
+        assert MIN.coloring_is_complete(MIN.minimal_fan(F.make_fan([zero], 0)))
+
+    def test_coloring_is_complete_plans_once(self, monkeypatch):
+        # The n + 1 simplicial cones that cover R^n all have dimension n,
+        # so the eight octants give one cover plan, not one per simplex.
+        axes = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        octants = [
+            F.StackyCone(C.from_rays([[s * x for x in e] for s, e in zip(signs, axes)], 3),
+                         L.full_lattice(3))
+            for signs in itertools.product((1, -1), repeat=3)
+        ]
+        m = MIN.minimal_fan(F.fan_from_maximal(octants, 3))
+        assert len(m.pieces) == 8
+        plans = []
+        real = C._cover_plan
+        monkeypatch.setattr(
+            C, "_cover_plan", lambda pieces, dim: plans.append(dim) or real(pieces, dim)
+        )
+        assert MIN.coloring_is_complete(m)
+        assert plans == [3]
+
 
 def _first_uncovered(cones1, cones2):
     """`union_difference` from `ref_uncovered_point`: the first point

@@ -1851,6 +1851,42 @@ def test_zero_face_is_the_ridge_of_a_torus_line():
         assert S.av_complete(fan) == ref_av_complete(fan) == complete
 
 
+def test_av_complete_early_answers():
+    # D = 0: a point base with g = r = 0, whose admissible region is {0}.
+    point = S.PolarizedBase(F.StackyCone(C.zero_cone(0), L.zero_lattice(0)), 0, (), 0)
+    cases = [(S.av_fan(point, [point.base_cone]), True)]
+    # Over the Tate base (D = 2): only the zero cone and a ray, so no top
+    # of dimension 2; and the two-arc fan with the ray (3, 1) through a
+    # top's interior, a lower cell that is no face of any translated top.
+    two = load("tate_two_arc.json")
+    zero, ray = (sc for sc in two.representatives if sc.dim < 2 and sc.cone.rays != ((2, 1),))
+    inner = F.stacky_cone([(3, 1)], [(3, 1)], 2)
+    cases += [
+        (S.av_fan(two.base, [zero, ray]), False),
+        (S.av_fan(two.base, list(two.representatives) + [inner]), False),
+    ]
+    for fan, complete in cases:
+        assert S.av_complete(fan) == ref_av_complete(fan) == complete
+
+
+def test_av_bir_equivalent_false_on_supports():
+    # Dropping a top of the Tate two-arc fan leaves half of each period
+    # uncovered: its pieces lie in the full fan, but not conversely.
+    two = load("tate_two_arc.json")
+    partial = S.av_fan(
+        two.base, [sc for sc in two.representatives if sc.cone.rays != ((1, 1), (2, 1))]
+    )
+    form = S._OrbitForms(two.base)
+    m_two, m_partial = (
+        S._maximal_classes(S._orbit_classes(f, form), form) for f in (two, partial)
+    )
+    assert S._av_covers(m_partial, m_two, form)
+    assert not S._av_covers(m_two, m_partial, form)
+    for f1, f2 in ((two, partial), (partial, two)):
+        assert not S.av_bir_equivalent(f1, f2)
+        assert not ref_av_bir_equivalent(f1, f2)
+
+
 def test_maximal_classes_test_containment_only_between_tops(monkeypatch):
     pairs = []
     candidates = S._OrbitForms.candidates
