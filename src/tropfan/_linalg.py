@@ -9,9 +9,12 @@ left only in `rational_solve`, which `tests/test_kernel.py` and
 reference for the tests.
 Matrices are lists of row tuples/lists.
 
-`dot` is the kernel every sign scan reads: `sum(map(mul, a, b))`, which
+`dot` is the kernel the sign scans read: `sum(map(mul, a, b))`, which
 stops at the shorter input, as `zip` does.  No caller in the library
-relies on that truncation: each pairs two vectors of one length.
+relies on that truncation: each pairs two vectors of one length.  The
+scans of a wall-merge attempt (`fans.merge_across_wall` and
+`fans._only_cutting_normal`) write that body inline, with no call per
+ray, since most attempts are refused at their first scan.
 """
 
 from fractions import Fraction

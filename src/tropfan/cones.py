@@ -712,6 +712,22 @@ def first_uncovered(targets, pieces):
     return None
 
 
+def covers_space(pieces, ambient_rank):
+    """Do the cones cover all of R^n?  Only the n-dimensional ones count:
+    their union is closed, so a point they miss has an open neighbourhood
+    they miss, which finitely many lower-dimensional cones cannot fill.
+    R^n is covered by the n + 1 simplicial cones spanned by all but one
+    of e_1, …, e_n and −(e_1 + … + e_n), and one `first_uncovered` over
+    them plans the split once."""
+    n = ambient_rank
+    if n == 0:
+        return True
+    tops = [c for c in pieces if c.dim == n]
+    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    simplices = (from_rays(gens[:i] + gens[i + 1 :], n) for i in range(n + 1))
+    return first_uncovered(simplices, tops) is None
+
+
 def _cover_plan(pieces, dim):
     """(holders, hyperplanes) for covering a target of dimension `dim` by
     the pieces: the pieces of at least that dimension, and their facet

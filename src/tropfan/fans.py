@@ -7,6 +7,7 @@ ambient rank.  All predicates here are exact.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import cones as C
 from . import lattice as L
@@ -70,8 +71,13 @@ def merge_across_wall(p, q):
       normals, because the minimal face of U is generated by the
       generators in it; e.g. two adjacent quadrants make a half-plane.
     - Its rays are the generators that `cones.extreme_generators` keeps.
+
+    A zero cone has no facet normal, so the first scan refuses it.  The
+    scans are plain loops over `sum(map(mul, h, r))`: most pairs that
+    `minimal_fan` tries stop at the first scan, so a generator per
+    normal would be most of their cost.
     """
-    if p.dim == 0 or p.lattice != q.lattice or p.cone.span_basis != q.cone.span_basis:
+    if p.lattice != q.lattice or p.cone.span_basis != q.cone.span_basis:
         return None
     h_p = _only_cutting_normal(p.cone, q.cone)
     if h_p is None:
@@ -80,8 +86,9 @@ def merge_across_wall(p, q):
     if h_q is None:
         return None
     gens = sorted(set(p.cone.rays) | set(q.cone.rays))
-    if any((dot(h_p, r) == 0) != (dot(h_q, r) == 0) for r in gens):
-        return None
+    for r in gens:
+        if (sum(map(mul, h_p, r)) == 0) != (sum(map(mul, h_q, r)) == 0):
+            return None
     normals = sorted(
         {h for h in p.cone.facet_normals if h != h_p}
         | {h for h in q.cone.facet_normals if h != h_q}
@@ -98,14 +105,19 @@ def _only_cutting_normal(a, b):
 
     Most pieces tried in a wall merge do not share a wall, so the scan
     returns None at the second cutting normal it meets, without testing
-    the rest.
+    the rest.  It is the first test of most merge attempts, so it is
+    written as plain loops over `sum(map(mul, h, r))` (the body of
+    `_linalg.dot`), with no generator or call per normal.
     """
     found = None
+    rays = b.rays
     for h in a.facet_normals:
-        if any(dot(h, r) < 0 for r in b.rays):
-            if found is not None:
-                return None
-            found = h
+        for r in rays:
+            if sum(map(mul, h, r)) < 0:
+                if found is not None:
+                    return None
+                found = h
+                break
     return found
 
 
@@ -270,20 +282,26 @@ def maximal_cones(fan):
     either.  A face's rays are rays of the cone, so a ray-set test
     settles every proper face first: it looks only among the cones that
     hold the face's first ray, through a ray → cones index built once per
-    call.  Only the cones it leaves are scanned for containment.
+    call.  Only cones of dimension ≥ 2 can have a proper nonzero face, so
+    only theirs enter the index as ray sets, and each dimension is read
+    once.  Only the cones the ray-set test leaves are scanned for
+    containment.
     """
-    cones = [(sc, sc.dim, frozenset(sc.cone.rays)) for sc in fan.cones]
-    top = max((d for _, d, _ in cones), default=0)
-    holding = {}  # ray -> the (dim, rays) of each cone holding it
-    for _, d, rays in cones:
-        for r in rays:
-            holding.setdefault(r, []).append((d, rays))
+    cones = [(sc, len(sc.cone.span_basis)) for sc in fan.cones]
+    top = max((d for _, d in cones), default=0)
+    holding = {}  # ray -> the (dim, ray set) of each cone of dim ≥ 2 holding it
+    for sc, d in cones:
+        if d >= 2:
+            rays = frozenset(sc.cone.rays)
+            for r in sc.cone.rays:
+                holding.setdefault(r, []).append((d, rays))
     out = []
-    for sc, d, rays in cones:
+    for sc, d in cones:
+        rays = sc.cone.rays
         if d < top and (
             not rays
-            or any(e > d and rays <= r for e, r in holding[sc.cone.rays[0]])
-            or any(e > d and C.contains_cone(o.cone, sc.cone) for o, e, _ in cones)
+            or any(e > d and big.issuperset(rays) for e, big in holding.get(rays[0], ()))
+            or any(e > d and C.contains_cone(o.cone, sc.cone) for o, e in cones)
         ):
             continue
         out.append(sc)
@@ -297,44 +315,11 @@ def supports_equal(f1, f2):
 
 
 def is_complete(fan):
-    """Does the fan's support cover all of R^n?  Ridge-pairing criterion,
-    on the distinct ray tuples of the maximal cones: a cone listed twice
-    (with two lattices, say) is one top."""
-    n = fan.ambient_rank
-    if n == 0:
-        return True
-    maxs = {sc.cone.rays: sc.cone for sc in maximal_cones(fan)}
-    tops = [c for c in maxs.values() if c.dim == n]
-    if len(tops) != len(maxs) or not tops:
-        return False
-    # Each ridge (codim-1 face of a top cone, the rays tight on one facet
-    # normal) must bound exactly two tops, and the tops must be connected
-    # through ridges.
-    by_ridge = {}
-    for i, c in enumerate(tops):
-        for k in range(len(c.facet_normals)):
-            by_ridge.setdefault(tuple(C.tight_rays(c, 1 << k)), []).append(i)
-    return _ridges_pair(by_ridge.values(), len(tops))
-
-
-def _ridges_pair(groups, count):
-    """Does each group (the tops at one ridge) hold exactly two of the
-    count ≥ 1 tops, and do these pairs connect all of them?"""
-    adj = {i: set() for i in range(count)}
-    for members in groups:
-        if len(members) != 2:
-            return False
-        a, b = members
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(adj)
+    """Does the fan's support cover all of R^n?  Decided on the support
+    alone (`cones.covers_space` of its cones), so the answer holds for
+    an invalid fan too: a cone listed twice, overlapping cones, or a
+    lower-dimensional cone that lies in no single top."""
+    return C.covers_space([sc.cone for sc in fan.cones], fan.ambient_rank)
 
 
 def smallest_containing(fan, cone):

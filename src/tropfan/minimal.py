@@ -8,8 +8,10 @@ works with lists of maximal stacky cones ("pieces").
 MinimalFan coarsens a fan by greedily merging two pieces at a time across
 a common wall where the sublattices agree and the union stays a pointed
 convex cone.  A merge reads the union's facets and rays from the two
-pieces (`fans.merge_across_wall`) and makes no `from_rays` call.  The
-pieces left depend on the input, not only on S, so
+pieces (`fans.merge_across_wall`) and makes no `from_rays` call.  Most
+pairs tried do not merge, so the cost of a call is mostly the pairs it
+refuses; the piece list is kept sorted by insertion (`_merge_pieces`).
+The pieces left depend on the input, not only on S, so
 MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.  Equal S-sets means equal supports
 (`cones.union_difference`, whose point also gives the support witness)
@@ -19,6 +21,7 @@ different lattices can differ.  A coloring becomes pieces only in
 (which checks each piece's lattice rank) all see the same pieces.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import cones as C
@@ -68,22 +71,31 @@ def _pieces_of(obj):
 
 
 def _merge_pieces(pieces):
-    """Greedy wall-merging; deterministic because processed in canonical order."""
-    items = F._sort_stacky(pieces)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                merged = F.merge_across_wall(items[i], items[j])
-                if merged is not None:
-                    rest = [it for k, it in enumerate(items) if k not in (i, j)]
-                    items = F._sort_stacky(rest + [merged])
-                    changed = True
-                    break
-            if changed:
+    """Greedy wall merging, deterministic because it runs in the canonical
+    (dim, rays) order: the first pair (i < j) in that order that merges is
+    replaced by its union, and the scan starts again from the first pair.
+
+    The keys are kept in a parallel list, so a merge deletes the two
+    pieces and inserts the union with `bisect_right`, after any piece of
+    an equal key, where a stable re-sort of the list would put it.
+    """
+    items = list(F._sort_stacky(pieces))
+    keys = [(sc.dim, sc.cone.rays) for sc in items]
+    i = 0
+    while i < len(items):
+        for j in range(i + 1, len(items)):
+            merged = F.merge_across_wall(items[i], items[j])
+            if merged is not None:
+                del items[j], items[i], keys[j], keys[i]
+                key = (merged.dim, merged.cone.rays)
+                k = bisect_right(keys, key)
+                items.insert(k, merged)
+                keys.insert(k, key)
+                i = 0
                 break
-    return items
+        else:
+            i += 1
+    return tuple(items)
 
 
 def minimal_fan(fan):
@@ -249,14 +261,6 @@ def from_coloring(c):
 
 
 def coloring_is_complete(m):
-    """Does the union of the pieces cover all of R^n?  R^n is covered by
-    the n + 1 simplicial cones spanned by all but one of e_1, …, e_n and
-    −(e_1 + … + e_n), and one `cones.first_uncovered` over them plans
-    the split once."""
-    n = m.ambient_rank
-    if n == 0:
-        return True
-    tops = [p.cone for p in m.pieces if p.dim == n]
-    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    simplices = (C.from_rays(gens[:i] + gens[i + 1 :], n) for i in range(n + 1))
-    return C.first_uncovered(simplices, tops) is None
+    """Does the union of the pieces cover all of R^n?  The same walk as
+    `fans.is_complete` (`cones.covers_space`)."""
+    return C.covers_space([p.cone for p in m.pieces], m.ambient_rank)

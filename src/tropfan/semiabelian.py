@@ -833,7 +833,7 @@ def quotient_complex(fan):
 def av_complete(fan):
     """Does the translation-orbit union of cones cover the admissible region?
 
-    Ridge-pairing on the quotient (`fans._ridges_pair`): every
+    Ridge-pairing on the quotient (`_ridges_pair`): every
     codimension-1 face of a maximal cell whose interior lies over the
     relative interior of σ0 must bound exactly two maximal cells, counted
     with translation multiplicity.  Cells are compared without lattices.
@@ -870,7 +870,27 @@ def av_complete(fan):
         p = split_point(base, [sum(x) for x in zip(*rays)] or zero)[0]
         if C.contains_point(base.base_cone.cone, p) == C.RELATIVE_INTERIOR:
             interior.append(owners[key])
-    return F._ridges_pair(interior, len(tops))
+    return _ridges_pair(interior, len(tops))
+
+
+def _ridges_pair(groups, count):
+    """Does each group (the tops at one ridge) hold exactly two of the
+    count ≥ 1 tops, and do these pairs connect all of them?"""
+    adj = {i: set() for i in range(count)}
+    for members in groups:
+        if len(members) != 2:
+            return False
+        a, b = members
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(adj)
 
 
 def _maximal_classes(cells, form):

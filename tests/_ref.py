@@ -153,3 +153,42 @@ def ref_render_points(obj, radius):
                     out.append((x, y, fill[p.lattice]))
                     drawn.add(v)
     return out
+
+
+def ref_merge_pieces(pieces):
+    """`minimal._merge_pieces` as a restart loop that rebuilds and re-sorts
+    the whole piece list after each merge."""
+    items = F._sort_stacky(pieces)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                merged = F.merge_across_wall(items[i], items[j])
+                if merged is not None:
+                    rest = [it for k, it in enumerate(items) if k not in (i, j)]
+                    items = F._sort_stacky(rest + [merged])
+                    changed = True
+                    break
+            if changed:
+                break
+    return items
+
+
+def ref_is_complete_by_ridges(fan):
+    """Ridge pairing, right on valid fans only: every maximal cone is a top
+    (of dimension n), each ridge of a top (the rays tight on one facet
+    normal) bounds exactly two tops, and the tops connect through ridges.
+    A cone listed twice is one top."""
+    n = fan.ambient_rank
+    if n == 0:
+        return True
+    maxs = {sc.cone.rays: sc.cone for sc in F.maximal_cones(fan)}
+    tops = [c for c in maxs.values() if c.dim == n]
+    if len(tops) != len(maxs) or not tops:
+        return False
+    by_ridge = {}
+    for i, c in enumerate(tops):
+        for k in range(len(c.facet_normals)):
+            by_ridge.setdefault(tuple(C.tight_rays(c, 1 << k)), []).append(i)
+    return S._ridges_pair(by_ridge.values(), len(tops))

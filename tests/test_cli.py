@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -402,6 +403,27 @@ class TestPredicateCommands:
             assert run(capsys, "complete", path) == want
             code, out, _ = run(capsys, "validate", path)
             assert code == 1 and "duplicate cone" in out
+
+    def test_complete_reads_the_support_of_an_invalid_fan(self, capsys, tmp_path):
+        # Three cones of Z² whose rays each bound two of them cover only
+        # the quadrant; the eight octants with the cone on (1, 1, 0) and
+        # (1, −1, 0), which lies in no single octant, cover R³.  Both
+        # fans are invalid.
+        square = [(1, 0), (0, 1)]
+        three = [(square, square), ([(1, 1), (0, 1)], square), ([(1, 0), (1, 1)], square)]
+        axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        octants = [
+            ([[s * x for x in e] for s, e in zip(signs, axes)], axes)
+            for signs in itertools.product((1, -1), repeat=3)
+        ]
+        wedge = [(1, 1, 0), (1, -1, 0)]
+        cases = [(2, three, (1, "false\n", "")), (3, octants + [(wedge, wedge)], (0, "true\n", ""))]
+        for i, (n, cones, want) in enumerate(cases):
+            path = str(tmp_path / f"invalid{i}.json")
+            with open(path, "w") as fh:
+                fh.write(_fan_doc(n, cones))
+            assert run(capsys, "complete", path) == want
+            assert run(capsys, "validate", path)[0] == 1
 
     def test_predicate_golden(self, capsys, monkeypatch):
         # fixtures/cli/golden.json holds exit code, stdout and stderr of

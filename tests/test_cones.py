@@ -225,9 +225,9 @@ def _in_face_walk(f, cone):
 
 
 def _facet_rays(cone):
-    """The ray set of each facet, as `fans.is_complete` and
-    `fans.stellar_subdivision` read them: the rays tight on one facet
-    normal, sorted."""
+    """The ray set of each facet, as `fans.stellar_subdivision` and
+    `_ref.ref_is_complete_by_ridges` read them: the rays tight on one
+    facet normal, sorted."""
     return sorted(
         tuple(C.tight_rays(cone, 1 << k)) for k in range(len(cone.facet_normals))
     )

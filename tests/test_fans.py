@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import FIXTURES
 from tropfan._linalg import dot
 
 import _gen
-from _ref import ref_restrict_to_span
+from _ref import ref_is_complete_by_ridges, ref_restrict_to_span
 
 
 def load_fan(name):
@@ -127,6 +128,73 @@ class TestMaximalCones:
         ]
 
 
+_KINDS = ("random", "inside", "zero", "duplicate", "in_no_top")
+
+
+@st.composite
+def invalid_fans(draw):
+    """Random cone lists given as they are (`make_fan`, no closure), with
+    one planted fault: a cone inside another without being its face, the
+    zero cone alone, a cone listed twice with two lattices, or (at rank 3)
+    a cone of dimension 2 across two octants that lies in no single one;
+    "random" plants nothing."""
+    kind = draw(st.sampled_from(_KINDS))
+    n = 3 if kind == "in_no_top" else draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    cones = []
+    for _ in range(0 if kind == "zero" else draw(st.integers(1, 5))):
+        row = st.lists(coord, min_size=n, max_size=n)
+        rays = draw(st.lists(row, min_size=1, max_size=3))
+        try:
+            cone = C.from_rays(rays, n)
+        except C.PointednessError:
+            continue
+        cones.append(F.StackyCone(cone, F.span_lattice(cone)))
+    if kind == "zero":
+        cones = [F.StackyCone(C.zero_cone(n), L.zero_lattice(n))] * draw(st.integers(1, 2))
+    elif kind == "inside":
+        big = C.from_rays([tuple(int(i == j) for j in range(n)) for i in range(n)], n)
+        small = C.from_rays([(1,) * n], n)
+        cones += [F.StackyCone(c, F.span_lattice(c)) for c in (big, small)]
+    elif kind == "duplicate" and cones:
+        sc = draw(st.sampled_from(cones))
+        doubled = L.canonicalize([[2 * (i == j) for j in range(n)] for i in range(n)], n)
+        cones.append(F.StackyCone(sc.cone, L.intersect(sc.lattice, doubled)))
+    elif kind == "in_no_top":
+        cones += list(F.fan_from_maximal(_orthants(3)[:4], 3).cones)
+        wedge = C.from_rays([(1, 1, 0), (1, -1, 0)], 3)
+        cones.append(F.StackyCone(wedge, F.span_lattice(wedge)))
+    return kind, F.make_fan(cones, n)
+
+
+def test_maximal_cones_matches_reference_on_invalid_fans():
+    kinds = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=5000)
+    @given(invalid_fans())
+    def check(case):
+        kind, fan = case
+        got, ref = F.maximal_cones(fan), ref_maximal_cones(fan)
+        assert len(got) == len(ref)
+        assert all(a is b for a, b in zip(got, ref))
+        kinds.add(kind)
+
+    check()
+    assert kinds == set(_KINDS)
+
+
+def _orthants(n):
+    """The 2^n coordinate orthants of R^n as StackyCones over Z^n."""
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [
+        F.StackyCone(
+            C.from_rays([[s * x for x in e] for s, e in zip(signs, axes)], n),
+            L.full_lattice(n),
+        )
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+
+
 class TestCompleteness:
     def test_complete_fixtures(self):
         for name in ("trivial.json", "p2.json", "hirzebruch.json", "delta_fig.json"):
@@ -141,16 +209,68 @@ class TestCompleteness:
         partial = F.fan_from_maximal(maxs[:-1], 2)
         assert not F.is_complete(partial)
 
-    def test_ridge_paired_but_disconnected(self):
+    def test_two_overlaid_complete_fans_cover_the_plane(self):
         # Two complete fans with no common ray: every ridge bounds exactly
-        # two tops, but no ridge joins the two fans' tops.
+        # two tops, but no ridge joins the two fans' tops, so ridge pairing
+        # says False.  The support is all of R², and the fan is invalid.
         axes = F.maximal_cones(load_fan("trivial.json"))
         diagonals = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
         tilted = [
             F.StackyCone(C.from_rays([a, b], 2), L.full_lattice(2))
             for a, b in zip(diagonals, diagonals[1:] + diagonals[:1])
         ]
-        assert not F.is_complete(F.fan_from_maximal(axes + tilted, 2))
+        fan = F.fan_from_maximal(axes + tilted, 2)
+        assert F.validate(fan)
+        assert not ref_is_complete_by_ridges(fan)
+        assert F.is_complete(fan)
+
+    def test_three_cones_over_a_quadrant_are_incomplete(self):
+        # Every ray bounds two of the three cones and the cones connect,
+        # so ridge pairing says True; the support is the quadrant.
+        square = [(1, 0), (0, 1)]
+        fan = F.fan_from_maximal([
+            F.stacky_cone(rays, square, 2)
+            for rays in (square, [(1, 1), (0, 1)], [(1, 0), (1, 1)])
+        ], 2)
+        assert len(F.validate(fan)) == 3
+        assert ref_is_complete_by_ridges(fan)
+        assert F.supports_equal(fan, load_fan("quadrant.json"))
+        assert not F.is_complete(fan)
+
+    def test_octants_and_a_cone_in_no_single_octant_are_complete(self):
+        # The cone on (1, 1, 0) and (1, −1, 0) is a maximal cone of
+        # dimension 2 that lies in no single octant, so ridge pairing says
+        # False; the support is R³.
+        octants = F.fan_from_maximal(_orthants(3), 3)
+        wedge = F.stacky_cone([(1, 1, 0), (1, -1, 0)], [(1, 1, 0), (1, -1, 0)], 3)
+        fan = F.make_fan(list(octants.cones) + [wedge], 3)
+        assert F.validate(fan)
+        assert not ref_is_complete_by_ridges(fan)
+        assert F.supports_equal(fan, octants)
+        assert F.is_complete(fan)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_ridge_pairing_on_valid_fans(self, n):
+        # Subsets of the orthants, stellar subdivisions of them, and at
+        # rank 2 random complete fans with extra rays; each valid.
+        rng = random.Random(n)
+        orthants = _orthants(n)
+        answers = set()
+        for k in range(12):
+            if k == 0:
+                chosen = orthants
+            else:
+                chosen = rng.sample(orthants, rng.randint(1, len(orthants)))
+            fan = F.fan_from_maximal(chosen, n)
+            fans = [fan, _gen.random_stellar(rng, fan)]
+            if n == 2:
+                fans.append(_gen.random_complete_fan2(rng))
+            for f in fans:
+                assert F.validate(f) == []
+                want = ref_is_complete_by_ridges(f)
+                assert F.is_complete(f) == want
+                answers.add(want)
+        assert answers == {True, False}
 
     def test_rank1(self):
         pos = F.stacky_cone([(1,)], [(1,)], 1)

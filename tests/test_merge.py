@@ -6,6 +6,8 @@ arrangement of `cone_covered_by` must show that the convex hull of the
 union does not overshoot the two cones.
 """
 
+import ast
+import pathlib
 import random
 
 from hypothesis import assume, given, settings
@@ -160,3 +162,81 @@ def test_merge_across_wall_matches_reference_on_fan_pieces():
                     early += _cutting_normals(p, q) >= 2
     assert outcomes == {True, False}
     assert early > 0
+
+
+@st.composite
+def loose_pairs(draw):
+    """Two cones drawn apart from each other, so that their spans and
+    dimensions may differ: "any" draws both at random (mostly not
+    adjacent), "overlap"
+    cuts a cone and pairs a side with the whole, "lower" pairs a cone
+    with a face of it, and "other_span" pairs cones of one dimension in
+    two spans through a common ray."""
+    n = draw(st.integers(1, 4))
+    how = draw(st.sampled_from(["any", "overlap", "lower", "other_span"]))
+
+    def vectors(k_min, k_max):
+        row = st.lists(coef, min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=k_min, max_size=k_max))
+
+    def cone(rays):
+        try:
+            return C.from_rays(rays, n)
+        except C.PointednessError:
+            assume(False)
+
+    p = cone(vectors(1, 4))
+    if how == "any":
+        q = cone(vectors(1, 4))
+    elif how == "overlap":
+        h = draw(st.lists(coef, min_size=n, max_size=n))
+        q = C.halfspace_slice(p, h, draw(st.sampled_from([1, -1])))
+    elif how == "lower":
+        assume(p.dim >= 1)
+        q = draw(st.sampled_from(ref_facets(p) or [C.zero_cone(n)]))
+    else:
+        assume(n >= 3 and p.rays)
+        q = cone([p.rays[0]] + vectors(p.dim - 1, p.dim - 1))
+        assume(q.dim == p.dim and q.span_basis != p.span_basis)
+    if draw(st.booleans()):
+        p, q = q, p
+    doubled = L.canonicalize([[2 * (i == j) for j in range(n)] for i in range(n)], n)
+    lattice = L.full_lattice(n) if draw(st.booleans()) else doubled
+    return how, *(F.StackyCone(c, F._restrict(lattice, c)) for c in (p, q))
+
+
+def test_merge_across_wall_matches_reference_on_loose_pairs():
+    # Most of these pairs are refused (the merging ones come from `pairs`),
+    # some only after the first scan finds its one cutting normal.
+    seen = set()
+    past_first_scan = []
+
+    @settings(max_examples=300, derandomize=True, deadline=5000)
+    @given(loose_pairs())
+    def check(case):
+        how, p, q = case
+        merged = F.merge_across_wall(p, q)
+        assert fields(merged) == fields(ref_merge(p, q))
+        seen.add(how)
+        if p.lattice == q.lattice and p.cone.span_basis == q.cone.span_basis:
+            past_first_scan.append(F._only_cutting_normal(p.cone, q.cone) is not None)
+
+    check()
+    assert seen == {"any", "overlap", "lower", "other_span"}
+    assert any(past_first_scan)
+
+
+def test_merge_scans_build_no_generator():
+    # The sign scans of a merge attempt are plain loops: a generator per
+    # facet normal was most of the cost of the attempts that fail.
+    tree = ast.parse(pathlib.Path(F.__file__).read_text())
+    scans = {"merge_across_wall", "_only_cutting_normal"}
+    found = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in scans:
+            found[top.name] = [
+                node.lineno
+                for node in ast.walk(top)
+                if isinstance(node, ast.GeneratorExp)
+            ]
+    assert found == {name: [] for name in scans}

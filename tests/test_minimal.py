@@ -12,7 +12,7 @@ import tropfan.serialize as SER
 from conftest import FIXTURES
 
 import _gen
-from _ref import ref_overlay_mismatch, ref_uncovered_point
+from _ref import ref_merge_pieces, ref_overlay_mismatch, ref_uncovered_point
 
 
 def load(name):
@@ -482,3 +482,91 @@ def test_each_side_plans_once_per_target_dimension(monkeypatch):
         assert C.union_difference(c1, c2) is None
         assert len(plans) == len(set(plans)) <= 2 * len({c.dim for c in c1 + c2})
         assert len(walks) > len(plans)
+
+
+# --- The merge loop against the restart loop that re-sorts ------------------
+
+
+def _merge_inputs():
+    """(kind, label, pieces): seeded rank-2/3/4 fans with their stellar
+    subdivisions and global roots, the stacky-fan and coloring fixtures,
+    the pieces `from_coloring` reads, and a cone listed twice with two
+    lattices beside two halves of it that merge into a third copy."""
+    rng = random.Random(31)
+    fans = [_gen.random_fan(rng) for _ in range(10)]
+    fans += [_gen.random_orthant_fan(rng, 4) for _ in range(2)]
+    for i, fan in enumerate(fans):
+        for f in (fan, _gen.random_stellar(rng, fan), _gen.global_root(fan, 3)):
+            yield "seeded", f"fan {i}", F.maximal_cones(f)
+    colorings = []
+    for path in sorted(FIXTURES.rglob("*.json")):
+        try:
+            kind, obj = SER.load_path(str(path))
+        except SER.ParseError:
+            continue
+        if kind == "stacky_fan":
+            yield kind, str(path), F.maximal_cones(obj)
+            if not F.validate(obj) and F.is_complete(obj):
+                colorings.append(MIN.to_coloring(obj))
+        elif kind == "coloring":
+            yield kind, str(path), list(obj.pieces)
+            colorings.append(MIN.coloring_of(obj.pieces, obj.ambient_rank))
+    for k, c in enumerate(colorings):
+        yield "from_coloring", f"coloring {k}", MIN._color_pieces(c.colors)
+    square, wide = [(1, 0), (0, 1)], [(2, 0), (0, 1)]
+    twice = F.make_fan([
+        F.stacky_cone(square, square, 2),
+        F.stacky_cone(square, wide, 2),
+        F.stacky_cone([(1, 0), (1, 1)], square, 2),
+        F.stacky_cone([(1, 1), (0, 1)], square, 2),
+    ], 2)
+    yield "listed_twice", "listed twice", F.maximal_cones(twice)
+
+
+def _merge_shape(result, pieces):
+    """Each result piece as the input object it is, or as every field of
+    a new merged piece."""
+    given = {id(p) for p in pieces}
+    return [
+        ("input", id(sc)) if id(sc) in given
+        else ("merged", sc.cone.rays, sc.cone.span_basis, sc.cone.facet_normals,
+              sc.lattice.basis)
+        for sc in result
+    ]
+
+
+def test_merge_pieces_matches_the_restart_loop(monkeypatch):
+    """Same pieces in the same order, and the same sequence of pairs
+    handed to `merge_across_wall`."""
+    tried = []
+    real = F.merge_across_wall
+
+    def spy(p, q):
+        tried.append((p.cone.rays, p.lattice.basis, q.cone.rays, q.lattice.basis))
+        return real(p, q)
+
+    monkeypatch.setattr(F, "merge_across_wall", spy)
+    counts = {}
+    merged = 0
+    for kind, label, pieces in _merge_inputs():
+        counts[kind] = counts.get(kind, 0) + 1
+        tried.clear()
+        got = MIN._merge_pieces(pieces)
+        got_tried = list(tried)
+        tried.clear()
+        want = ref_merge_pieces(pieces)
+        assert type(got) is tuple, label
+        assert _merge_shape(got, pieces) == _merge_shape(want, pieces), label
+        assert got_tried == tried, label
+        merged += len(got) < len(pieces)
+        if kind == "listed_twice":
+            # The union of the halves ties with both listed copies on
+            # (dim, rays) and goes after them, as a stable sort puts it.
+            assert [sc.lattice.basis for sc in got] == [
+                ((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (0, 1))
+            ]
+            assert got[0] is pieces[0] and got[1] is pieces[1]
+    assert counts == {
+        "seeded": 36, "stacky_fan": 7, "coloring": 6, "from_coloring": 10, "listed_twice": 1,
+    }
+    assert merged > 10
