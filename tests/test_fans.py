@@ -209,7 +209,7 @@ class TestCompleteness:
         partial = F.fan_from_maximal(maxs[:-1], 2)
         assert not F.is_complete(partial)
 
-    def test_two_overlaid_complete_fans_cover_the_plane(self):
+    def test_ridge_paired_but_disconnected(self):
         # Two complete fans with no common ray: every ridge bounds exactly
         # two tops, but no ridge joins the two fans' tops, so ridge pairing
         # says False.  The support is all of R², and the fan is invalid.
