@@ -48,16 +48,21 @@ def _emit(doc_text, out):
         sys.stdout.write(doc_text)
 
 
-def _violations(obj):
-    """Violation strings of a decoded stacky fan, coloring, polarized base
-    or translation fan (empty when valid)."""
-    if isinstance(obj, F.StackyFan):
-        return F.validate(obj)
-    if isinstance(obj, MIN.MinimalFan):
-        return MIN.validate_coloring(MIN.coloring_of(obj.pieces, obj.ambient_rank))
-    if isinstance(obj, S.PolarizedBase):
-        return S.validate_form(obj)
-    return S.validate_av_fan(obj)
+# The violation strings (empty when valid) of each document kind that
+# `validate` applies to, keyed by the kind `_load` returns.
+VALIDATORS = {
+    "stacky_fan": F.validate,
+    "coloring": lambda m: MIN.validate_coloring(MIN.coloring_of(m.pieces, m.ambient_rank)),
+    "polarized_base": S.validate_form,
+    "av_fan": S.validate_av_fan,
+}
+
+
+def _require_valid(violations, *objs):
+    """Refuse, with exit 1, when `violations` finds a fault in any of the
+    objects, tested in order up to the first faulty one."""
+    if any(violations(obj) for obj in objs):
+        raise CliError(FAIL, "input fan is invalid; run validate")
 
 
 def _verdict(ok):
@@ -67,17 +72,16 @@ def _verdict(ok):
 
 def cmd_validate(args):
     kind, obj = _load(args.file)
-    if kind == "graph":
-        raise CliError(UNSUPPORTED, "validate does not apply to graph documents")
-    violations = _violations(obj)
+    if kind not in VALIDATORS:
+        raise CliError(UNSUPPORTED, f"validate does not apply to {kind} documents")
+    violations = VALIDATORS[kind](obj)
     print("\n".join(violations) or "ok")
     return FAIL if violations else OK
 
 
 def cmd_minimal(args):
     kind, obj = _load_kind(args.file, ("stacky_fan", "coloring", "av_fan"))
-    if _violations(obj):
-        raise CliError(FAIL, "input fan is invalid; run validate")
+    _require_valid(VALIDATORS[kind], obj)
     result = S.av_minimal(obj) if kind == "av_fan" else MIN.minimal_fan(obj)
     _emit(SER.dumps(result), args.out)
     return OK
@@ -90,20 +94,19 @@ def cmd_equiv(args):
     if kind_a in fan_kinds and kind_b in fan_kinds:
         if a.ambient_rank != b.ambient_rank:
             raise CliError(INCOMPATIBLE, "ambient ranks differ")
-        if _violations(a) or _violations(b):
-            raise CliError(FAIL, "input fan is invalid; run validate")
+        _require_valid(VALIDATORS[kind_a], a)
+        _require_valid(VALIDATORS[kind_b], b)
         if MIN.birationally_equivalent(a, b):
             print("equivalent")
             return OK
         witness = MIN.s_witness(
-            a if isinstance(a, MIN.MinimalFan) else MIN.minimal_fan(a),
-            b if isinstance(b, MIN.MinimalFan) else MIN.minimal_fan(b),
+            a if kind_a == "coloring" else MIN.minimal_fan(a),
+            b if kind_b == "coloring" else MIN.minimal_fan(b),
         )
         print(f"inequivalent witness {' '.join(str(x) for x in witness)}")
         return FAIL
     if kind_a == "av_fan" and kind_b == "av_fan":
-        if S.local_violations(a) or S.local_violations(b):
-            raise CliError(FAIL, "input fan is invalid; run validate")
+        _require_valid(S.local_violations, a, b)
         try:
             eq = S.av_bir_equivalent(a, b)
         except S.IncompatibleBaseError as exc:
@@ -134,8 +137,7 @@ def cmd_complete(args):
         return _verdict(F.is_complete(obj))
     if kind == "coloring":
         return _verdict(MIN.coloring_is_complete(obj))
-    if S.local_violations(obj):
-        raise CliError(FAIL, "input fan is invalid; run validate")
+    _require_valid(S.local_violations, obj)
     return _verdict(S.av_complete(obj))
 
 
@@ -199,6 +201,7 @@ def cmd_oracle(args):
         if kind == "stacky_fan":
             covered, total = oracle.cover_sample_fan(obj, args.count, args.seed)
         else:
+            _require_valid(S.local_violations, obj)
             covered, total = oracle.cover_sample_av(obj, args.count, args.seed)
         print(f"covered {covered}/{total}")
         return OK if covered == total else FAIL

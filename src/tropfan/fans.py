@@ -367,24 +367,25 @@ class FanMorphismData:
             raise L.DimensionError("ambient ranks differ")
 
     def is_valid(self):
-        for sc in self.source.cones:
-            parent = smallest_containing(self.target, sc.cone)
-            if parent is None:
-                return False
-            if not L.contains(_restrict(parent.lattice, sc.cone), sc.lattice):
-                return False
-        return True
+        return all(
+            parent is not None and L.contains(parent, lat)
+            for lat, parent in _parent_lattices(self)
+        )
+
+
+def _parent_lattices(m):
+    """(source lattice, parent lattice restricted to the source cone's
+    span) for each source cone of the morphism, where the parent is the
+    smallest target cone containing it; the second is None when no target
+    cone contains it."""
+    for sc in m.source.cones:
+        parent = smallest_containing(m.target, sc.cone)
+        yield sc.lattice, parent and _restrict(parent.lattice, sc.cone)
 
 
 def is_representable(m):
     """Every source lattice equals the target lattice restricted to its span."""
-    for sc in m.source.cones:
-        parent = smallest_containing(m.target, sc.cone)
-        if parent is None:
-            return False
-        if sc.lattice != _restrict(parent.lattice, sc.cone):
-            return False
-    return True
+    return all(lat == parent for lat, parent in _parent_lattices(m))
 
 
 def is_proper(m):

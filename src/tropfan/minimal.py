@@ -18,7 +18,10 @@ comparing piece tuples.  Equal S-sets means equal supports
 and equal lattices on the overlay, where only pairs of pieces with
 different lattices can differ.  A coloring becomes pieces only in
 `_color_pieces`, so the decoder, `from_coloring` and `validate_coloring`
-(which checks each piece's lattice rank) all see the same pieces.
+(which checks each piece's lattice rank) all see the same pieces.  Two
+regions of distinct colors conflict when their relative interiors meet
+and their lattices differ on their intersection; the rule is symmetric,
+so regrouping the pieces into colors (`coloring_of`) keeps the verdict.
 """
 
 from bisect import bisect_right
@@ -235,20 +238,29 @@ def _color_pieces(colors):
 
 def validate_coloring(c):
     """Violations: each piece must be a valid stacky cone (its lattice of
-    full rank in the region's span), and region interiors must be disjoint
-    across distinct colors."""
+    full rank in the region's span), and no two regions of distinct
+    colors may conflict.  Two regions conflict when their relative
+    interiors meet (the interior point of their intersection lies in the
+    relative interior of both) and their lattices, restricted to the
+    intersection, differ.  The rule is symmetric, so the verdict does not
+    depend on the order of the colors; regions of one color never
+    conflict."""
     out = [v for p in _color_pieces(c.colors) for v in F.validate_stacky_cone(p)]
     if out:
         return out
-    for i in range(len(c.colors)):
-        for j in range(i + 1, len(c.colors)):
-            for a in c.colors[i][1]:
-                for b in c.colors[j][1]:
+    for i, (lat_a, regions_a) in enumerate(c.colors):
+        for lat_b, regions_b in c.colors[i + 1 :]:
+            for a in regions_a:
+                for b in regions_b:
                     inter = C.intersect_cones(a, b)
-                    if inter.dim == a.dim:
-                        out.append(
-                            f"regions of two colors overlap on cone {inter.rays}"
-                        )
+                    pt = C.interior_point(inter)
+                    if (
+                        inter.dim > 0
+                        and C.contains_point(a, pt) == C.RELATIVE_INTERIOR
+                        and C.contains_point(b, pt) == C.RELATIVE_INTERIOR
+                        and F._restrict(lat_a, inter) != F._restrict(lat_b, inter)
+                    ):
+                        out.append(f"regions of two colors overlap on cone {inter.rays}")
     return out
 
 

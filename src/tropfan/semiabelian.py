@@ -353,29 +353,21 @@ class _Slopes:
     part as integer `rows` over one denominator `D` > 0, with their column
     minima `lo` and maxima `hi`; whether those rays' Grams are positive
     multiples of one matrix (`proportional`, false when there are none);
-    and whether every ray has a nonzero base part (`all_moving`).  Only the Grams, the rows,
-    D and `all_moving` are worked out at once; `lo`, `hi`, `proportional`
-    and `radius` (the `_slope_radius` of the rows) wait for the first
-    scan that reads them."""
+    and whether every ray has a nonzero base part (`all_moving`).  All of
+    these are worked out at once, since every box reads them; only
+    `radius` (the `_slope_radius` of the rows), which can raise
+    `DefinitenessRequiredError` and which only a box over Grams that are
+    not proportional reads, waits for the first scan that reads it."""
 
     def __init__(self, data):
         self.grams = [G for G, _ in data]
         moving = [(G, mu) for G, mu in data if mu]
         self.moving_grams = [G for G, _ in moving]
         self.rows, self.D = _over_common_denominator([mu for _, mu in moving])
+        self.lo = [min(col) for col in zip(*self.rows)]
+        self.hi = [max(col) for col in zip(*self.rows)]
+        self.proportional = bool(moving) and _proportional(self.moving_grams)
         self.all_moving = len(moving) == len(data)
-
-    @cached_property
-    def lo(self):
-        return [min(col) for col in zip(*self.rows)]
-
-    @cached_property
-    def hi(self):
-        return [max(col) for col in zip(*self.rows)]
-
-    @cached_property
-    def proportional(self):
-        return bool(self.moving_grams) and _proportional(self.moving_grams)
 
     @cached_property
     def radius(self):

@@ -7,7 +7,9 @@ precision survives round trips.  A document looks like
 
 with kind one of stacky_fan, coloring, polarized_base, av_fan, graph.
 A quotient complex is written as kind quotient_complex, which is output
-only: `from_document` does not read it back.
+only: `from_document` refuses it as an unknown kind.  One table,
+`CODECS`, maps each kind to its type, encoder and decoder; `to_document`,
+`from_document` and `KINDS` (the kinds that can be read) all read it.
 """
 
 import json
@@ -19,8 +21,6 @@ from . import minimal as MIN
 from . import semiabelian as S
 
 SCHEMA_VERSION = "1"
-
-KINDS = ("stacky_fan", "coloring", "polarized_base", "av_fan", "graph")
 
 
 class ParseError(ValueError):
@@ -179,28 +179,25 @@ def _enc_quotient(qc):
     }
 
 
+# One row per document kind: (kind, type, encoder, decoder).  A graph is
+# a plain 4-tuple, so its row comes last; quotient_complex has no decoder.
+CODECS = (
+    ("stacky_fan", F.StackyFan, _enc_fan, _dec_fan),
+    ("coloring", MIN.MinimalFan, _enc_coloring_from_minimal, _dec_minimal),
+    ("polarized_base", S.PolarizedBase, _enc_base, _dec_base),
+    ("av_fan", S.AVStackyFan, _enc_av_fan, _dec_av_fan),
+    ("quotient_complex", S.QuotientComplex, _enc_quotient, None),
+    ("graph", tuple, _enc_graph, _dec_graph),
+)
+_DECODERS = {kind: dec for kind, _, _, dec in CODECS if dec is not None}
+KINDS = tuple(_DECODERS)
+
+
 def to_document(obj):
     """Wrap a supported object in a (kind, payload) document dict."""
-    if isinstance(obj, F.StackyFan):
-        return {"schema_version": SCHEMA_VERSION, "kind": "stacky_fan", "payload": _enc_fan(obj)}
-    if isinstance(obj, MIN.MinimalFan):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "coloring",
-            "payload": _enc_coloring_from_minimal(obj),
-        }
-    if isinstance(obj, S.PolarizedBase):
-        return {"schema_version": SCHEMA_VERSION, "kind": "polarized_base", "payload": _enc_base(obj)}
-    if isinstance(obj, S.AVStackyFan):
-        return {"schema_version": SCHEMA_VERSION, "kind": "av_fan", "payload": _enc_av_fan(obj)}
-    if isinstance(obj, S.QuotientComplex):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "quotient_complex",
-            "payload": _enc_quotient(obj),
-        }
-    if isinstance(obj, tuple) and len(obj) == 4:
-        return {"schema_version": SCHEMA_VERSION, "kind": "graph", "payload": _enc_graph(obj)}
+    for kind, typ, enc, _ in CODECS:
+        if isinstance(obj, typ) and (typ is not tuple or len(obj) == 4):
+            return {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": enc(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -209,7 +206,7 @@ def from_document(doc):
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if kind not in _DECODERS:
         raise ParseError(f"unknown document kind {kind!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
@@ -217,15 +214,7 @@ def from_document(doc):
     if not isinstance(payload, dict):
         raise ParseError("missing payload object")
     try:
-        if kind == "stacky_fan":
-            return kind, _dec_fan(payload)
-        if kind == "coloring":
-            return kind, _dec_minimal(payload)
-        if kind == "polarized_base":
-            return kind, _dec_base(payload)
-        if kind == "av_fan":
-            return kind, _dec_av_fan(payload)
-        return kind, _dec_graph(payload)
+        return kind, _DECODERS[kind](payload)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

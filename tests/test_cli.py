@@ -67,6 +67,27 @@ class TestSerialize:
         with pytest.raises(SER.ParseError, match="schema_version"):
             SER.loads(json.dumps({"schema_version": "2", "kind": "stacky_fan", "payload": {}}))
 
+    def test_quotient_complex_is_not_read_back(self, capsys, fx, tmp_path):
+        _, fan = SER.load_path(fx("tate_two_arc.json"))
+        text = SER.dumps(S.quotient_complex(fan))
+        assert json.loads(text)["kind"] == "quotient_complex"
+        with pytest.raises(SER.ParseError, match="unknown document kind 'quotient_complex'"):
+            SER.loads(text)
+        path = tmp_path / "quotient.json"
+        assert run(capsys, "quotient", fx("tate_two_arc.json"), "--out", str(path))[0] == 0
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (2, "")
+        assert "unknown document kind 'quotient_complex'" in err
+
+    @pytest.mark.parametrize("obj", [object(), (1, 2, 3), [0, 1, 2, 3], None])
+    def test_unsupported_object_is_type_error(self, obj):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            SER.to_document(obj)
+
+    def test_kinds_are_the_readable_codecs(self):
+        assert SER.KINDS == ("stacky_fan", "coloring", "polarized_base", "av_fan", "graph")
+        assert [kind for kind, *_ in SER.CODECS] == [*SER.KINDS[:4], "quotient_complex", "graph"]
+
     def test_non_integer_entry(self):
         doc = {
             "schema_version": "1",
@@ -94,6 +115,27 @@ def _av_doc(cones):
     doc = json.loads((FIXTURES / "tate_two_arc.json").read_text())
     doc["payload"]["representatives"] = json.loads(_fan_doc(2, cones))["payload"]["cones"]
     return json.dumps(doc)
+
+
+# A ray with zero base part and nonzero N part: the Tate two-arc fan with
+# this representative added is an invalid translation fan.
+INVALID_RAY = {"lattice": [["0", "1"]], "rays": [["0", "1"]]}
+
+# One color, Z², on the quadrant and on its face cone((1, 0)).
+ONE_COLOR_FACE = {
+    "schema_version": "1",
+    "kind": "coloring",
+    "payload": {"ambient_rank": "2", "colors": [{
+        "lattice": [["1", "0"], ["0", "1"]],
+        "cones": [[["1", "0"], ["0", "1"]], [["1", "0"]]],
+    }]},
+}
+
+
+def _invalid_ray_doc():
+    doc = json.loads((FIXTURES / "tate_two_arc.json").read_text())
+    doc["payload"]["representatives"].append(INVALID_RAY)
+    return doc
 
 
 class TestStackyFanDecoder:
@@ -354,6 +396,28 @@ class TestEquivCommand:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert err.strip() == "input fan is invalid; run validate"
+
+    def test_coloring_with_a_face_in_its_own_color(self, capsys, fx, tmp_path):
+        """A region that is a face of another region of the same color is
+        no overlap: validate accepts the document and the document of its
+        `from_coloring` (written as two colors), minimal emits a valid
+        coloring, and the class is the quadrant's."""
+        path = tmp_path / "one_color.json"
+        path.write_text(json.dumps(ONE_COLOR_FACE))
+        regions = (C.from_rays([(1, 0), (0, 1)], 2), C.from_rays([(1, 0)], 2))
+        coloring = MIN.SublatticeColoring(2, ((L.full_lattice(2), regions),))
+        regrouped = tmp_path / "regrouped.json"
+        regrouped.write_text(SER.dumps(MIN.from_coloring(coloring)))
+        assert len(json.loads(regrouped.read_text())["payload"]["colors"]) == 2
+        for doc in (path, regrouped):
+            assert run(capsys, "validate", str(doc)) == (0, "ok\n", "")
+        out_path = tmp_path / "minimal.json"
+        assert run(capsys, "minimal", str(path), "--out", str(out_path)) == (0, "", "")
+        assert run(capsys, "validate", str(out_path)) == (0, "ok\n", "")
+        for argv in ([str(path), fx("minimal/quadrant.json")],
+                     [fx("minimal/quadrant.json"), str(path)]):
+            assert run(capsys, "equiv", *argv) == (0, "equivalent\n", "")
+
 
 class TestPredicateCommands:
     def test_subdivision(self, capsys, fx):
@@ -626,6 +690,15 @@ class TestOracleCommands:
                            "--count", "50", "--seed", "1")
         assert code == 1
 
+    def test_cover_sample_refuses_an_av_fan_with_invalid_ray(self, capsys, tmp_path):
+        # The ray's slope is undefined; the sample used to end in a
+        # ValueError from the translation code.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_invalid_ray_doc()))
+        code, out, err = run(capsys, "oracle", "cover-sample", str(path))
+        assert (code, out) == (1, "")
+        assert err.strip() == "input fan is invalid; run validate"
+
     def test_cover_sample_rejects_negative_count(self, capsys, fx):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "oracle", "cover-sample", fx("trivial.json"), "--count", "-3")
@@ -656,3 +729,59 @@ class TestOracleCommands:
         assert code == 0
         ms = {int(line) for line in out.strip().splitlines()}
         assert ms == {-1, 0}
+
+
+SINGLE_FILE_COMMANDS = [
+    ["validate"], ["minimal"], ["complete"], ["quotient"], ["jacobian"], ["render"],
+    ["oracle", "s-enumerate"], ["oracle", "cover-sample"],
+    ["oracle", "translations-bruteforce"],
+]
+TWO_FILE_COMMANDS = ["equiv", "subdivision", "proper", "representable", "refine"]
+
+
+@pytest.fixture(scope="module")
+def sweep_documents(tmp_path_factory):
+    """(every JSON file under fixtures/ and the two extra documents, the
+    top-level fixture documents and the two extra documents)."""
+    tmp = tmp_path_factory.mktemp("sweep")
+    extra = []
+    for name, doc in (("invalid_ray.json", _invalid_ray_doc()),
+                      ("one_color.json", ONE_COLOR_FACE)):
+        (tmp / name).write_text(json.dumps(doc))
+        extra.append(str(tmp / name))
+    every = sorted(str(p) for p in FIXTURES.rglob("*.json")) + extra
+    top = sorted(str(p) for p in FIXTURES.glob("*.json")) + extra
+    return every, top
+
+
+class TestNoTraceback:
+    """Every subcommand, on every fixture document and the two extra
+    documents above (the two-file commands on every ordered pair of
+    top-level ones), answers with an exit code from 0 to 4: no exception
+    escapes `cli.main`."""
+
+    def _sweep(self, capsys, argvs):
+        escaped = []
+        for argv in argvs:
+            try:
+                code = cli.main(argv)
+            except BaseException as exc:  # SystemExit included
+                escaped.append(f"{' '.join(argv)}: {type(exc).__name__}: {exc}")
+                continue
+            finally:
+                capsys.readouterr()
+            if code not in range(5):
+                escaped.append(f"{' '.join(argv)}: exit code {code!r}")
+        assert escaped == []
+
+    @pytest.mark.parametrize("command", SINGLE_FILE_COMMANDS, ids=" ".join)
+    def test_single_file(self, capsys, sweep_documents, command):
+        every, _ = sweep_documents
+        assert len(every) > 40
+        self._sweep(capsys, [command + [path] for path in every])
+
+    @pytest.mark.parametrize("command", TWO_FILE_COMMANDS)
+    def test_two_files(self, capsys, sweep_documents, command):
+        _, top = sweep_documents
+        assert len(top) == 18
+        self._sweep(capsys, [[command, a, b] for a in top for b in top])

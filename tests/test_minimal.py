@@ -363,6 +363,64 @@ class TestColoring:
         with pytest.raises(MIN.ColoringInvalidError):
             MIN.from_coloring(coloring)
 
+    @pytest.mark.parametrize("quadrant_basis", [[(1, 0), (0, 1)], [(3, 0), (0, 1)]])
+    def test_ray_inside_a_region_conflicts_in_either_color_order(self, quadrant_basis):
+        """The ray cone((1, 1)) with lattice <(2, 2)> lies in the interior
+        of the quadrant, whose lattice restricts to <(1, 1)> or <(3, 3)>
+        on it.  Z^2 sorts before <(2, 2)> and <(3, 0), (0, 1)> after it;
+        either way the regions conflict."""
+        ray = C.from_rays([(1, 1)], 2)
+        q = C.from_rays([(1, 0), (0, 1)], 2)
+        colors = sorted(
+            [(L.canonicalize([(2, 2)], 2), (ray,)),
+             (L.canonicalize(quadrant_basis, 2), (q,))],
+            key=lambda color: color[0].basis,
+        )
+        for order in (colors, colors[::-1]):
+            coloring = MIN.SublatticeColoring(2, tuple(order))
+            assert MIN.validate_coloring(coloring) == [
+                "regions of two colors overlap on cone ((1, 1),)"
+            ]
+
+    def test_face_of_a_region_is_no_overlap(self):
+        """Z^2 on the quadrant and on its face cone((1, 0)): one color, or
+        two once regrouped by `coloring_of` (the face's lattice is then
+        <(1, 0)>).  The face meets the quadrant's boundary only, so both
+        are valid and both give the quadrant's class."""
+        q = C.from_rays([(1, 0), (0, 1)], 2)
+        face = C.from_rays([(1, 0)], 2)
+        one_color = MIN.SublatticeColoring(2, ((L.full_lattice(2), (q, face)),))
+        regrouped = MIN.coloring_of(MIN._color_pieces(one_color.colors), 2)
+        assert len(regrouped.colors) == 2
+        for coloring in (one_color, regrouped):
+            assert MIN.validate_coloring(coloring) == []
+            assert MIN.from_coloring(coloring) == MIN.minimal_fan(load("quadrant.json"))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_full_dimensional_regions_keep_the_containment_rule(self, seed):
+        """On colorings whose regions all have full dimension, the verdict
+        and the messages, in order, are those of the rule "the
+        intersection has the dimension of the first color's region"."""
+        rng = random.Random(seed)
+        n = 2 if seed % 3 else 3
+        fans = [_gen.random_complete_fan2(rng) if n == 2 else _gen.random_fan3(rng)
+                for _ in range(2)]
+        lattices = [L.full_lattice(n), _gen.random_index_lattice(rng, n),
+                    _gen.random_index_lattice(rng, n)]
+        pieces = [F.StackyCone(sc.cone, rng.choice(lattices))
+                  for fan in fans for sc in F.maximal_cones(fan)]
+        coloring = MIN.coloring_of(pieces, n)
+        want = [
+            f"regions of two colors overlap on cone {inter.rays}"
+            for i, (_, regions_a) in enumerate(coloring.colors)
+            for _, regions_b in coloring.colors[i + 1 :]
+            for a in regions_a
+            for b in regions_b
+            for inter in [C.intersect_cones(a, b)]
+            if inter.dim == a.dim
+        ]
+        assert MIN.validate_coloring(coloring) == want
+
     @pytest.mark.parametrize("gens", [[(1, 0)], [(1, 0), (0, 0)]])
     def test_rank_deficient_lattice_invalid(self, gens):
         """A color lattice of rank 1 on a 2-dimensional region is a
