@@ -96,13 +96,15 @@ def cmd_equiv(args):
             raise CliError(INCOMPATIBLE, "ambient ranks differ")
         _require_valid(VALIDATORS[kind_a], a)
         _require_valid(VALIDATORS[kind_b], b)
-        if MIN.birationally_equivalent(a, b):
-            print("equivalent")
-            return OK
+        # Coarsening keeps the S-set, so one comparison of the minimal
+        # fans gives both the verdict and the witness.
         witness = MIN.s_witness(
             a if kind_a == "coloring" else MIN.minimal_fan(a),
             b if kind_b == "coloring" else MIN.minimal_fan(b),
         )
+        if witness is None:
+            print("equivalent")
+            return OK
         print(f"inequivalent witness {' '.join(str(x) for x in witness)}")
         return FAIL
     if kind_a == "av_fan" and kind_b == "av_fan":

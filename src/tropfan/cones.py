@@ -18,10 +18,11 @@ Membership is a sign test plus, for a lower-dimensional cone, an integer
 HNF span test.  Facets come from double description (`_dd_cut`): the
 facet normals are the extreme rays of the dual cone, found by cutting a
 simplicial cone by one generator at a time; the lifted normals then give
-the extreme rays and pointedness (`extreme_generators`, which a wall
-merge also applies to its pieces' facets).  The facet list is complete
-and irredundant, so ray–facet incidences decide the rest, with no cone
-built for them:
+the extreme rays and pointedness (`extreme_generators`, one plain-loop
+pass of zero masks that stops at the first generator in the lineality
+space; a wall merge also applies it to its pieces' facets).  The facet
+list is complete and irredundant, so ray–facet incidences decide the
+rest, with no cone built for them:
 - The faces are the closure of the facet masks under intersection
   (`Cone.face_walk`), each with the span basis of its rays; a facet's
   rays are those tight on its normal (`tight_rays`).
@@ -57,6 +58,7 @@ remaining normals.
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from . import lattice as lat
 from ._linalg import (
@@ -255,17 +257,33 @@ def extreme_generators(gens, normals):
     `normals` is that cone's complete list of facet normals.  A generator
     tight on every normal lies in the lineality space, and one exists iff
     the cone contains a line, since the minimal face is generated by the
-    generators in it.  A generator is extreme iff no other generator is
-    tight on every normal it is tight on.
+    generators in it; the first such generator ends the scan.  A
+    generator is extreme iff no other generator is tight on every normal
+    it is tight on.
+
+    Every merge attempt that passes the sign scans and the wall test of
+    `fans.merge_across_wall` ends here, so it is written as plain loops
+    over `sum(map(mul, h, g))` (the body of `_linalg.dot`), with no
+    generator or call per normal.
     """
-    tight = [_zero_mask(g, normals) for g in gens]
-    if (1 << len(normals)) - 1 in tight:
-        return None
-    return [
-        g
-        for j, g in enumerate(gens)
-        if not any(i != j and tight[j] & t == tight[j] for i, t in enumerate(tight))
-    ]
+    full = (1 << len(normals)) - 1
+    tight = []
+    for g in gens:
+        mask = 0
+        for i, h in enumerate(normals):
+            if sum(map(mul, h, g)) == 0:
+                mask |= 1 << i
+        if mask == full:
+            return None
+        tight.append(mask)
+    extreme = []
+    for j, (g, m) in enumerate(zip(gens, tight)):
+        for i, t in enumerate(tight):
+            if m & t == m and i != j:
+                break
+        else:
+            extreme.append(g)
+    return extreme
 
 
 def _simplicial_start(rows, d):

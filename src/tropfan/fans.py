@@ -73,9 +73,12 @@ def merge_across_wall(p, q):
     - Its rays are the generators that `cones.extreme_generators` keeps.
 
     A zero cone has no facet normal, so the first scan refuses it.  The
-    scans are plain loops over `sum(map(mul, h, r))`: most pairs that
-    `minimal_fan` tries stop at the first scan, so a generator per
-    normal would be most of their cost.
+    scans, and `extreme_generators` after them, are plain loops over
+    `sum(map(mul, h, r))`, with no generator per normal.  Most pairs that
+    `minimal_fan` tries stop at the first scan.  Every pair that passes
+    both scans and the wall test ends in `extreme_generators`, which
+    refuses a union that holds a line at the first generator tight on
+    every normal.
     """
     if p.lattice != q.lattice or p.cone.span_basis != q.cone.span_basis:
         return None
@@ -284,24 +287,27 @@ def maximal_cones(fan):
     hold the face's first ray, through a ray → cones index built once per
     call.  Only cones of dimension ≥ 2 can have a proper nonzero face, so
     only theirs enter the index as ray sets, and each dimension is read
-    once.  Only the cones the ray-set test leaves are scanned for
-    containment.
+    once.  A ray (a cone of dimension 1) is settled by the index alone:
+    every indexed cone holding it has dimension ≥ 2 and contains it.
+    Only the cones the ray-set test leaves are scanned for containment.
     """
-    cones = [(sc, len(sc.cone.span_basis)) for sc in fan.cones]
-    top = max((d for _, d in cones), default=0)
+    cones = fan.cones
+    dims = [len(sc.cone.span_basis) for sc in cones]
+    top = max(dims, default=0)
     holding = {}  # ray -> the (dim, ray set) of each cone of dim ≥ 2 holding it
-    for sc, d in cones:
+    for sc, d in zip(cones, dims):
         if d >= 2:
             rays = frozenset(sc.cone.rays)
             for r in sc.cone.rays:
                 holding.setdefault(r, []).append((d, rays))
     out = []
-    for sc, d in cones:
+    for sc, d in zip(cones, dims):
         rays = sc.cone.rays
         if d < top and (
             not rays
+            or (d == 1 and rays[0] in holding)
             or any(e > d and big.issuperset(rays) for e, big in holding.get(rays[0], ()))
-            or any(e > d and C.contains_cone(o.cone, sc.cone) for o, e in cones)
+            or any(e > d and C.contains_cone(o.cone, sc.cone) for o, e in zip(cones, dims))
         ):
             continue
         out.append(sc)

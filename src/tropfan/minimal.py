@@ -8,11 +8,14 @@ works with lists of maximal stacky cones ("pieces").
 MinimalFan coarsens a fan by greedily merging two pieces at a time across
 a common wall where the sublattices agree and the union stays a pointed
 convex cone.  A merge reads the union's facets and rays from the two
-pieces (`fans.merge_across_wall`) and makes no `from_rays` call.  Most
-pairs tried do not merge, so the cost of a call is mostly the pairs it
-refuses; the piece list is kept sorted by insertion (`_merge_pieces`).
-The pieces left depend on the input, not only on S, so
-MinimalFan equality is decided semantically (equal S-sets), not by
+pieces (`fans.merge_across_wall`) and makes no `from_rays` call.  The
+piece list is kept sorted by insertion (`_merge_pieces`).  In a seed-1
+benchmark coarsen round (2 cores, Python 3.11), 1,631 pairs are tried
+and 334 merge.  The merges take about a third of the round and the
+refused pairs about a third: 921 stop at the first sign scan, and the
+325 whose union holds a line cost more than those.  `fans.maximal_cones`
+takes about a sixth.  The pieces left depend on the input, not only on
+S, so MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.  Equal S-sets means equal supports
 (`cones.union_difference`, whose point also gives the support witness)
 and equal lattices on the overlay, where only pairs of pieces with

@@ -27,6 +27,21 @@ def ref_is_face_of(f, cone):
     return C.from_rays(face_rays, cone.ambient_rank) == f
 
 
+def ref_extreme_generators(gens, normals):
+    """`cones.extreme_generators` as one zero mask per generator, built
+    before any is tested: None when a mask holds every normal (the cone
+    holds a line), else the generators whose mask no other generator's
+    mask covers."""
+    tight = [C._zero_mask(g, normals) for g in gens]
+    if (1 << len(normals)) - 1 in tight:
+        return None
+    return [
+        g
+        for j, g in enumerate(gens)
+        if not any(i != j and tight[j] & t == tight[j] for i, t in enumerate(tight))
+    ]
+
+
 def ref_facets(cone):
     """One `from_rays` per facet normal, of the rays on which it vanishes."""
     fs = [

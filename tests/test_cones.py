@@ -21,6 +21,7 @@ from tropfan._linalg import (
 
 import _gen
 from _ref import (
+    ref_extreme_generators,
     ref_facets,
     ref_is_face_of,
     ref_split_by_hyperplanes,
@@ -627,6 +628,45 @@ def _random_arrangement(rng):
             return normals, n
 
 
+def _with_inner_generators(rng, cone):
+    """The cone's rays with generators inside it mixed in (repeats,
+    doubles and sums of two rays), shuffled."""
+    gens = list(cone.rays)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(cone.rays), rng.choice(cone.rays)
+        gens.append(rng.choice([a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b))]))
+    rng.shuffle(gens)
+    return gens
+
+
+def _holding_a_line(rng):
+    """(generators, normals) of a cone that holds a line, at rank 1 to 4:
+    a random cone of rank m < n (or none, for m = 0) times R^(n - m),
+    generated by its rays, ±e_i for i >= m and sums of those, with its
+    facet normals padded by zeros.  Random shears x_i += c·x_j move the
+    generators, and h_j -= c·h_i the normals, which keeps every value
+    <h, g>."""
+    n = rng.randint(1, 4)
+    m = rng.randint(0, n - 1)
+    base = _random_cone(rng, m) if m else C.zero_cone(0)
+    pad = (0,) * (n - m)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(m, n)]
+    gens = [r + pad for r in base.rays] + units + [tuple(-x for x in u) for u in units]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens.append(tuple(x + y for x, y in zip(a, b)))
+    gens, normals = [list(g) for g in gens], [list(h) + list(pad) for h in base.facet_normals]
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for g in gens:
+            g[i] += c * g[j]
+        for h in normals:
+            h[j] -= c * h[i]
+    rng.shuffle(gens)
+    return [tuple(g) for g in gens], [tuple(h) for h in normals]
+
+
 def _from_rays_outcome(build, vs, n):
     try:
         return _full(build(vs, n))
@@ -720,6 +760,22 @@ class TestAgainstReference:
         assert _from_rays_outcome(C.from_rays, vs, n) == _from_rays_outcome(
             ref_from_rays, vs, n
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_seeds)
+    def test_extreme_generators(self, rng):
+        # The rays of a random cone are its extreme generators; with
+        # inner generators and repeats mixed in, and on sets that hold a
+        # line, the plain-loop scan gives what the reference gives.
+        n = rng.randint(1, 4)
+        cone = _random_cone(rng, n)
+        normals = cone.facet_normals
+        assert C.extreme_generators(list(cone.rays), normals) == list(cone.rays)
+        gens = _with_inner_generators(rng, cone)
+        assert C.extreme_generators(gens, normals) == ref_extreme_generators(gens, normals)
+        gens, normals = _holding_a_line(rng)
+        assert ref_extreme_generators(gens, normals) is None
+        assert C.extreme_generators(gens, normals) is None
 
     @settings(max_examples=300, deadline=None)
     @given(_seeds)

@@ -127,6 +127,32 @@ class TestMaximalCones:
             ((-1, 1), (1, 1)), ((0, 1), (1, 0))
         ]
 
+    def test_rays_settled_by_the_index(self, monkeypatch):
+        # An invalid fan: the octant, a 2-cone outside it, the ray (−1, 0, 0)
+        # of only the 2-cone, rays inside the octant and the 2-cone that
+        # are rays of neither, and a ray that no cone holds.  The index
+        # settles the ray of the 2-cone with no containment test; the
+        # others fall back to `contains_cone`.
+        def sc(*rays):
+            return F.stacky_cone(rays, rays, 3)
+
+        octant = sc((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        wedge = sc((-1, 0, 0), (0, -1, 0))
+        free = sc((0, 0, -1))
+        fan = F.make_fan([octant, wedge, sc((-1, 0, 0)), sc((1, 1, 1)), sc((-1, -1, 0)), free], 3)
+        self._same(fan)
+        tested = []
+        contains_cone = C.contains_cone
+
+        def counted(big, small):
+            tested.append(small.rays)
+            return contains_cone(big, small)
+
+        monkeypatch.setattr(C, "contains_cone", counted)
+        assert F.maximal_cones(fan) == [free, wedge, octant]
+        assert ((-1, 0, 0),) not in tested
+        assert {((1, 1, 1),), ((-1, -1, 0),), ((0, 0, -1),)} <= set(tested)
+
 
 _KINDS = ("random", "inside", "zero", "duplicate", "in_no_top")
 

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import tropfan.cones as C
 import tropfan.fans as F
 import tropfan.lattice as L
+import tropfan.minimal as MIN
 from tropfan._linalg import dot
 
 import _gen
-from _ref import ref_facets, ref_is_face_of
+from _ref import ref_extreme_generators, ref_facets, ref_is_face_of, ref_merge_pieces
 
 
 def ref_merge(p, q):
@@ -129,6 +130,23 @@ def test_opposite_rays_make_a_line():
         assert F.merge_across_wall(p, q) is None
 
 
+def test_octants_across_a_wall_hold_a_line():
+    # The octants (+,+,+) and (+,+,−) share the wall z = 0, so both sign
+    # scans pass, but their union {x ≥ 0, y ≥ 0} holds the z-axis: both
+    # off-wall generators ±e₃ are tight on every remaining normal.
+    p = _piece([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    q = _piece([(1, 0, 0), (0, 1, 0), (0, 0, -1)], 3)
+    assert F._only_cutting_normal(p.cone, q.cone) == (0, 0, 1)
+    assert F._only_cutting_normal(q.cone, p.cone) == (0, 0, -1)
+    gens = sorted(set(p.cone.rays) | set(q.cone.rays))
+    normals = [(0, 1, 0), (1, 0, 0)]
+    assert C.extreme_generators(gens, normals) is None
+    assert ref_extreme_generators(gens, normals) is None
+    assert F.merge_across_wall(p, q) is None
+    assert ref_merge(p, q) is None
+    assert MIN._merge_pieces([p, q]) == tuple(ref_merge_pieces([p, q])) == (q, p)
+
+
 def test_wall_ray_stops_being_extreme():
     p, q = _piece([(1, 0), (1, 1)], 2), _piece([(1, 1), (0, 1)], 2)
     merged = F.merge_across_wall(p, q)
@@ -229,14 +247,20 @@ def test_merge_across_wall_matches_reference_on_loose_pairs():
 def test_merge_scans_build_no_generator():
     # The sign scans of a merge attempt are plain loops: a generator per
     # facet normal was most of the cost of the attempts that fail.
-    tree = ast.parse(pathlib.Path(F.__file__).read_text())
-    scans = {"merge_across_wall", "_only_cutting_normal"}
-    found = {}
-    for top in tree.body:
-        if isinstance(top, ast.FunctionDef) and top.name in scans:
-            found[top.name] = [
-                node.lineno
-                for node in ast.walk(top)
-                if isinstance(node, ast.GeneratorExp)
-            ]
-    assert found == {name: [] for name in scans}
+    # `cones.extreme_generators` ends every attempt that passes them.
+    scans = {
+        F: {"merge_across_wall", "_only_cutting_normal"},
+        C: {"extreme_generators"},
+    }
+    found, want = {}, {}
+    for module, names in scans.items():
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name in names:
+                found[top.name] = [
+                    node.lineno
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.GeneratorExp)
+                ]
+        want.update((name, []) for name in names)
+    assert found == want
