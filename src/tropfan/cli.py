@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 ok/true, 1 false/violation, 2 parse error, 3 incompatible
-inputs, 4 unsupported operation.
+inputs, 4 unsupported operation.  A command refuses its input by raising
+`CliError` with its code, or lets a library refusal through: `main` maps
+each exception type of `REFUSALS` to its code and prints its message.
 """
 
 import argparse
@@ -16,6 +18,17 @@ from . import semiabelian as S
 from . import serialize as SER
 
 OK, FAIL, PARSE, INCOMPATIBLE, UNSUPPORTED = 0, 1, 2, 3, 4
+
+# The library exceptions that refuse a command's input, with their exit
+# codes.
+REFUSALS = (
+    (S.NormalizationError, FAIL),
+    (S.IncompatibleBaseError, INCOMPATIBLE),
+    (S.ConnectivityError, INCOMPATIBLE),
+    (F.SupportMismatchError, INCOMPATIBLE),
+    (L.DimensionError, INCOMPATIBLE),
+    (R.RankError, UNSUPPORTED),
+)
 
 
 class CliError(Exception):
@@ -109,10 +122,7 @@ def cmd_equiv(args):
         return FAIL
     if kind_a == "av_fan" and kind_b == "av_fan":
         _require_valid(S.local_violations, a, b)
-        try:
-            eq = S.av_bir_equivalent(a, b)
-        except S.IncompatibleBaseError as exc:
-            raise CliError(INCOMPATIBLE, str(exc))
+        eq = S.av_bir_equivalent(a, b)
         print("equivalent" if eq else "inequivalent")
         return OK if eq else FAIL
     raise CliError(INCOMPATIBLE, f"cannot compare {kind_a} with {kind_b}")
@@ -148,88 +158,70 @@ def cmd_quotient(args):
     violations = S.validate_av_fan(fan)
     if violations:
         raise CliError(FAIL, "; ".join(violations))
-    try:
-        qc = S.quotient_complex(fan)
-    except S.NormalizationError as exc:
-        raise CliError(FAIL, str(exc))
-    _emit(SER.dumps(qc), args.out)
+    _emit(SER.dumps(S.quotient_complex(fan)), args.out)
     return OK
 
 
 def cmd_jacobian(args):
     _, graph = _load_kind(args.file, ("graph",))
-    num_vertices, edges, base_cone, torus_rank = graph
-    try:
-        base = S.jacobian_form(num_vertices, edges, base_cone, torus_rank)
-    except S.ConnectivityError as exc:
-        raise CliError(INCOMPATIBLE, str(exc))
-    _emit(SER.dumps(base), args.out)
+    _emit(SER.dumps(S.jacobian_form(*graph)), args.out)
     return OK
 
 
 def cmd_refine(args):
     _, a = _load_kind(args.a, ("stacky_fan",))
     _, b = _load_kind(args.b, ("stacky_fan",))
-    try:
-        refined = F.common_refinement(a, b)
-    except F.SupportMismatchError as exc:
-        raise CliError(INCOMPATIBLE, str(exc))
-    except L.DimensionError as exc:
-        raise CliError(INCOMPATIBLE, str(exc))
-    _emit(SER.dumps(refined), args.out)
+    _emit(SER.dumps(F.common_refinement(a, b)), args.out)
     return OK
 
 
 def cmd_render(args):
     _, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
-    try:
-        svg = R.render_svg(obj, radius=args.radius)
-    except R.RankError as exc:
-        raise CliError(UNSUPPORTED, str(exc))
-    _emit(svg, args.out)
+    _emit(R.render_svg(obj, radius=args.radius), args.out)
     return OK
 
 
-def cmd_oracle(args):
-    if args.oracle_cmd == "s-enumerate":
-        _, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
-        points = oracle.s_enumerate(obj, args.radius)
-        for p in points:
-            print(" ".join(str(x) for x in p))
-        print(f"count {len(points)}")
-        return OK
-    if args.oracle_cmd == "cover-sample":
-        kind, obj = _load_kind(args.file, ("stacky_fan", "av_fan"))
-        if kind == "stacky_fan":
-            covered, total = oracle.cover_sample_fan(obj, args.count, args.seed)
-        else:
-            _require_valid(S.local_violations, obj)
-            covered, total = oracle.cover_sample_av(obj, args.count, args.seed)
-        print(f"covered {covered}/{total}")
-        return OK if covered == total else FAIL
-    if args.oracle_cmd == "translations-bruteforce":
-        _, fan = _load_kind(args.file, ("av_fan",))
+def cmd_s_enumerate(args):
+    _, obj = _load_kind(args.file, ("stacky_fan", "coloring"))
+    points = oracle.s_enumerate(obj, args.radius)
+    for p in points:
+        print(" ".join(str(x) for x in p))
+    print(f"count {len(points)}")
+    return OK
+
+
+def cmd_cover_sample(args):
+    kind, obj = _load_kind(args.file, ("stacky_fan", "av_fan"))
+    if kind == "stacky_fan":
+        covered, total = oracle.cover_sample_fan(obj, args.count, args.seed)
+    else:
+        _require_valid(S.local_violations, obj)
+        covered, total = oracle.cover_sample_av(obj, args.count, args.seed)
+    print(f"covered {covered}/{total}")
+    return OK if covered == total else FAIL
+
+
+def cmd_translations_bruteforce(args):
+    _, fan = _load_kind(args.file, ("av_fan",))
+    if args.cells:
+        reps = fan.representatives
+        for k in args.cells:
+            if not 0 <= k < len(reps):
+                raise CliError(
+                    INCOMPATIBLE, f"cell index {k} is outside 0..{len(reps) - 1}"
+                )
+        c1, c2 = (reps[k] for k in args.cells)
+    else:
         tops = sorted(
             (sc for sc in fan.representatives if sc.dim > 0),
             key=lambda sc: (-sc.dim, sc.cone.rays),
         )
-        if args.cells:
-            reps = fan.representatives
-            for k in args.cells:
-                if not 0 <= k < len(reps):
-                    raise CliError(
-                        INCOMPATIBLE, f"cell index {k} is outside 0..{len(reps) - 1}"
-                    )
-            c1, c2 = (reps[k] for k in args.cells)
-        else:
-            if len(tops) < 2:
-                raise CliError(INCOMPATIBLE, "need at least two positive cells")
-            c1, c2 = tops[0], tops[1]
-        found = oracle.translations_bruteforce(c1, c2, fan.base, args.bound)
-        for m in found:
-            print(" ".join(str(x) for x in m))
-        return OK
-    raise CliError(UNSUPPORTED, f"unknown oracle subcommand {args.oracle_cmd}")
+        if len(tops) < 2:
+            raise CliError(INCOMPATIBLE, "need at least two positive cells")
+        c1, c2 = tops[0], tops[1]
+    for m in oracle.translations_bruteforce(c1, c2, fan.base, args.bound):
+        print(" ".join(str(x) for x in m))
+    return OK
 
 
 def nonnegative_int(text):
@@ -298,24 +290,23 @@ def build_parser():
     q = osub.add_parser("s-enumerate")
     q.add_argument("file")
     q.add_argument("--radius", type=nonnegative_int, default=5)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_s_enumerate)
     q = osub.add_parser("cover-sample")
     q.add_argument("file")
     q.add_argument("--count", type=nonnegative_int, default=100)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_cover_sample)
     q = osub.add_parser("translations-bruteforce")
     q.add_argument("file")
     q.add_argument("--bound", type=nonnegative_int, default=10)
     q.add_argument("--cells", type=int, nargs=2)
-    q.set_defaults(func=cmd_oracle)
+    q.set_defaults(func=cmd_translations_bruteforce)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
@@ -324,6 +315,9 @@ def main(argv=None):
     except S.DefinitenessRequiredError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return UNSUPPORTED
+    except tuple(t for t, _ in REFUSALS) as exc:
+        print(str(exc), file=sys.stderr)
+        return next(code for t, code in REFUSALS if isinstance(exc, t))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from operator import mul
 
 from . import cones as C
 from . import lattice as L
-from ._linalg import dot, express_in_hnf
+from ._linalg import dot
 
 
 class SupportMismatchError(ValueError):
@@ -142,24 +142,15 @@ def _restrict(lattice, cone):
 
 
 def _restrict_to_span(lattice, span_basis):
-    """lattice ∩ Span, for the saturated HNF basis of a span's lattice,
-    with two fast paths besides the full span, where it is the lattice
-    itself.
-
-    - The lattice has the span's rank and lies in it: it is its own
-      restriction (the span basis is saturated, so a vector lies in the
-      span iff it has integer coordinates in that basis).
-    - The lattice holds every vector of the saturated span basis: then
-      Zⁿ ∩ Span ⊆ L ∩ Span ⊆ Zⁿ ∩ Span, so the restriction is the span
-      lattice.  This is the case of a saturated parent lattice, such as
-      the full lattice, on each of its cone's faces.
+    """lattice ∩ Span, for the saturated HNF basis of a span's lattice.
+    On the full span it is the lattice itself.  When the lattice holds
+    every vector of the saturated span basis, Zⁿ ∩ Span ⊆ L ∩ Span ⊆
+    Zⁿ ∩ Span, so it is the span lattice, with no intersection: this is
+    the case of a saturated parent lattice, such as the full lattice, on
+    each of its cone's faces.
     """
     n, d = lattice.ambient_rank, len(span_basis)
     if d == n:
-        return lattice
-    if lattice.rank == d and all(
-        express_in_hnf(span_basis, n, b) is not None for b in lattice.basis
-    ):
         return lattice
     span = L.Sublattice(n, tuple(span_basis))
     if lattice.rank >= d and L.contains(lattice, span):

@@ -169,7 +169,9 @@ def _random_admissible_point(rng, base, radius):
 def cover_sample_av(fan, count, seed, radius=6):
     """Random admissible points covered by some translated representative,
     found with `semiabelian.candidate_translations` and `translate`, so
-    not independently of them."""
+    not independently of them.  A point is covered when one of the
+    candidate translates of a positive-dimensional representative holds
+    it; the zero point always is."""
     rng = random.Random(seed)
     base = fan.base
     reps = list(fan.representatives)
@@ -183,18 +185,12 @@ def cover_sample_av(fan, count, seed, radius=6):
             C.ray_cone(v, base.ambient_rank),
             L.canonicalize([v], base.ambient_rank),
         )
-        hit = False
-        for rho in reps:
-            if rho.dim == 0:
-                continue
-            for m in S.candidate_translations(ray_sc, rho, base):
-                if C.member(S.translate(rho, m, base).cone, v):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            covered += 1
+        covered += any(
+            C.member(S.translate(rho, m, base).cone, v)
+            for rho in reps
+            if rho.dim > 0
+            for m in S.candidate_translations(ray_sc, rho, base)
+        )
     return covered, count
 
 

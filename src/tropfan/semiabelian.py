@@ -914,42 +914,44 @@ def av_minimal(fan):
     `local_violations`, and its tops pass the overlap checks, as in
     `validate_av_fan`.  In a valid fan a class inside a translate of a
     higher cell is a translate of a face of it, so the tops are the
-    maximal classes, and the loop goes on from them.
+    maximal classes, and the search starts again from them.  The merges
+    are tried in `_merges`' order, and the coarsening ends when none of
+    them is kept.
     """
     base = fan.base
     form = _OrbitForms(base)
     cells = _maximal_classes(_orbit_classes(fan, form), form)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cells)):
-            for j in range(len(cells)):
-                merged = None
-                if cells[i].dim != cells[j].dim or cells[i].dim == 0:
-                    continue
-                for m in form.candidates(cells[i], cells[j]):
-                    if i == j and is_zero(m):
-                        continue
-                    merged = F.merge_across_wall(cells[i], form.translate(cells[j], m))
-                    if merged is not None:
-                        break
-                if merged is None:
-                    continue
-                new_cells = [
-                    c for k, c in enumerate(cells) if k not in (i, j)
-                ] + [merged]
-                candidate, tops = _rebuild(base, new_cells, form)
-                if (
-                    form.base_cone in candidate.representatives
-                    and not local_violations(candidate)
-                    and not any(_overlap_violations(tops, form))
-                ):
-                    cells = tops
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for new_cells in _merges(cells, form):
+            candidate, tops = _rebuild(base, new_cells, form)
+            if (
+                form.base_cone in candidate.representatives
+                and not local_violations(candidate)
+                and not any(_overlap_violations(tops, form))
+            ):
+                cells = tops
                 break
-    return _rebuild(base, cells, form)[0]
+        else:
+            return _rebuild(base, cells, form)[0]
+
+
+def _merges(cells, form):
+    """The merges `av_minimal` tries, in order.  For each ordered pair
+    (i, j) of cells of one positive dimension, it yields the cells
+    without cells i and j, followed by the first wall merge of cells[i]
+    with a translate T_m(cells[j]) (m ≠ 0 when i = j) that succeeds; a
+    pair with no such merge yields nothing."""
+    for i, ci in enumerate(cells):
+        for j, cj in enumerate(cells):
+            if ci.dim != cj.dim or ci.dim == 0:
+                continue
+            for m in form.candidates(ci, cj):
+                if i == j and is_zero(m):
+                    continue
+                merged = F.merge_across_wall(ci, form.translate(cj, m))
+                if merged is not None:
+                    yield [c for k, c in enumerate(cells) if k not in (i, j)] + [merged]
+                    break
 
 
 def _rebuild(base, cells, form):

@@ -1,5 +1,8 @@
+import ast
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -785,3 +788,71 @@ class TestNoTraceback:
         _, top = sweep_documents
         assert len(top) == 18
         self._sweep(capsys, [[command, a, b] for a in top for b in top])
+
+
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "bench_gen", FIXTURES.parent / "bench" / "gen.py"
+)
+gen = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(gen)
+
+E3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.fixture(scope="module")
+def refusal_documents(tmp_path_factory):
+    """Path of a document by name: the `.json` names are fixtures, the
+    others are written here."""
+    tmp = tmp_path_factory.mktemp("refusals")
+    # The Tate two-arc fan with T_(1) of its arc on (1, 0), (2, 1) added.
+    doc = json.loads((FIXTURES / "tate_two_arc.json").read_text())
+    doc["payload"]["representatives"].append(
+        {"rays": [["1", "1"], ["2", "3"]], "lattice": [["1", "0"], ["0", "1"]]}
+    )
+    (tmp / "tate_and_translate").write_text(json.dumps(doc))
+    doc = json.loads((FIXTURES / "path_graph.json").read_text())
+    doc["payload"]["num_vertices"] = "5"
+    (tmp / "disconnected_path").write_text(json.dumps(doc))
+    _gen.dump_path(gen.torus_grid_fan(2), str(tmp / "torus_grid"))
+    _gen.dump_path(F.fan_from_maximal([F.stacky_cone(E3, E3, 3)], 3), str(tmp / "orthant3"))
+    return lambda name: str(FIXTURES / name if name.endswith(".json") else tmp / name)
+
+
+REFUSAL_CASES = [
+    ("quotient tate_and_translate", 1,
+     "representatives ((1, 0), (2, 1)) and ((1, 1), (2, 3)) lie in the same "
+     "translation orbit"),
+    ("equiv tate_two_arc.json torus_grid", 3, "fans are defined over different bases"),
+    ("jacobian disconnected_path", 3, "graph is not connected"),
+    ("refine p2.json orthant3", 3, "ambient ranks differ"),
+    ("refine quadrant.json trivial.json", 3, "fans have different supports"),
+    ("render orthant3", 4, "rendering is only supported in ambient rank 2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
+def test_library_refusal(capsys, refusal_documents, argv, code, message):
+    """A library refusal exits with its `REFUSALS` code and its message."""
+    command, *names = argv.split()
+    assert run(capsys, command, *map(refusal_documents, names)) == (code, "", message + "\n")
+
+
+def test_quotient_refusal_input_validates(capsys, refusal_documents):
+    assert run(capsys, "validate", refusal_documents("tate_and_translate")) == (0, "ok\n", "")
+
+
+def test_refusals_are_decided_in_main():
+    """Only `_load` and `main` catch exceptions, and only `build_parser`
+    names the oracle subcommand."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    tries, oracle_cmd = [], set()
+    for stmt in tree.body:
+        name = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Try):
+                tries.append(name)
+            if "oracle_cmd" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "value", None)):
+                oracle_cmd.add(name)
+    assert sorted(tries) == ["_load", "main"]
+    assert oracle_cmd == {"build_parser"}

@@ -423,7 +423,7 @@ class TestRestrict:
                     seen["full"] += 1
                 elif lattice.rank == d:
                     seen["inside" if inside else "outside"] += 1
-                    assert (got is lattice) == inside
+                    assert (got == lattice) == inside
         assert min(seen.values()) >= 50
         # Lattices that hold the span basis but leave the span: the full
         # lattice, and a parent's lattice (its span lattice or a sublattice
@@ -442,7 +442,7 @@ class TestRestrict:
                     got = F._restrict(lattice, cell)
                     assert got == L.intersect(lattice, cell_span)
                     if lattice.rank == cell.dim:
-                        assert (got is lattice) == L.contains(cell_span, lattice)
+                        assert (got == lattice) == L.contains(cell_span, lattice)
                     elif cell.dim < n and L.contains(lattice, cell_span):
                         held += 1
         assert held >= 50

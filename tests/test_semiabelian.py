@@ -1450,6 +1450,34 @@ def _av_minimal_test_fans():
     return fans
 
 
+def _piece_shape(sc):
+    return (sc.cone.rays, sc.cone.span_basis, sc.cone.facet_normals, sc.lattice.basis)
+
+
+def test_av_minimal_merges_match_the_reference(monkeypatch):
+    """`av_minimal` hands `merge_across_wall` the same pairs, in the same
+    order and with the same results, as `ref_av_minimal`'s restart loop."""
+    calls = []
+    real = F.merge_across_wall
+
+    def spy(p, q):
+        merged = real(p, q)
+        calls.append((_piece_shape(p), _piece_shape(q), merged and _piece_shape(merged)))
+        return merged
+
+    monkeypatch.setattr(F, "merge_across_wall", spy)
+    succeeded = 0
+    for fan in _av_minimal_test_fans():
+        calls.clear()
+        S.av_minimal(fan)
+        got = list(calls)
+        calls.clear()
+        ref_av_minimal(fan)
+        assert got == calls
+        succeeded += sum(merged is not None for _, _, merged in got)
+    assert succeeded > 100
+
+
 def _drops_one_or_two(cells, kept):
     """Is `kept` the list `cells` with the entries at one or two indices
     removed, in order?"""
