@@ -105,6 +105,8 @@ def cmd_equiv(args):
     kind_b, b = _load(args.b)
     fan_kinds = ("stacky_fan", "coloring")
     if kind_a in fan_kinds and kind_b in fan_kinds:
+        # Before validation, so fans of two ranks exit 3 even when one is
+        # invalid.
         if a.ambient_rank != b.ambient_rank:
             raise CliError(INCOMPATIBLE, "ambient ranks differ")
         _require_valid(VALIDATORS[kind_a], a)
@@ -138,8 +140,7 @@ MORPHISM_TESTS = {
 def cmd_morphism(args):
     _, fine = _load_kind(args.fine, ("stacky_fan",))
     _, coarse = _load_kind(args.coarse, ("stacky_fan",))
-    if fine.ambient_rank != coarse.ambient_rank:
-        raise CliError(INCOMPATIBLE, "ambient ranks differ")
+    # `FanMorphismData` refuses fans of different ambient ranks.
     return _verdict(MORPHISM_TESTS[args.command](F.FanMorphismData(fine, coarse)))
 
 

@@ -214,7 +214,7 @@ def from_rays(rays, ambient_rank):
         if not is_zero(p) and p not in prims:
             prims.append(p)
     if not prims:
-        return Cone(ambient_rank, (), (), ())
+        return zero_cone(ambient_rank)
     span = lat.saturate(lat.canonicalize(prims, ambient_rank))
     d = span.rank
     # A full span has the identity basis: the coordinates are the
@@ -348,9 +348,8 @@ def member(cone, v):
 
 
 def interior_point(cone):
-    """An integer point in the relative interior (sum of the extreme rays)."""
-    if cone.dim == 0:
-        return tuple([0] * cone.ambient_rank)
+    """An integer point in the relative interior (sum of the extreme rays;
+    the origin for the zero cone)."""
     p = [0] * cone.ambient_rank
     for r in cone.rays:
         p = [a + b for a, b in zip(p, r)]

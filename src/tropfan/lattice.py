@@ -76,8 +76,6 @@ def member(v, lattice):
     """Exact membership of an integer vector in a sublattice."""
     if len(v) != lattice.ambient_rank:
         raise DimensionError(f"vector {v} vs ambient rank {lattice.ambient_rank}")
-    if all(x == 0 for x in v):
-        return True
     return express_at_pivots(lattice.basis, lattice.pivots, v) is not None
 
 
@@ -158,12 +156,10 @@ def saturate(lattice):
 
     A lattice of full rank saturates to Z^n.  A basis in HNF whose pivots
     are all 1 has a maximal minor equal to 1, so it is saturated and is
-    returned as it is; otherwise the saturation is the kernel of the
-    kernel.
+    returned as it is (so is the zero lattice, whose basis is empty);
+    otherwise the saturation is the kernel of the kernel.
     """
     n = lattice.ambient_rank
-    if not lattice.basis:
-        return zero_lattice(n)
     if lattice.rank == n:
         return full_lattice(n)
     if all(next(x for x in row if x) == 1 for row in lattice.basis):

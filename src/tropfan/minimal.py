@@ -19,12 +19,15 @@ S, so MinimalFan equality is decided semantically (equal S-sets), not by
 comparing piece tuples.  Equal S-sets means equal supports
 (`cones.union_difference`, whose point also gives the support witness)
 and equal lattices on the overlay, where only pairs of pieces with
-different lattices can differ.  A coloring becomes pieces only in
-`_color_pieces`, so the decoder, `from_coloring` and `validate_coloring`
-(which checks each piece's lattice rank) all see the same pieces.  Two
-regions of distinct colors conflict when their relative interiors meet
-and their lattices differ on their intersection; the rule is symmetric,
-so regrouping the pieces into colors (`coloring_of`) keeps the verdict.
+different lattices can differ.  One generator, `_lattice_mismatches`,
+finds the pairs of pieces whose lattices differ where they meet, for
+the overlay and for `validate_coloring` alike.  A coloring becomes
+pieces only in `_color_pieces`, so the decoder, `from_coloring` and
+`validate_coloring` (which checks each piece's lattice rank) all see
+the same pieces.  Two regions of distinct colors conflict when their
+relative interiors meet and their lattices differ on their
+intersection; the rule is symmetric, so regrouping the pieces into
+colors (`coloring_of`) keeps the verdict.
 """
 
 from bisect import bisect_right
@@ -120,13 +123,13 @@ def minimal_fan(fan):
     return MinimalFan(fan.ambient_rank, _merge_pieces(pieces))
 
 
-def _overlay_mismatch(pieces1, pieces2):
-    """First overlay cell where the restricted lattices differ, or None.
-
-    Returns (cell, lattice_from_1, lattice_from_2).  A pair of pieces with
-    equal lattices is skipped, with no cell built: one lattice restricts
-    to one lattice on any cell, so such a pair never differs.
-    """
+def _lattice_mismatches(pieces1, pieces2):
+    """(p1, p2, cell, r1, r2) for each pair of a piece p1 of pieces1 and a
+    piece p2 of pieces2, in that order, that meet in a cell of positive
+    dimension on which their lattices restricted to it, r1 and r2,
+    differ.  A pair of pieces with equal lattices is skipped, with no
+    cell built: one lattice restricts to one lattice on any cell, so such
+    a pair never differs."""
     for p1 in pieces1:
         for p2 in pieces2:
             if p1.lattice == p2.lattice:
@@ -137,8 +140,13 @@ def _overlay_mismatch(pieces1, pieces2):
             r1 = F._restrict(p1.lattice, cell)
             r2 = F._restrict(p2.lattice, cell)
             if r1 != r2:
-                return cell, r1, r2
-    return None
+                yield p1, p2, cell, r1, r2
+
+
+def _overlay_mismatch(pieces1, pieces2):
+    """(cell, lattice_from_1, lattice_from_2) of the first pair of
+    `_lattice_mismatches`, or None when there is none."""
+    return next((m[2:] for m in _lattice_mismatches(pieces1, pieces2)), None)
 
 
 def _s_difference(a, b):
@@ -247,23 +255,20 @@ def validate_coloring(c):
     relative interior of both) and their lattices, restricted to the
     intersection, differ.  The rule is symmetric, so the verdict does not
     depend on the order of the colors; regions of one color never
-    conflict."""
-    out = [v for p in _color_pieces(c.colors) for v in F.validate_stacky_cone(p)]
+    conflict.  The pairs whose lattices differ on their intersection come
+    from `_lattice_mismatches` on the pieces of each pair of colors: a
+    piece's lattice is its color's lattice restricted to the region, so
+    it restricts to the color's lattice on the intersection."""
+    pieces = [_color_pieces([color]) for color in c.colors]
+    out = [v for ps in pieces for p in ps for v in F.validate_stacky_cone(p)]
     if out:
         return out
-    for i, (lat_a, regions_a) in enumerate(c.colors):
-        for lat_b, regions_b in c.colors[i + 1 :]:
-            for a in regions_a:
-                for b in regions_b:
-                    inter = C.intersect_cones(a, b)
-                    pt = C.interior_point(inter)
-                    if (
-                        inter.dim > 0
-                        and C.contains_point(a, pt) == C.RELATIVE_INTERIOR
-                        and C.contains_point(b, pt) == C.RELATIVE_INTERIOR
-                        and F._restrict(lat_a, inter) != F._restrict(lat_b, inter)
-                    ):
-                        out.append(f"regions of two colors overlap on cone {inter.rays}")
+    for i, pieces_a in enumerate(pieces):
+        for pieces_b in pieces[i + 1 :]:
+            for a, b, inter, _, _ in _lattice_mismatches(pieces_a, pieces_b):
+                pt = C.interior_point(inter)
+                if all(C.contains_point(p.cone, pt) == C.RELATIVE_INTERIOR for p in (a, b)):
+                    out.append(f"regions of two colors overlap on cone {inter.rays}")
     return out
 
 

@@ -96,6 +96,11 @@ class PolarizedBase:
     q_matrix: tuple  # g×g tuple of IntVectors of length b
     torus_rank: int  # r
 
+    def __post_init__(self):
+        g, b, q = self.m_rank, self.base_rank, self.q_matrix
+        if len(q) != g or any(len(row) != g or any(len(v) != b for v in row) for row in q):
+            raise L.DimensionError(f"q_matrix is not {g} × {g} vectors of length {b}")
+
     @property
     def base_rank(self):
         return self.base_cone.ambient_rank
@@ -155,19 +160,15 @@ def _shear(A, b, v):
 
 
 def validate_form(base):
-    """Violations of symmetry and positivity; empty list when valid."""
-    out = []
-    g, b = base.m_rank, base.base_rank
-    if len(base.q_matrix) != g or any(len(row) != g for row in base.q_matrix):
-        out.append("q_matrix is not g×g")
-        return out
-    for i in range(g):
-        for j in range(g):
-            if len(base.q_matrix[i][j]) != b:
-                out.append(f"q_matrix[{i}][{j}] has wrong length")
-                return out
-            if tuple(base.q_matrix[i][j]) != tuple(base.q_matrix[j][i]):
-                out.append(f"q_matrix not symmetric at ({i},{j})")
+    """Violations of symmetry and positivity; empty list when valid.  The
+    shape of the q_matrix is not among them: `PolarizedBase` refuses a
+    q_matrix that is not g × g vectors of length b."""
+    g, q = base.m_rank, base.q_matrix
+    out = [
+        f"q_matrix not symmetric at ({i},{j})"
+        for i, j in product(range(g), repeat=2)
+        if tuple(q[i][j]) != tuple(q[j][i])
+    ]
     out.extend(F.validate_stacky_cone(base.base_cone))
     if out or g == 0:
         return out
@@ -430,7 +431,9 @@ class _OrbitForms:
       lattices and orbit forms (`faces`), and so the tops (`tops`);
     - per m, the shear block A_m (`block`), which the orbit forms, the
       overlap scans, the containment tests on rays (`inside`) and the
-      translates (`translate`) of the merges and covers read;
+      translates (`translate`) of the merges and covers read; by it,
+      `shear_lattice` maps the lattices of the orbit forms, the overlap
+      scans and the translates;
     - per (ray, m), the sheared ray T_m r (`shear`), which the orbit
       forms, `inside` and the overlap scans' pulled-back rays read;
     - the embedded base cone of check (7) (`base_cone`).
@@ -483,10 +486,7 @@ class _OrbitForms:
                 b = self.base.base_rank
                 first = next(r for r in rays if any(r[:b]))
                 s = min(shifts, key=lambda s: self.shear(first, s))
-                lat = key[1]
-                if lat is not None:
-                    A, n = self.block(s), lattice.ambient_rank
-                    lat = L.canonicalize([_shear(A, b, v) for v in lat], n).basis
+                lat = None if key[1] is None else self.shear_lattice(lattice, s).basis
                 self._forms[key] = (tuple(self.shear(r, s) for r in rays), lat), s
             else:
                 self._forms[key] = key, tuple([0] * self.base.m_rank)
@@ -555,13 +555,17 @@ class _OrbitForms:
         back = tuple(-x for x in m)
         return all(C.member(rho.cone, self.shear(r, back)) for r in c.cone.rays)
 
+    def shear_lattice(self, lattice, m):
+        """T_m(lattice): its basis mapped by T_m and put back in HNF."""
+        A, b = self.block(m), self.base.base_rank
+        return L.canonicalize([_shear(A, b, v) for v in lattice.basis], lattice.ambient_rank)
+
     def translate(self, sc, m):
         """T_m(sc), as `translate` describes."""
         if not sc.cone.rays:
             return sc
-        A, b = self.block(m), self.base.base_rank
-        lat = L.canonicalize([_shear(A, b, v) for v in sc.lattice.basis], sc.ambient_rank)
-        return F.StackyCone(_shear_cone(sc.cone, A, b), lat)
+        lat = self.shear_lattice(sc.lattice, m)
+        return F.StackyCone(_shear_cone(sc.cone, self.block(m), self.base.base_rank), lat)
 
     @cached_property
     def base_cone(self):
@@ -679,14 +683,13 @@ def local_violations(fan):
 
 def _ray_violations(base, ray):
     """The `local_violations` messages of one ray: its base part lies in
-    the base cone, the ray is admissible (as `admissible_point` decides,
-    with its base-cone test not made twice), and a zero base part has a
-    zero N part."""
+    the base cone, the ray is admissible (`admissible_point`), and a zero
+    base part has a zero N part."""
     n, nprime, _ = split_point(base, ray)
     out = []
     if not C.member(base.base_cone.cone, n):
         out.append(f"ray {ray} has base part outside the base cone")
-    elif not is_zero(nprime) and not _in_row_span(gram(base, n), nprime):
+    elif not admissible_point(n, nprime, base):
         out.append(f"ray {ray} is not an admissible point")
     if is_zero(n) and not is_zero(nprime):
         out.append(f"ray {ray} has zero base part but nonzero N part")
@@ -747,7 +750,7 @@ def _overlap_violations(reps, form):
                 if t1.saturated and t2.saturated:
                     continue
                 span_basis = C.ray_span(rays, n)
-                moved = L.canonicalize([_shear(A, b, v) for v in t2.lattice.basis], n)
+                moved = form.shear_lattice(t2.lattice, m)
                 if F._restrict_to_span(t1.lattice, span_basis) != F._restrict_to_span(
                     moved, span_basis
                 ):
@@ -867,22 +870,27 @@ def av_complete(fan):
 
 def _ridges_pair(groups, count):
     """Does each group (the tops at one ridge) hold exactly two of the
-    count ≥ 1 tops, and do these pairs connect all of them?"""
-    adj = {i: set() for i in range(count)}
-    for members in groups:
-        if len(members) != 2:
-            return False
-        a, b = members
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(adj)
+    count ≥ 1 tops, and do these pairs connect all of them?  The pairs
+    are joined in one union-find forest (`_find`)."""
+    if any(len(members) != 2 for members in groups):
+        return False
+    parent = list(range(count))
+    for a, b in groups:
+        parent[_find(parent, a)] = _find(parent, b)
+    return _connected(parent)
+
+
+def _find(parent, x):
+    """The root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _connected(parent):
+    """Is the union-find forest `parent` one tree?"""
+    return len({_find(parent, x) for x in range(len(parent))}) == 1
 
 
 def _maximal_classes(cells, form):
@@ -905,13 +913,18 @@ def _maximal_classes(cells, form):
 def av_minimal(fan):
     """Greedy coarsening: merge orbit-adjacent cells with equal lattices.
 
-    A merge is kept only when the merged fan still validates (in
-    particular the pointwise-fixedness condition survives), which keeps
-    the coarsening translation-equivariant.  The merged fan is the face
-    closure of the cells (`_rebuild`), so it holds the zero cone and
-    passes check (3).  It validates iff it holds the embedded base cone,
-    which most merges lack and which is tested first, has no
-    `local_violations`, and its tops pass the overlap checks, as in
+    The input must have no `local_violations`, as the orbit forms
+    assume (the CLI refuses such a fan).  A merge is kept only when the
+    merged fan still validates (in particular the pointwise-fixedness
+    condition survives), which keeps the coarsening
+    translation-equivariant.  The merged fan is the face closure of the
+    cells (`_rebuild`), so it holds the zero cone and passes check (3).
+    It has no `local_violations` either: a wall merge keeps its pieces'
+    lattice and span, T_m keeps each ray's base part and admissibility
+    (it adds G_n·m to n′), and `_rebuild` gives each face its cell's
+    lattice restricted to the face's span.  So it validates iff it holds
+    the embedded base cone, which most merges lack and which is tested
+    first, and its tops pass the overlap checks, as in
     `validate_av_fan`.  In a valid fan a class inside a translate of a
     higher cell is a translate of a face of it, so the tops are the
     maximal classes, and the search starts again from them.  The merges
@@ -924,10 +937,8 @@ def av_minimal(fan):
     while True:
         for new_cells in _merges(cells, form):
             candidate, tops = _rebuild(base, new_cells, form)
-            if (
-                form.base_cone in candidate.representatives
-                and not local_violations(candidate)
-                and not any(_overlap_violations(tops, form))
+            if form.base_cone in candidate.representatives and not any(
+                _overlap_violations(tops, form)
             ):
                 cells = tops
                 break
@@ -1040,23 +1051,16 @@ def jacobian_form(num_vertices, edges, base_cone, torus_rank=0):
     """
     b = base_cone.ambient_rank
     parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = []
     chords = []
     for idx, (u, v, _) in enumerate(edges):
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             tree.append(idx)
         else:
             chords.append(idx)
-    if len({find(x) for x in range(num_vertices)}) != 1:
+    if not _connected(parent):
         raise ConnectivityError("graph is not connected")
     # One walk of the tree from vertex 0: path[x] holds the signed edge
     # coefficients of the tree path 0 -> x.

@@ -122,8 +122,6 @@ def _dec_base(payload):
     q = tuple(
         tuple(_dec_vec(v) for v in row) for row in payload["q_matrix"]
     )
-    if len(q) != g or any(len(row) != g or any(len(v) != b for v in row) for row in q):
-        raise ValueError(f"q_matrix is not {g} × {g} vectors of length {b}")
     return S.PolarizedBase(base_cone, g, q, _dec_count(payload["torus_rank"]))
 
 
@@ -219,7 +217,8 @@ def from_document(doc):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         # ValueError covers the library's own input checks, such as
-        # PointednessError and DimensionError, and the decoders' shape checks.
+        # PointednessError and DimensionError (a q_matrix of the wrong
+        # shape among them), and the decoders' own checks.
         raise ParseError(f"malformed {kind} payload: {exc}")
 
 

@@ -224,6 +224,47 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", fx("tate_one_arc.json"))
         assert code == 1 and "(5)" in out
 
+    def test_saturation_mismatch(self, capsys, tmp_path):
+        # The ray (1, 0) carries Z·(0, 1): of the cone's rank, in another span.
+        doc = {"schema_version": "1", "kind": "stacky_fan", "payload": {
+            "ambient_rank": "2",
+            "cones": [{"rays": [], "lattice": []},
+                      {"rays": [["1", "0"]], "lattice": [["0", "1"]]}],
+        }}
+        path = tmp_path / "ray.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (
+            1,
+            "lattice on cone with rays ((1, 0),) is not finite-index in the span "
+            "lattice (saturation mismatch)\n",
+            "",
+        )
+
+    def test_av_fan_base_not_positive_semidefinite(self, capsys, fx, tmp_path):
+        with open(fx("tate_two_arc.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["base"]["q_matrix"] = [[["-1"]]]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (
+            1,
+            "base form invalid: gram matrix at base ray (1,) is not positive semidefinite\n",
+            "",
+        )
+
+    def test_q_matrix_shape_is_refused_by_the_base(self, capsys, fx, tmp_path):
+        """`PolarizedBase` refuses the shape; the decoder makes it a parse error."""
+        with open(fx("tate_two_arc.json")) as fh:
+            doc = json.load(fh)
+        doc["payload"]["base"]["q_matrix"][0].append(["1"])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (
+            2,
+            "",
+            f"{path}: malformed av_fan payload: q_matrix is not 1 × 1 vectors of length 1\n",
+        )
+
     def test_graph_unsupported(self, capsys, fx):
         code, _, err = run(capsys, "validate", fx("theta_graph.json"))
         assert code == 4
@@ -726,6 +767,15 @@ class TestOracleCommands:
         assert (code, out) == (3, "")
         assert err.splitlines() == [f"cell index {bad} is outside 0..4"]
 
+    def test_translations_bruteforce_cells(self, capsys, fx):
+        # Cells 4 and 3 of tate_two_arc.json are its two arcs, taken in the
+        # order that the default (tops sorted by rays) does not take.
+        fan = SER.load_path(fx("tate_two_arc.json"))[1]
+        reps = fan.representatives
+        assert S.candidate_translations(reps[4], reps[3], fan.base) == ((0,), (1,))
+        assert run(capsys, "oracle", "translations-bruteforce", fx("tate_two_arc.json"),
+                   "--cells", "4", "3", "--bound", "3") == (0, "0\n1\n", "")
+
     def test_translations_bruteforce(self, capsys, fx):
         code, out, _ = run(capsys, "oracle", "translations-bruteforce",
                            fx("tate_two_arc.json"), "--bound", "10")
@@ -825,6 +875,12 @@ REFUSAL_CASES = [
     ("equiv tate_two_arc.json torus_grid", 3, "fans are defined over different bases"),
     ("jacobian disconnected_path", 3, "graph is not connected"),
     ("refine p2.json orthant3", 3, "ambient ranks differ"),
+    # `FanMorphismData` refuses fans of two ranks; `equiv` checks the ranks
+    # itself, before it validates either fan.
+    ("subdivision p2.json orthant3", 3, "ambient ranks differ"),
+    ("proper p2.json orthant3", 3, "ambient ranks differ"),
+    ("representable orthant3 p2.json", 3, "ambient ranks differ"),
+    ("equiv p2.json orthant3", 3, "ambient ranks differ"),
     ("refine quadrant.json trivial.json", 3, "fans have different supports"),
     ("render orthant3", 4, "rendering is only supported in ambient rank 2"),
 ]
@@ -832,7 +888,8 @@ REFUSAL_CASES = [
 
 @pytest.mark.parametrize("argv, code, message", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
 def test_library_refusal(capsys, refusal_documents, argv, code, message):
-    """A library refusal exits with its `REFUSALS` code and its message."""
+    """A refusal exits with its code and its message: the `REFUSALS` code
+    of a library refusal, and exit 3 for `equiv`'s own rank check."""
     command, *names = argv.split()
     assert run(capsys, command, *map(refusal_documents, names)) == (code, "", message + "\n")
 

@@ -67,6 +67,16 @@ class TestForms:
         bad = S.PolarizedBase(base.base_cone, 1, (((0,),),), 0)
         assert any("degenerate" in v for v in S.validate_form(bad))
 
+    @pytest.mark.parametrize("g, q", [
+        (2, (((1,),),)),  # one row where g = 2 asks for two
+        (1, (((1,), (1,)),)),  # a row of two vectors
+        (1, (((1, 0),),)),  # a vector of length 2 over a base of rank 1
+        (1, ((),)),  # an empty row
+    ])
+    def test_mis_shaped_q_matrix_is_refused(self, g, q):
+        with pytest.raises(L.DimensionError, match=f"q_matrix is not {g} × {g} vectors of length 1"):
+            S.PolarizedBase(tate_base().base_cone, g, q, 0)
+
     def test_validate_form_not_psd(self):
         base = tate_base()
         bad = S.PolarizedBase(base.base_cone, 1, (((-1,),),), 0)
@@ -1522,6 +1532,28 @@ def test_av_minimal_keeps_a_merge_iff_the_merged_fan_validates(monkeypatch):
                 refused += 1
         assert final == cells
     assert kept > 10 and refused > 100
+
+
+def test_av_minimal_candidates_have_no_local_violations(monkeypatch):
+    # On an input with no local violations, no merged fan has one: a wall
+    # merge keeps its pieces' lattice and span, T_m keeps each ray's base
+    # part and admissibility, and `_rebuild` restricts lattices to faces.
+    # So `av_minimal` does not test its candidates for them.
+    candidates, tested = [], []
+    local_violations, rebuild = S.local_violations, S._rebuild
+
+    def recording(base, cells, form):
+        result = rebuild(base, cells, form)
+        candidates.append(result[0])
+        return result
+
+    monkeypatch.setattr(S, "_rebuild", recording)
+    monkeypatch.setattr(S, "local_violations", lambda fan: tested.append(fan) or [])
+    for fan in _av_minimal_test_fans():
+        assert local_violations(fan) == []
+        S.av_minimal(fan)
+    assert tested == [] and len(candidates) > 100
+    assert all(local_violations(candidate) == [] for candidate in candidates)
 
 
 def test_av_minimal_scans_containment_only_on_its_input(monkeypatch):
